@@ -38,11 +38,15 @@ type Engine struct {
 	cycPool *cycle.ScratchPool
 	// Strategy planning inspects the SCC condensation; the graph is fixed,
 	// so the engine computes the decomposition and its non-trivial
-	// component count once, and also hands the decomposition to the
-	// partitioned solver, which would otherwise recompute it per run.
+	// component count once.
 	planOnce   sync.Once
 	comps      *scc.Result
 	nontrivial int
+	// The partitioned solver covers each non-trivial component on its own
+	// subgraph; the engine carves them all once, on the first solve that
+	// needs them, instead of once per component on every solve.
+	partsOnce sync.Once
+	parts     []sccPart
 }
 
 // NewEngine creates a reusable compute engine over g.
@@ -124,17 +128,27 @@ func (e *Engine) HasHopConstrainedCycle(k, minLen int) bool {
 	return found
 }
 
+// sccParts returns the engine's cached non-trivial components, largest
+// first, each as its own subgraph.
+func (e *Engine) sccParts() []sccPart {
+	e.partsOnce.Do(func() {
+		e.parts = sccParts(e.g, e.condensation())
+	})
+	return e.parts
+}
+
 // ComputeParallel runs the SCC-partitioned parallel solver (see the
 // package-level ComputeParallel) under the engine's graph and context
-// plumbing. The engine's scratch pools do NOT apply here: each component
-// runs on its own induced subgraph, whose size differs from the engine's
-// graph, so per-component state is allocated per run as in the
-// package-level function.
+// plumbing. The condensation and the per-component subgraphs are built on
+// the first call and reused by every later one, so a steady-state call
+// costs only the per-component covers: each still runs the one-shot
+// Compute on its component, with state sized to the component rather than
+// pooled.
 func (e *Engine) ComputeParallel(ctx context.Context, algo Algorithm, opts Options, workers int) (*Result, error) {
 	if ctx != nil {
 		opts.Context = ctx
 	}
-	return ComputeParallel(e.g, algo, opts, workers)
+	return computeParallel(e.g, algo, opts, workers, e.sccParts)
 }
 
 // runScratch bundles the per-run O(n) buffers of the sequential cover

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tdb/internal/digraph"
@@ -30,14 +33,57 @@ import (
 // polled by every worker; a timeout marks the whole result. workers <= 0
 // selects GOMAXPROCS.
 func ComputeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers int) (*Result, error) {
-	return computeParallelWith(g, algo, opts, workers, nil)
+	return computeParallel(g, algo, opts, workers, func() []sccPart {
+		return sccParts(g, scc.Compute(g))
+	})
 }
 
-// computeParallelWith is ComputeParallel reusing a precomputed SCC
-// decomposition when the caller (the planning layer, which inspected the
-// condensation to choose this strategy) already has one; nil computes it
-// here.
-func computeParallelWith(g digraph.Adjacency, algo Algorithm, opts Options, workers int, comps *scc.Result) (*Result, error) {
+// sccPart is one non-trivial strongly connected component carved out as its
+// own graph: dense IDs in increasing old-ID order, and oldID[i] the ID of
+// dense vertex i in the whole graph.
+type sccPart struct {
+	g     *digraph.Graph
+	oldID []VID
+}
+
+// sccParts carves every non-trivial component of comps out of g in one
+// O(n+m) pass, largest first. That is the dispatch order: the longest job
+// starts earliest and the small ones fill in behind it, and components too
+// small for a solve's MinLen form a suffix it can trim.
+func sccParts(g digraph.Adjacency, comps *scc.Result) []sccPart {
+	var ids []int32
+	for c, size := range comps.Size {
+		if size >= 2 {
+			ids = append(ids, int32(c))
+		}
+	}
+	slices.SortStableFunc(ids, func(a, b int32) int {
+		return cmp.Compare(comps.Size[b], comps.Size[a])
+	})
+	rank := make([]int32, len(comps.Size))
+	for c := range rank {
+		rank[c] = -1
+	}
+	for i, c := range ids {
+		rank[c] = int32(i)
+	}
+	part := make([]int32, len(comps.Comp))
+	for v, c := range comps.Comp {
+		part[v] = rank[c]
+	}
+	subs, oldIDs := digraph.InducedParts(g, part, len(ids))
+	parts := make([]sccPart, len(ids))
+	for i := range parts {
+		parts[i] = sccPart{g: subs[i], oldID: oldIDs[i]}
+	}
+	return parts
+}
+
+// computeParallel is ComputeParallel over the components buildParts
+// returns, invoked once the options validate: the engine hands in its
+// cached set, the one-shot paths build one per call (reusing the planner's
+// decomposition when there is one).
+func computeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers int, buildParts func() []sccPart) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(g); err != nil {
 		return nil, err
@@ -52,18 +98,13 @@ func computeParallelWith(g digraph.Adjacency, algo Algorithm, opts Options, work
 	stop := opts.stop()
 	r := &Result{}
 
-	if comps == nil {
-		comps = scc.Compute(g)
-	}
+	parts := buildParts()
 	r.Stats.SCCSkipped = int64(g.NumVertices())
-
-	// Collect vertices of each non-trivial component.
-	members := make(map[int32][]VID)
-	for v := 0; v < g.NumVertices(); v++ {
-		c := comps.Comp[v]
-		if comps.Size[c] >= 2 {
-			members[c] = append(members[c], VID(v))
-		}
+	// A component smaller than MinLen holds no constrained cycle (e.g. a
+	// 2-vertex SCC when 2-cycles are excluded): it is never dispatched and
+	// stays counted in SCCSkipped. Largest-first order makes these a suffix.
+	for len(parts) > 0 && parts[len(parts)-1].g.NumVertices() < opts.MinLen {
+		parts = parts[:len(parts)-1]
 	}
 	// An explicit candidate order induces per-component orders: position
 	// index once, each job sorts its component's dense IDs by it.
@@ -74,84 +115,67 @@ func computeParallelWith(g digraph.Adjacency, algo Algorithm, opts Options, work
 			orderPos[v] = int32(i)
 		}
 	}
-	type job struct {
-		verts []VID
-	}
-	jobs := make(chan job)
 	var (
+		next     atomic.Int64 // index of the next undispatched component
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		trap     panicTrap
 	)
-	// runJob covers one component on the worker's own state and is the
-	// panic-isolation boundary: a panic anywhere in the per-component
-	// computation is recovered HERE — outside the merge mutex, so siblings
-	// can never deadlock on a lock the dying worker held — and surfaced as
-	// a PanicError with the original stack.
-	runJob := func(keep []bool, verts []VID) (res *Result, oldID []VID, err error) {
+	// runJob covers one component and is the panic-isolation boundary: a
+	// panic anywhere in the per-component computation is recovered HERE —
+	// outside the merge mutex, so siblings can never deadlock on a lock the
+	// dying worker held — and surfaced as a PanicError with the original
+	// stack.
+	runJob := func(p sccPart) (res *Result, err error) {
 		defer func() {
-			if p := recover(); p != nil {
-				trap.capture(p)
+			if v := recover(); v != nil {
+				trap.capture(v)
 				res, err = nil, trap.Err()
 			}
 		}()
 		fault.Inject(fault.SiteCoreParallelWorker)
-		for _, v := range verts {
-			keep[v] = true
-		}
-		sub, old := digraph.Induced(g, keep)
-		for _, v := range verts {
-			keep[v] = false
-		}
-		oldID = old
+		n := p.g.NumVertices()
 		subOpts := opts
 		subOpts.SCCPrefilter = false // already decomposed
 		if orderPos != nil {
-			// InducedSubgraph relabels monotonically, so dense ID i
-			// is oldID[i]; sorting the dense IDs by the global
+			// The component's dense IDs follow old-ID order, so dense
+			// ID i is oldID[i]; sorting the dense IDs by the global
 			// order's positions replays it inside the component.
-			so := make([]VID, len(oldID))
+			so := make([]VID, n)
 			for i := range so {
 				so[i] = VID(i)
 			}
 			sort.Slice(so, func(a, b int) bool {
-				return orderPos[oldID[so[a]]] < orderPos[oldID[so[b]]]
+				return orderPos[p.oldID[so[a]]] < orderPos[p.oldID[so[b]]]
 			})
 			subOpts.CandidateOrder = so
 		}
 		if opts.Weights != nil {
 			// Remap the cost vector to the component's dense IDs.
-			sw := make([]float64, sub.NumVertices())
-			for i, old := range oldID {
+			sw := make([]float64, n)
+			for i, old := range p.oldID {
 				sw[i] = opts.Weights[old]
 			}
 			subOpts.Weights = sw
 		}
-		if sub.NumVertices() < subOpts.MinLen {
-			// Too small to hold any constrained cycle (e.g. a
-			// 2-vertex SCC when 2-cycles are excluded).
-			return nil, oldID, nil
-		}
-		if subOpts.K > sub.NumVertices() {
+		if subOpts.K > n {
 			// No simple cycle exceeds the component size; clamping
 			// keeps the unconstrained case (K = n) cheap.
-			subOpts.K = sub.NumVertices()
+			subOpts.K = n
 		}
-		res, err = Compute(sub, algo, subOpts)
-		return res, oldID, err
+		return Compute(p.g, algo, subOpts)
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(parts)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One O(n) membership mask per worker, cleared after each job
-			// in O(|component|) instead of reallocated.
-			keep := make([]bool, g.NumVertices())
-			for j := range jobs {
-				if trap.tripped() {
-					continue // a sibling panicked: drain the channel
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(parts) || trap.tripped() {
+					return // done, or a sibling panicked
 				}
+				p := parts[i]
 				if stop != nil && stop() {
 					// Stay on the safe side, as the sequential loop does:
 					// every vertex of an unprocessed component joins the
@@ -159,24 +183,20 @@ func computeParallelWith(g digraph.Adjacency, algo Algorithm, opts Options, work
 					// covered.
 					mu.Lock()
 					r.Stats.TimedOut = true
-					r.Cover = append(r.Cover, j.verts...)
-					r.Stats.SCCSkipped -= int64(len(j.verts))
+					r.Cover = append(r.Cover, p.oldID...)
+					r.Stats.SCCSkipped -= int64(len(p.oldID))
 					mu.Unlock()
-					continue // drain the channel
+					continue
 				}
-				res, oldID, err := runJob(keep, j.verts)
+				res, err := runJob(p)
 				mu.Lock()
-				switch {
-				case err != nil:
+				if err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
-				case res == nil:
-					// Component too small for any constrained cycle; it stays
-					// counted in SCCSkipped.
-				default:
+				} else {
 					for _, v := range res.Cover {
-						r.Cover = append(r.Cover, oldID[v])
+						r.Cover = append(r.Cover, p.oldID[v])
 					}
 					r.Stats.Checked += res.Stats.Checked
 					r.Stats.FilterPruned += res.Stats.FilterPruned
@@ -199,10 +219,6 @@ func computeParallelWith(g digraph.Adjacency, algo Algorithm, opts Options, work
 			}
 		}()
 	}
-	for _, verts := range members {
-		jobs <- job{verts: verts}
-	}
-	close(jobs)
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr

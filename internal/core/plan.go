@@ -187,37 +187,38 @@ func planFor(spec SolveSpec, n int, nontrivial func() int) Plan {
 
 // Solve plans and runs a cover computation one-shot. For repeated solves
 // over one graph use Engine.Solve, which additionally caches the
-// condensation inspection.
+// condensation inspection and the per-component subgraphs.
 func Solve(g digraph.Adjacency, spec SolveSpec) (*Result, error) {
 	var comps *scc.Result // planner's decomposition, reused by the executor
 	plan := planFor(spec, g.NumVertices(), func() int {
 		comps = scc.Compute(g)
 		return countNontrivial(comps)
 	})
-	return runPlan(nil, g, spec, plan, comps)
+	return runPlan(nil, g, spec, plan, func() []sccPart {
+		if comps == nil {
+			comps = scc.Compute(g)
+		}
+		return sccParts(g, comps)
+	})
 }
 
 // Solve is the engine counterpart of the package-level Solve: the same
 // planning step, but sequential and prepass plans run on the engine's
-// pooled scratch, and the condensation is computed once per engine. ctx
-// supersedes spec.Opts.Context when non-nil.
+// pooled scratch, and the condensation and per-component subgraphs are
+// built once per engine. ctx supersedes spec.Opts.Context when non-nil.
 func (e *Engine) Solve(ctx context.Context, spec SolveSpec) (*Result, error) {
 	if ctx != nil {
 		spec.Opts.Context = ctx
 	}
 	plan := planFor(spec, e.g.NumVertices(), e.nontrivialSCCs)
-	var comps *scc.Result
-	if plan.Strategy == StrategyParallelSCC {
-		comps = e.condensation()
-	}
-	return runPlan(e, e.g, spec, plan, comps)
+	return runPlan(e, e.g, spec, plan, e.sccParts)
 }
 
 // runPlan executes a planned solve on the one-shot path (e == nil) or the
-// engine path, and stamps the plan into the result's statistics. comps,
-// when non-nil, is the planner's SCC decomposition, handed to the
-// partitioned solver so it is not recomputed.
-func runPlan(e *Engine, g digraph.Adjacency, spec SolveSpec, plan Plan, comps *scc.Result) (*Result, error) {
+// engine path, and stamps the plan into the result's statistics. parts
+// supplies the partitioned solver's components; only an scc-parallel plan
+// invokes it.
+func runPlan(e *Engine, g digraph.Adjacency, spec SolveSpec, plan Plan, parts func() []sccPart) (*Result, error) {
 	opts := spec.Opts
 	var (
 		r   *Result
@@ -225,7 +226,7 @@ func runPlan(e *Engine, g digraph.Adjacency, spec SolveSpec, plan Plan, comps *s
 	)
 	switch plan.Strategy {
 	case StrategyParallelSCC:
-		r, err = computeParallelWith(g, spec.Algorithm, opts, plan.Workers, comps)
+		r, err = computeParallel(g, spec.Algorithm, opts, plan.Workers, parts)
 	case StrategyPrepass:
 		// plan.Workers is the reconciled prepass worker count (>= 2 by
 		// construction in planFor), so the topDown gate never silently

@@ -101,72 +101,129 @@ func HasArc(a Adjacency, u, v VID) bool {
 // Induced builds an in-memory subgraph of a containing only the vertices
 // for which keep[v] is true, re-labelling them densely while preserving
 // relative order. It returns the subgraph and the mapping newID -> oldID.
-// Self-loops are dropped, matching the default Builder policy.
-//
-// The sub-CSR is constructed directly with counting passes instead of
-// re-feeding edges through a Builder: the source rows are already sorted
-// and duplicate-free, and the dense relabelling is monotone, so the kept
-// edges are already in CSR order — no re-sort, no dedup. This is on the
-// per-SCC path of the parallel solver, which carves one subgraph per
-// component; the result is always an in-memory Graph regardless of the
-// source backend (components are cover-sized, not storage-sized).
+// Self-loops are dropped, matching the default Builder policy. It is the
+// one-part case of InducedParts.
 //
 // It panics if len(keep) != a.NumVertices().
 func Induced(a Adjacency, keep []bool) (*Graph, []VID) {
-	n := a.NumVertices()
-	if len(keep) != n {
+	if len(keep) != a.NumVertices() {
 		panic("digraph: keep mask length mismatch")
 	}
-	newID := make([]int64, n)
-	oldID := make([]VID, 0)
-	for v := 0; v < n; v++ {
-		if keep[v] {
-			newID[v] = int64(len(oldID))
-			oldID = append(oldID, VID(v))
-		} else {
-			newID[v] = -1
+	part := make([]int32, len(keep))
+	for v, k := range keep {
+		if !k {
+			part[v] = -1
 		}
 	}
-	n2 := len(oldID)
-	sub := &Graph{
-		n:      n2,
-		outIdx: make([]int64, n2+1),
-		inIdx:  make([]int64, n2+1),
+	subs, oldIDs := InducedParts(a, part, 1)
+	return subs[0], oldIDs[0]
+}
+
+// InducedParts builds the subgraph induced by every part of a vertex
+// partition in one O(n+m) pass: part[v] in [0, nparts) puts v in that part,
+// a negative part[v] leaves v out. Subgraph p keeps exactly the edges whose
+// endpoints both lie in part p, relabels its vertices densely in increasing
+// old-ID order, and oldIDs[p][i] is the old ID of its vertex i; self-loops
+// are dropped, matching the default Builder policy.
+//
+// The sub-CSRs are filled directly with counting passes instead of
+// re-feeding edges through a Builder: the source rows are sorted and
+// duplicate-free and every relabelling is monotone, so the kept edges
+// arrive in CSR order — no re-sort, no dedup. All parts share one backing
+// array per CSR field, so the whole partition costs a handful of
+// allocations however many parts it has. The results are always in-memory
+// Graphs regardless of the source backend (this carves per-component
+// working graphs, which are cover-sized, not storage-sized).
+//
+// It panics if len(part) != a.NumVertices() or a part is >= nparts.
+func InducedParts(a Adjacency, part []int32, nparts int) (subs []*Graph, oldIDs [][]VID) {
+	n := a.NumVertices()
+	if len(part) != n {
+		panic("digraph: partition length mismatch")
 	}
-	// Pass 1: count kept out- and in-edges per new vertex.
-	for newU, old := range oldID {
-		for _, w := range a.Out(old) {
-			if keep[w] && w != old {
-				sub.outIdx[newU+1]++
-				sub.inIdx[newID[w]+1]++
+	// vOff[p] is part p's first slot in the shared vertex arrays; part p's
+	// index rows start at vOff[p]+p (each has one extra slot).
+	vOff := make([]int, nparts+1)
+	for _, p := range part {
+		if p >= 0 {
+			vOff[p+1]++
+		}
+	}
+	for p := 0; p < nparts; p++ {
+		vOff[p+1] += vOff[p]
+	}
+	total := vOff[nparts]
+	// local[v] is v's dense ID inside its part; oldSlab is its inverse.
+	local := make([]VID, n)
+	oldSlab := make([]VID, total)
+	fill := make([]int, nparts)
+	for v, p := range part {
+		if p >= 0 {
+			local[v] = VID(fill[p])
+			oldSlab[vOff[p]+fill[p]] = VID(v)
+			fill[p]++
+		}
+	}
+	outSlab := make([]int64, total+nparts)
+	inSlab := make([]int64, total+nparts)
+	// Pass 1: count kept out- and in-edges per vertex, and per part.
+	eOff := make([]int64, nparts+1)
+	for v, p := range part {
+		if p < 0 {
+			continue
+		}
+		row := vOff[p] + int(p)
+		for _, w := range a.Out(VID(v)) {
+			if part[w] == p && w != VID(v) {
+				outSlab[row+int(local[v])+1]++
+				inSlab[row+int(local[w])+1]++
+				eOff[p+1]++
 			}
 		}
 	}
-	for v := 0; v < n2; v++ {
-		sub.outIdx[v+1] += sub.outIdx[v]
-		sub.inIdx[v+1] += sub.inIdx[v]
+	subs = make([]*Graph, nparts)
+	oldIDs = make([][]VID, nparts)
+	for p := 0; p < nparts; p++ {
+		eOff[p+1] += eOff[p]
+		lo, hi := vOff[p]+p, vOff[p+1]+p
+		outIdx, inIdx := outSlab[lo:hi+1:hi+1], inSlab[lo:hi+1:hi+1]
+		for i := 1; i < len(outIdx); i++ {
+			outIdx[i] += outIdx[i-1]
+			inIdx[i] += inIdx[i-1]
+		}
+		subs[p] = &Graph{n: vOff[p+1] - vOff[p], outIdx: outIdx, inIdx: inIdx}
+		oldIDs[p] = oldSlab[vOff[p]:vOff[p+1]:vOff[p+1]]
 	}
-	m2 := sub.outIdx[n2]
-	sub.outAdj = make([]VID, m2)
-	sub.inAdj = make([]VID, m2)
-	// Pass 2: fill. Scanning kept edges in old (U, V) order emits them in
-	// new (U, V) order (the relabelling is monotone), so out-lists fill
-	// sequentially sorted and in-lists come out sorted by U as in Build.
-	fill := make([]int64, n2)
-	copy(fill, sub.inIdx[:n2])
-	p := int64(0)
-	for _, old := range oldID {
-		for _, w := range a.Out(old) {
-			if keep[w] && w != old {
-				nw := newID[w]
-				sub.outAdj[p] = VID(nw)
-				p++
-				sub.inAdj[fill[nw]] = VID(newID[old])
-				fill[nw]++
+	outAdj := make([]VID, eOff[nparts])
+	inAdj := make([]VID, eOff[nparts])
+	for p, sub := range subs {
+		sub.outAdj = outAdj[eOff[p]:eOff[p+1]:eOff[p+1]]
+		sub.inAdj = inAdj[eOff[p]:eOff[p+1]:eOff[p+1]]
+	}
+	// Pass 2: fill. Scanning kept edges in old (U, V) order emits each
+	// part's edges in new (U, V) order, so out-rows fill sequentially
+	// sorted and in-rows come out sorted by U as in Build.
+	outPos := make([]int64, nparts)
+	inPos := make([]int64, total)
+	for p, sub := range subs {
+		copy(inPos[vOff[p]:vOff[p+1]], sub.inIdx)
+	}
+	for v, p := range part {
+		if p < 0 {
+			continue
+		}
+		sub := subs[p]
+		for _, w := range a.Out(VID(v)) {
+			if part[w] == p && w != VID(v) {
+				sub.outAdj[outPos[p]] = local[w]
+				outPos[p]++
+				c := vOff[p] + int(local[w])
+				sub.inAdj[inPos[c]] = local[v]
+				inPos[c]++
 			}
 		}
 	}
-	return sub, oldID
+	return subs, oldIDs
 }
 
 // Materialize copies a into a fresh in-memory Graph. The source rows are

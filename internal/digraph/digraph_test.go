@@ -335,39 +335,72 @@ func TestInducedSubgraphMatchesReference(t *testing.T) {
 			keep[v] = rng.IntN(3) > 0
 		}
 		sub, oldID := g.InducedSubgraph(keep)
+		checkInducedReference(t, g, keep, sub, oldID)
+	}
+}
 
-		// Reference: relabel and re-feed through a Builder.
-		newID := make(map[VID]VID)
-		var wantOld []VID
-		for v := 0; v < n; v++ {
-			if keep[v] {
-				newID[VID(v)] = VID(len(wantOld))
-				wantOld = append(wantOld, VID(v))
-			}
+// Property: every part of a one-pass partition equals the reference
+// induced subgraph of that part's vertex mask, including empty parts and
+// left-out vertices.
+func TestInducedPartsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 16))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.IntN(50)
+		g := randomGraph(rng, n, rng.IntN(6*n))
+		nparts := 1 + rng.IntN(5)
+		part := make([]int32, n)
+		for v := range part {
+			part[v] = int32(rng.IntN(nparts+1)) - 1
 		}
-		rb := NewBuilder(len(wantOld))
-		for _, u := range wantOld {
-			for _, w := range g.Out(u) {
-				if keep[w] {
-					rb.AddEdge(newID[u], newID[w])
-				}
-			}
+		subs, oldIDs := InducedParts(g, part, nparts)
+		if len(subs) != nparts || len(oldIDs) != nparts {
+			t.Fatalf("%d subgraphs, %d maps, want %d", len(subs), len(oldIDs), nparts)
 		}
-		want := rb.Build()
+		for p := range subs {
+			keep := make([]bool, n)
+			for v := range keep {
+				keep[v] = part[v] == int32(p)
+			}
+			checkInducedReference(t, g, keep, subs[p], oldIDs[p])
+		}
+	}
+}
 
-		if !reflect.DeepEqual(append([]VID{}, oldID...), append([]VID{}, wantOld...)) {
-			t.Fatalf("oldID = %v, want %v", oldID, wantOld)
+// checkInducedReference compares an induced subgraph and its old-ID map
+// against relabelling the kept vertices and re-feeding their edges through
+// a Builder.
+func checkInducedReference(t *testing.T, g *Graph, keep []bool, sub *Graph, oldID []VID) {
+	t.Helper()
+	newID := make(map[VID]VID)
+	var wantOld []VID
+	for v := range keep {
+		if keep[v] {
+			newID[VID(v)] = VID(len(wantOld))
+			wantOld = append(wantOld, VID(v))
 		}
-		if sub.NumVertices() != want.NumVertices() || sub.NumEdges() != want.NumEdges() {
-			t.Fatalf("sub %v, want %v", sub, want)
-		}
-		if !reflect.DeepEqual(sub.Edges(), want.Edges()) {
-			t.Fatalf("sub edges %v, want %v", sub.Edges(), want.Edges())
-		}
-		for v := 0; v < sub.NumVertices(); v++ {
-			if !reflect.DeepEqual(sub.In(VID(v)), want.In(VID(v))) {
-				t.Fatalf("In(%d) = %v, want %v", v, sub.In(VID(v)), want.In(VID(v)))
+	}
+	rb := NewBuilder(len(wantOld))
+	for _, u := range wantOld {
+		for _, w := range g.Out(u) {
+			if keep[w] {
+				rb.AddEdge(newID[u], newID[w])
 			}
+		}
+	}
+	want := rb.Build()
+
+	if !reflect.DeepEqual(append([]VID{}, oldID...), append([]VID{}, wantOld...)) {
+		t.Fatalf("oldID = %v, want %v", oldID, wantOld)
+	}
+	if sub.NumVertices() != want.NumVertices() || sub.NumEdges() != want.NumEdges() {
+		t.Fatalf("sub %v, want %v", sub, want)
+	}
+	if !reflect.DeepEqual(sub.Edges(), want.Edges()) {
+		t.Fatalf("sub edges %v, want %v", sub.Edges(), want.Edges())
+	}
+	for v := 0; v < sub.NumVertices(); v++ {
+		if !reflect.DeepEqual(sub.In(VID(v)), want.In(VID(v))) {
+			t.Fatalf("In(%d) = %v, want %v", v, sub.In(VID(v)), want.In(VID(v)))
 		}
 	}
 }

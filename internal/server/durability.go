@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"time"
 
 	"tdb/internal/dynamic"
@@ -122,7 +123,12 @@ func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
 
 	// Durable barrier: checkpoint the recovered state, then start the new
 	// segment, then garbage-collect. A crash between any two steps leaves a
-	// directory the same recovery handles.
+	// directory the same recovery handles. A fresh data dir may not exist
+	// yet (Recover treats a missing one as empty), and the checkpoint is
+	// written before wal.Create would make it, so make it here.
+	if err := os.MkdirAll(c.DataDir, 0o755); err != nil {
+		return nil, fmt.Errorf("server: creating data dir: %w", err)
+	}
 	var state bytes.Buffer
 	if err := m.WriteState(&state); err != nil {
 		return nil, fmt.Errorf("server: serializing recovered state: %w", err)

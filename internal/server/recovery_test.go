@@ -391,6 +391,42 @@ func TestGracefulShutdownDurability(t *testing.T) {
 	}
 }
 
+// TestDurableMissingDataDir: a data dir whose parent directories do not
+// exist yet is created on first start, and a restart on it recovers the
+// state the first server acknowledged.
+func TestDurableMissingDataDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a", "b", "data")
+	cfg := Config{K: soakK, MinLen: soakMinLen, NumVertices: soakBaseN,
+		DataDir: dir, Fsync: wal.FsyncAlways, CheckpointEvery: 1 << 30}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("fresh nested data dir: %v", err)
+	}
+	var acked []ackedBatch
+	for i := 0; i < 4; i++ {
+		ups := []dynamic.Update{dynamic.InsertOp(dynamic.VID(i), dynamic.VID((i+1)%4))}
+		var resp UpdateResponse
+		if code := post(t, s, "/v1/update", updateBody(0, ups), &resp); code != 200 {
+			t.Fatalf("write %d: code %d", i, code)
+		}
+		acked = append(acked, ackedBatch{seq: resp.WALSeq, ups: ups})
+	}
+	shutdownServer(t, s)
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer shutdownServer(t, s2)
+	ref := replayAcked(t, acked, acked[len(acked)-1].seq)
+	if got, want := epochFingerprint(s2), ref.Fingerprint(); got != want {
+		t.Fatalf("recovered fingerprint %x, reference replay of the acked writes %x", got, want)
+	}
+	if ref.CoverSize() == 0 {
+		t.Fatal("the acked writes close a cycle, so the recovered cover must not be empty")
+	}
+}
+
 // TestDurableConfigMismatch: a data dir created under one (k, minLen) must
 // refuse to open under another, and records without any checkpoint must
 // refuse to replay.
