@@ -85,12 +85,16 @@ func benchGraph() *Graph {
 	return d.Generate(0.2) // n=1400, m~20k
 }
 
+// sequential pins the single-threaded loop, so the cover benchmarks keep
+// measuring the paper's path whatever the planner would pick.
+var sequential = WithStrategy(StrategySequential)
+
 func benchCover(b *testing.B, algo Algorithm, k int) {
 	b.Helper()
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := CoverWith(g, algo, k, &Options{Order: OrderDegreeAsc})
+		res, err := Solve(context.Background(), g, k, WithAlgorithm(algo), WithOrder(OrderDegreeAsc), sequential)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +244,7 @@ func BenchmarkCSRBuild(b *testing.B) {
 // tdbverify on large covers.
 func BenchmarkVerifyParallel(b *testing.B) {
 	g := benchGraph()
-	res, err := Cover(g, 5, &Options{Order: OrderDegreeAsc})
+	res, err := Solve(context.Background(), g, 5, WithOrder(OrderDegreeAsc), sequential)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -259,7 +263,7 @@ func BenchmarkUnconstrained(b *testing.B) {
 	g := d.Generate(0.02)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CoverAllCycles(g, &Options{Order: OrderDegreeAsc}); err != nil {
+		if _, err := Solve(context.Background(), g, 0, WithUnconstrained(), WithOrder(OrderDegreeAsc), sequential); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,7 +289,7 @@ func BenchmarkTDBEdges(b *testing.B) {
 	g := d.Generate(0.02)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CoverEdges(g, 4, nil); err != nil {
+		if _, err := Solve(context.Background(), g, 4, WithEdgeCover()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,7 +301,7 @@ func BenchmarkCoverParallel(b *testing.B) {
 	g := GenPlantedCycles(30_000, 400, 3, 6, 40_000, 5).Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CoverParallel(g, TDBPlusPlus, 6, nil, 0); err != nil {
+		if _, err := Solve(context.Background(), g, 6, WithStrategy(StrategyParallelSCC)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -332,7 +336,7 @@ func BenchmarkCoverSequentialManyComponents(b *testing.B) {
 	g := GenPlantedCycles(30_000, 400, 3, 6, 40_000, 5).Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cover(g, 6, nil); err != nil {
+		if _, err := Solve(context.Background(), g, 6, sequential); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,20 +351,20 @@ func BenchmarkCoverRepeated(b *testing.B) {
 	b.Run("OneShot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Cover(g, 5, nil); err != nil {
+			if _, err := Solve(context.Background(), g, 5, sequential); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Engine", func(b *testing.B) {
 		e := NewEngine(g)
-		if _, err := e.Cover(context.Background(), 5, nil); err != nil {
+		if _, err := e.Solve(context.Background(), 5, sequential); err != nil {
 			b.Fatal(err) // warm the scratch pool
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Cover(context.Background(), 5, nil); err != nil {
+			if _, err := e.Solve(context.Background(), 5, sequential); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -411,13 +415,16 @@ func BenchmarkPrepassSingleSCC(b *testing.B) {
 		name := map[int]string{0: "Workers0-sequential", 1: "Workers1", 4: "Workers4"}[w]
 		b.Run(name, func(b *testing.B) {
 			e := NewEngine(g)
-			opts := &Options{PrepassWorkers: w}
-			if _, err := e.Cover(context.Background(), 8, opts); err != nil {
+			opt := sequential
+			if w != 0 {
+				opt = WithPrepassWorkers(w)
+			}
+			if _, err := e.Solve(context.Background(), 8, opt); err != nil {
 				b.Fatal(err) // warm the scratch pool
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := e.Cover(context.Background(), 8, opts)
+				res, err := e.Solve(context.Background(), 8, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -571,13 +578,13 @@ func BenchmarkCoverStorage(b *testing.B) {
 	defer mg.Close()
 
 	run := func(b *testing.B, e *Engine) {
-		if _, err := e.Cover(context.Background(), 5, nil); err != nil {
+		if _, err := e.Solve(context.Background(), 5, sequential); err != nil {
 			b.Fatal(err) // warm the scratch pool
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Cover(context.Background(), 5, nil); err != nil {
+			if _, err := e.Solve(context.Background(), 5, sequential); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -123,7 +123,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := newHTTPServer(*addr, s.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -154,6 +154,26 @@ func run(args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, "drained; bye")
 	return nil
+}
+
+// Slow-client connection timeouts. Admission control starts once a request
+// is parsed, so a client that never finishes its headers would otherwise
+// hold a connection outside both admission pools; readHeaderTimeout drops
+// it, and idleTimeout reclaims idle keep-alive connections.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the listener-side server for h, with the
+// slow-client timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // loadSeed opens the seed graph under the requested storage backend.

@@ -39,6 +39,40 @@ func ExampleSolve_options() {
 	// [0]
 }
 
+// Pinning the strategy: one sequential top-down run over the whole graph,
+// with no planning.
+func ExampleSolve_sequential() {
+	g := tdb.FromEdges(3, []tdb.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
+	res, err := tdb.Solve(context.Background(), g, 5, tdb.WithStrategy(tdb.StrategySequential))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("cover size:", len(res.Cover))
+	rep := tdb.Verify(g, 5, 3, res.Cover, true)
+	fmt.Println("valid:", rep.Valid, "minimal:", rep.Minimal)
+	// Output:
+	// cover size: 1
+	// valid: true minimal: true
+}
+
+// An Engine prepares a graph once and answers many solves; here the
+// bottom-up algorithm, chosen when cover size matters more than speed.
+func ExampleEngine_Solve() {
+	// Two triangles sharing vertex 0: the minimum cover is {0}.
+	g := tdb.FromEdges(5, []tdb.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0},
+		{U: 0, V: 3}, {U: 3, V: 4}, {U: 4, V: 0},
+	})
+	e := tdb.NewEngine(g)
+	res, err := e.Solve(context.Background(), 5, tdb.WithAlgorithm(tdb.BURPlus))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Cover)
+	// Output:
+	// [0]
+}
+
 // Real-world IDs: the labeled layer interns external identities and
 // translates the cover back.
 func ExampleLabeledGraph() {
@@ -54,37 +88,6 @@ func ExampleLabeledGraph() {
 	fmt.Println(res.Cover)
 	// Output:
 	// [alice]
-}
-
-// The smallest possible workflow: break every short cycle of a triangle.
-func ExampleCover() {
-	g := tdb.FromEdges(3, []tdb.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
-	res, err := tdb.Cover(g, 5, nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("cover size:", len(res.Cover))
-	rep := tdb.Verify(g, 5, 3, res.Cover, true)
-	fmt.Println("valid:", rep.Valid, "minimal:", rep.Minimal)
-	// Output:
-	// cover size: 1
-	// valid: true minimal: true
-}
-
-// Choosing the bottom-up algorithm when cover size matters more than speed.
-func ExampleCoverWith() {
-	// Two triangles sharing vertex 0: the minimum cover is {0}.
-	g := tdb.FromEdges(5, []tdb.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0},
-		{U: 0, V: 3}, {U: 3, V: 4}, {U: 4, V: 0},
-	})
-	res, err := tdb.CoverWith(g, tdb.BURPlus, 5, nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Cover)
-	// Output:
-	// [0]
 }
 
 // Detecting whether any hop-constrained cycle exists at all.
@@ -128,9 +131,9 @@ func ExampleMaintainer() {
 }
 
 // Computing the edge-transversal variant (Definition 5).
-func ExampleCoverEdges() {
+func ExampleSolve_edgeCover() {
 	g := tdb.FromEdges(3, []tdb.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
-	res, err := tdb.CoverEdges(g, 5, nil)
+	res, err := tdb.Solve(context.Background(), g, 5, tdb.WithEdgeCover())
 	if err != nil {
 		panic(err)
 	}

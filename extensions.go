@@ -1,56 +1,14 @@
 package tdb
 
 import (
-	"tdb/internal/core"
 	"tdb/internal/dynamic"
 	"tdb/internal/graphstat"
 )
 
 // Extensions beyond the paper's static vertex-cover problem, built from the
-// same primitives (see DESIGN.md): the edge-transversal variant, the
-// SCC-partitioned parallel solver, and dynamic cover maintenance. The
-// variants are reachable from Solve (WithEdgeCover, strategy selection);
-// the legacy entry points remain as deprecated shims.
-
-// EdgeCoverResult is a minimal constrained-cycle edge transversal.
-type EdgeCoverResult = core.EdgeCoverResult
-
-// CoverEdges computes a minimal EDGE set intersecting every cycle of length
-// in [3, k] (the k-cycle transversal of Definition 5 — the problem the
-// DARC baseline natively solves), using the paper's top-down process
-// ("TDB-E"). Removing the returned edges from the graph destroys every
-// constrained cycle.
-//
-// Deprecated: use Solve with WithEdgeCover; the transversal is returned in
-// Result.Edges.
-func CoverEdges(g *Graph, k int, opts *Options) (*EdgeCoverResult, error) {
-	if opts != nil && opts.PrepassWorkers != 0 {
-		// The edge solver has no prepass; the legacy surface ignored the
-		// field, so the shim drops it rather than tripping Solve's
-		// incompatible-options check.
-		o := *opts
-		o.PrepassWorkers = 0
-		opts = &o
-	}
-	r, err := Solve(nil, g, k, append(opts.ToOptions(), WithEdgeCover())...)
-	if err != nil {
-		return nil, err
-	}
-	return &EdgeCoverResult{Edges: r.Edges, Stats: r.Stats}, nil
-}
-
-// CoverParallel computes the same cover as CoverWith by decomposing the
-// graph into strongly connected components and covering them concurrently.
-// It shines when the cyclic part splits into many components; a single
-// giant SCC gains nothing. workers <= 0 selects GOMAXPROCS.
-//
-// Deprecated: use Solve, which selects the SCC-partitioned strategy
-// automatically when the condensation splits (or pin it with
-// WithStrategy(StrategyParallelSCC) and WithWorkers).
-func CoverParallel(g *Graph, algo Algorithm, k int, opts *Options, workers int) (*Result, error) {
-	return Solve(nil, g, k, legacySolveOptions(opts, algo,
-		WithStrategy(StrategyParallelSCC), WithWorkers(workers))...)
-}
+// same primitives (see DESIGN.md): dynamic cover maintenance and instance
+// profiling. The edge-transversal variant and the SCC-partitioned parallel
+// solver are Solve options (WithEdgeCover, strategy selection).
 
 // Maintainer keeps a hop-constrained cycle cover valid across a stream of
 // edge insertions and deletions (the dynamic-graph setting of the paper's

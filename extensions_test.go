@@ -1,17 +1,21 @@
 package tdb
 
 import (
+	"context"
 	"testing"
 )
 
 func TestCoverEdgesFacade(t *testing.T) {
 	g := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
-	r, err := CoverEdges(g, 5, nil)
+	r, err := Solve(context.Background(), g, 5, WithEdgeCover())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Edges) != 1 {
 		t.Fatalf("edge cover %v", r.Edges)
+	}
+	if r.Cover != nil {
+		t.Fatalf("edge solve must not fill Cover, got %v", r.Cover)
 	}
 	// Removing the edge breaks the triangle.
 	b := NewBuilder(3)
@@ -27,7 +31,8 @@ func TestCoverEdgesFacade(t *testing.T) {
 
 func TestCoverParallelFacade(t *testing.T) {
 	g := GenPlantedCycles(600, 20, 3, 5, 300, 9).Graph
-	r, err := CoverParallel(g, TDBPlusPlus, 5, &Options{Order: OrderDegreeAsc}, 4)
+	r, err := Solve(context.Background(), g, 5, WithOrder(OrderDegreeAsc),
+		WithStrategy(StrategyParallelSCC), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +47,8 @@ func TestCoverParallelFacade(t *testing.T) {
 
 func TestWeightedFacade(t *testing.T) {
 	g := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
-	res, err := Cover(g, 5, &Options{Order: OrderWeighted, Weights: []float64{100, 1, 1}})
+	res, err := Solve(context.Background(), g, 5,
+		WithOrder(OrderWeighted), WithWeights([]float64{100, 1, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestMaintainerFacade(t *testing.T) {
 
 	// Seed from a static solve, then churn.
 	g := GenPowerLaw(200, 1200, 2.2, 0.3, 4)
-	res, err := Cover(g, 4, nil)
+	res, err := Solve(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package tdb
 // against each other and the verifier.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func TestIntegrationAllDatasets(t *testing.T) {
 				scale = 3000.0 / float64(d.PaperE)
 			}
 			g := d.Generate(scale)
-			res, err := Cover(g, 5, &Options{Order: OrderDegreeAsc})
+			res, err := Solve(context.Background(), g, 5, WithOrder(OrderDegreeAsc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +45,7 @@ func TestIntegrationWorkloadFamilies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var sizes []int
 			for _, algo := range []Algorithm{BURPlus, TDBPlusPlus} {
-				res, err := CoverWith(g, algo, 5, &Options{Order: OrderDegreeAsc})
+				res, err := Solve(context.Background(), g, 5, WithAlgorithm(algo), WithOrder(OrderDegreeAsc))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +81,7 @@ func TestIntegrationFilePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cover(g2, 4, nil)
+	res, err := Solve(context.Background(), g2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestIntegrationFilePipeline(t *testing.T) {
 // break 2-cycles.
 func TestIntegrationTwoCycleVariant(t *testing.T) {
 	g := GenPowerLaw(300, 2000, 2.2, 0.5, 13)
-	res, err := Cover(g, 5, &Options{MinLen: 2})
+	res, err := Solve(context.Background(), g, 5, WithMinLen(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestIntegrationTwoCycleVariant(t *testing.T) {
 	if !rep.Valid || !rep.Minimal {
 		t.Fatalf("2-cycle variant failed: %+v", rep)
 	}
-	res3, err := Cover(g, 5, nil)
+	res3, err := Solve(context.Background(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,16 +165,6 @@ type Options struct {
 	// covers from the empty set, so no conservative completion exists
 	// mid-run; requesting the option with them is an error.
 	PartialOnDeadline bool
-	// Cancelled, when non-nil, is polled between candidate steps; when it
-	// returns true the algorithm stops and marks the result TimedOut. With
-	// PrepassWorkers != 0 (or under ComputeParallel) the hook is also
-	// polled concurrently from worker goroutines and must be safe for
-	// concurrent use.
-	//
-	// Deprecated: set Context instead (e.g. via context.WithTimeout).
-	// Cancelled is still honored — both hooks stop the run — but new code
-	// should use Context.
-	Cancelled func() bool
 
 	// maskWorkingGraph forces the []bool VertexMask working-graph
 	// representation instead of the compacted digraph.ActiveAdjacency view.
@@ -185,19 +175,14 @@ type Options struct {
 	maskWorkingGraph bool
 }
 
-// stop returns the unified cancellation poll combining Options.Context and
-// the deprecated Options.Cancelled hook, or nil when neither is set.
+// stop returns the run's cancellation poll over Options.Context, or nil
+// when no context is set. Every stop in this package comes from this poll.
 func (o Options) stop() func() bool {
-	switch {
-	case o.Context != nil && o.Cancelled != nil:
-		ctx, fn := o.Context, o.Cancelled
-		return func() bool { return ctx.Err() != nil || fn() }
-	case o.Context != nil:
-		ctx := o.Context
-		return func() bool { return ctx.Err() != nil }
-	default:
-		return o.Cancelled // possibly nil
+	if o.Context == nil {
+		return nil
 	}
+	ctx := o.Context
+	return func() bool { return ctx.Err() != nil }
 }
 
 func (o Options) withDefaults() Options {
@@ -267,9 +252,8 @@ type Stats struct {
 	// cycle) but not minimal. Mutually exclusive with TimedOut.
 	Degraded bool
 	// StopReason records why a TimedOut or Degraded run stopped:
-	// "deadline" (context.DeadlineExceeded), "canceled" (context.Canceled
-	// or another cause), or "hook" (the deprecated Cancelled func). Empty
-	// on runs that finished on their own.
+	// "deadline" (context.DeadlineExceeded) or "canceled" (context.Canceled
+	// or another cause). Empty on runs that finished on their own.
 	StopReason string
 
 	// Renumbering names the cache-aware vertex renumbering mode the solve
@@ -277,8 +261,8 @@ type Stats struct {
 	// the graph ran in its input numbering.
 	Renumbering string
 	// Strategy names the execution strategy the planning layer selected
-	// for this run ("sequential", "scc-parallel", "prepass"); empty when a
-	// legacy entry point invoked the computation directly, below the
+	// for this run ("sequential", "scc-parallel", "prepass"); empty when
+	// Compute, ComputeParallel or TopDownEdges ran directly, below the
 	// planner.
 	Strategy string
 	// StrategyPinned reports that the caller pinned the strategy rather
@@ -380,20 +364,14 @@ func checkPartialSupport(algo Algorithm, opts Options) error {
 }
 
 // stampStopReason records why a stopped run stopped, from the context's
-// error (or its absence, implicating the deprecated Cancelled hook).
+// error: a run only stops once Options.stop has seen a done context.
 func stampStopReason(r *Result, opts Options) {
 	if r == nil || (!r.Stats.TimedOut && !r.Stats.Degraded) || r.Stats.StopReason != "" {
 		return
 	}
-	switch {
-	case opts.Context == nil:
-		r.Stats.StopReason = "hook"
-	case errors.Is(context.Cause(opts.Context), context.DeadlineExceeded):
+	r.Stats.StopReason = "canceled"
+	if errors.Is(context.Cause(opts.Context), context.DeadlineExceeded) {
 		r.Stats.StopReason = "deadline"
-	case opts.Context.Err() != nil:
-		r.Stats.StopReason = "canceled"
-	default:
-		r.Stats.StopReason = "hook"
 	}
 }
 

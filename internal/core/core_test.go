@@ -395,14 +395,8 @@ func TestPlantedCyclesLowerBound(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	gr := gen.PowerLaw(2000, 12000, 2.2, 0.4, 3)
-	calls := 0
-	opts := Options{K: 5, Cancelled: func() bool {
-		calls++
-		return calls > 10
-	}}
-	for _, a := range []Algorithm{BUR, BURPlus, TDBPlusPlus, DARCDV} {
-		calls = 0
-		r, err := Compute(gr, a, opts)
+	for _, a := range allAlgorithms() {
+		r, err := Compute(gr, a, Options{K: 5, Context: cancelAfter(10)})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}

@@ -129,7 +129,7 @@ func TestTopDownEdgesVsDARC(t *testing.T) {
 
 func TestTopDownEdgesCancellation(t *testing.T) {
 	gr := g(3, 0, 1, 1, 2, 2, 0)
-	r, err := TopDownEdges(gr, Options{K: 5, Cancelled: func() bool { return true }})
+	r, err := TopDownEdges(gr, Options{K: 5, Context: cancelAfter(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ const rankExcluded = math.MaxInt32
 // cover down to the result itself. It is safe for concurrent use: each run
 // borrows a private scratch set from an internal sync.Pool.
 //
-// The engine mirrors the package-level entry points: Compute, and
-// ComputeParallel for the SCC-partitioned solver. Context is accepted
-// explicitly and takes precedence over Options.Context.
+// Solve (plan.go) is the engine's entry point; Compute runs one algorithm
+// on pooled scratch below the planner. Context is accepted explicitly and
+// takes precedence over Options.Context.
 type Engine struct {
 	g digraph.Adjacency
 	// run-level scratch (mask + order buffer + detector scratch), one per
@@ -129,26 +129,14 @@ func (e *Engine) HasHopConstrainedCycle(k, minLen int) bool {
 }
 
 // sccParts returns the engine's cached non-trivial components, largest
-// first, each as its own subgraph.
+// first, each as its own subgraph. They are built on the first
+// scc-parallel solve and reused by every later one, so a steady-state
+// solve costs only the per-component covers.
 func (e *Engine) sccParts() []sccPart {
 	e.partsOnce.Do(func() {
 		e.parts = sccParts(e.g, e.condensation())
 	})
 	return e.parts
-}
-
-// ComputeParallel runs the SCC-partitioned parallel solver (see the
-// package-level ComputeParallel) under the engine's graph and context
-// plumbing. The condensation and the per-component subgraphs are built on
-// the first call and reused by every later one, so a steady-state call
-// costs only the per-component covers: each still runs the one-shot
-// Compute on its component, with state sized to the component rather than
-// pooled.
-func (e *Engine) ComputeParallel(ctx context.Context, algo Algorithm, opts Options, workers int) (*Result, error) {
-	if ctx != nil {
-		opts.Context = ctx
-	}
-	return computeParallel(e.g, algo, opts, workers, e.sccParts)
 }
 
 // runScratch bundles the per-run O(n) buffers of the sequential cover

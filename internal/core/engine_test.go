@@ -97,33 +97,6 @@ func TestCancellationContext(t *testing.T) {
 	}
 }
 
-// TestCancellationDeprecatedShim: the legacy Options.Cancelled hook must
-// keep stopping runs, alone and combined with a live context.
-func TestCancellationDeprecatedShim(t *testing.T) {
-	gr := gen.SmallWorld(300, 2, 0.3, 13)
-	for _, a := range allAlgorithms() {
-		r, err := Compute(gr, a, Options{K: 5, Cancelled: func() bool { return true }})
-		if err != nil {
-			t.Fatalf("%v: %v", a, err)
-		}
-		if !r.Stats.TimedOut {
-			t.Fatalf("%v: Cancelled hook did not mark TimedOut", a)
-		}
-	}
-	// Both paths set: the hook fires even though the context is live.
-	r, err := Compute(gr, TDBPlusPlus, Options{
-		K:         5,
-		Context:   context.Background(),
-		Cancelled: func() bool { return true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Stats.TimedOut {
-		t.Fatal("live context suppressed the deprecated Cancelled hook")
-	}
-}
-
 // TestComputeParallelWeighted: per-component runs must remap the cost
 // vector to subgraph IDs (regression: forwarding the full-length Weights
 // slice used to fail validation on every component smaller than n).

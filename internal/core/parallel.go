@@ -29,9 +29,10 @@ import (
 // the intra-SCC BFS-filter prepass (Options.PrepassWorkers) instead; the
 // two compose, each component run inheriting the caller's options.
 //
-// Cancellation (Options.Context or the deprecated Options.Cancelled) is
-// polled by every worker; a timeout marks the whole result. workers <= 0
-// selects GOMAXPROCS.
+// Options.Context is polled by every worker; a timeout marks the whole
+// result. workers <= 0 selects GOMAXPROCS. Engine.Solve with
+// StrategyParallelSCC runs the same solver over the engine's cached
+// components.
 func ComputeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers int) (*Result, error) {
 	return computeParallel(g, algo, opts, workers, func() []sccPart {
 		return sccParts(g, scc.Compute(g))

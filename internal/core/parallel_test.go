@@ -216,7 +216,8 @@ func TestEngineSCCParallelConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				r, err := e.ComputeParallel(nil, TDBPlusPlus, opts, 2)
+				r, err := e.Solve(nil, SolveSpec{Algorithm: TDBPlusPlus, Opts: opts,
+					Workers: 2, Strategy: StrategyParallelSCC})
 				if err != nil {
 					t.Error(err)
 					return

@@ -12,8 +12,8 @@ import (
 // This file is the planning layer of the unified solve surface: one entry
 // point (Solve / Engine.Solve) accepts the full option set plus a worker
 // budget, inspects the graph's SCC condensation, and picks the execution
-// strategy — the decision the five legacy entry points used to push onto
-// the caller. The rules mirror where each strategy actually wins:
+// strategy, instead of the caller choosing among per-strategy entry
+// points. The rules mirror where each strategy actually wins:
 //
 //   - the cyclic part splits into several non-trivial SCCs -> the
 //     SCC-partitioned parallel solver (parallel.go) covers them
@@ -70,7 +70,7 @@ func ParseStrategy(s string) (Strategy, error) {
 }
 
 // SolveSpec is the full request a unified solve executes: the algorithm and
-// options of a legacy Compute call plus the strategy-selection inputs.
+// options of a Compute call plus the strategy-selection inputs.
 type SolveSpec struct {
 	// Algorithm selects the cover algorithm (default BUR, the zero value;
 	// callers normally set TDBPlusPlus).

@@ -12,6 +12,30 @@ import (
 	"tdb/internal/verify"
 )
 
+// countdownContext is a context whose Err reports context.Canceled from
+// poll n+1 on, where n is the count cancelAfter was given. Core reads
+// cancellation only through Options.stop, one Err call per poll, so the
+// countdown stops a run at a chosen point in its loop. Safe for concurrent
+// polling.
+type countdownContext struct {
+	context.Context
+	left atomic.Int64
+}
+
+// cancelAfter returns a countdownContext that lets n polls pass.
+func cancelAfter(n int64) *countdownContext {
+	c := &countdownContext{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *countdownContext) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // expiredContext returns a context whose deadline already passed.
 func expiredContext(t *testing.T) context.Context {
 	t.Helper()
@@ -42,24 +66,23 @@ func TestPartialOnDeadlineDegradesValid(t *testing.T) {
 }
 
 func TestPartialOnDeadlineMidRun(t *testing.T) {
-	// A hook that trips mid-loop (not before it) exercises the interesting
+	// A stop that trips mid-loop (not before it) exercises the interesting
 	// path: part minimal cover, part conservative completion.
 	gr := gen.ErdosRenyi(600, 3000, 11)
-	var calls atomic.Int64
 	opts := Options{
 		K:                 8,
 		PartialOnDeadline: true,
-		Cancelled:         func() bool { return calls.Add(1) > 50 },
+		Context:           cancelAfter(50),
 	}
 	r, err := Compute(gr, TDBPlusPlus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Stats.Degraded {
-		t.Fatal("hook tripped mid-run but result not degraded")
+		t.Fatal("context canceled mid-run but result not degraded")
 	}
-	if r.Stats.StopReason != "hook" {
-		t.Fatalf("StopReason=%q, want hook", r.Stats.StopReason)
+	if r.Stats.StopReason != "canceled" {
+		t.Fatalf("StopReason=%q, want canceled", r.Stats.StopReason)
 	}
 	if ok, witness := verify.IsValid(gr, opts.K, 3, r.Cover); !ok {
 		t.Fatalf("degraded cover invalid, surviving cycle %v", witness)

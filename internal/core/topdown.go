@@ -184,8 +184,8 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 		// its lane buffers cost six words per vertex, which the engine
 		// amortizes across runs while a one-shot cover would reallocate —
 		// and GC — them every call for a constant-factor gamble. One-shot
-		// runs therefore keep the paper's scalar loop; the legacy shims and
-		// Solve share this single code path either way, the tier choice
+		// runs therefore keep the paper's scalar loop. One-shot and engine
+		// solves share this single code path either way, the tier choice
 		// being a per-run resource decision.
 		//
 		// The batched filter runs on its OWN membership ranks rather than

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand/v2"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"tdb/internal/digraph"
@@ -126,7 +125,7 @@ func TestTimedOutCoverSkipsNonCandidates(t *testing.T) {
 		opts := Options{
 			K:            5,
 			SCCPrefilter: true,
-			Cancelled:    func() bool { return true }, // expired before the first step
+			Context:      cancelAfter(0), // expired before the first step
 		}
 		r := mustComputeTimedOut(t, gr, a, opts)
 		for _, v := range r.Cover {
@@ -152,14 +151,13 @@ func TestTimedOutCoverSkipsPrepassResolved(t *testing.T) {
 	// the triangle). Two workers: a single-worker request skips the prepass
 	// entirely (it cannot beat the sequential loop; see topDown).
 	gr := g(10, 0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9)
-	var calls atomic.Int64
 	opts := Options{
 		K:              5,
 		PrepassWorkers: 2,
 		// The prepass polls once (one chunk covers all 10 vertices, and the
 		// worker whose claim is beyond n breaks before polling); every later
 		// poll — the sequential loop — times out.
-		Cancelled: func() bool { return calls.Add(1) > 1 },
+		Context: cancelAfter(1),
 	}
 	r := mustComputeTimedOut(t, gr, TDBPlusPlus, opts)
 	if r.Stats.PrepassResolved == 0 {

@@ -134,10 +134,11 @@ type PlainDetector struct {
 
 	s *Scratch // DFS group: onPath, path
 
-	// Cancelled, when non-nil, is polled periodically inside the DFS; a
-	// true return aborts the current query (FindFrom then returns nil and
-	// WasAborted reports true). Without it a single worst-case O(n^k)
-	// query could outlive any caller-side timeout.
+	// Cancelled, when non-nil, is the detector's stop poll, checked
+	// periodically inside the DFS; a true return aborts the current query
+	// (FindFrom then returns nil and WasAborted reports true). The cover
+	// algorithms feed it from their context, since without it a single
+	// worst-case O(n^k) query could outlive any caller-side timeout.
 	Cancelled func() bool
 	aborted   bool
 
@@ -145,7 +146,7 @@ type PlainDetector struct {
 }
 
 // WasAborted reports whether the most recent query was cut short by the
-// Cancelled hook; its nil result is then inconclusive.
+// Cancelled poll; its nil result is then inconclusive.
 func (d *PlainDetector) WasAborted() bool {
 	return d.aborted
 }

@@ -1,8 +1,6 @@
 package tdb
 
 import (
-	"context"
-
 	"tdb/internal/core"
 	"tdb/internal/digraph"
 )
@@ -189,17 +187,6 @@ func WithUnconstrained() Option {
 	return func(c *solveConfig) { c.unconstrained = true }
 }
 
-// withContext carries a legacy Options.Context through ToOptions.
-func withContext(ctx context.Context) Option {
-	return func(c *solveConfig) { c.core.Context = ctx }
-}
-
-// withCancelled carries the deprecated Options.Cancelled hook through
-// ToOptions.
-func withCancelled(fn func() bool) Option {
-	return func(c *solveConfig) { c.core.Cancelled = fn }
-}
-
 // Strategy identifies how a solve executes; the planner picks one
 // automatically from the graph's SCC condensation and the worker budget
 // unless WithStrategy pins it. The chosen plan is recorded in
@@ -253,45 +240,3 @@ func ParseOrder(s string) (Order, error) { return core.ParseOrder(s) }
 // ParseStrategy resolves a strategy name ("auto", "sequential",
 // "scc-parallel", "prepass").
 func ParseStrategy(s string) (Strategy, error) { return core.ParseStrategy(s) }
-
-// ToOptions converts the deprecated Options struct to the equivalent
-// functional options — the migration bridge for code still assembling an
-// Options value:
-//
-//	tdb.Solve(ctx, g, k, opts.ToOptions()...)
-//
-// A nil receiver yields no options (the defaults). The conversion is exact:
-// every field, including the deprecated Cancelled hook, reaches the solve
-// unchanged.
-//
-// Concurrency note: the legacy entry points only polled Cancelled from
-// worker goroutines when the caller opted into parallelism (PrepassWorkers,
-// CoverParallel). Solve plans parallel strategies on its own, so a
-// converted Cancelled hook must be safe for concurrent use — or pin
-// WithStrategy(StrategySequential).
-func (o *Options) ToOptions() []Option {
-	if o == nil {
-		return nil
-	}
-	out := []Option{
-		WithMinLen(o.MinLen),
-		WithOrder(o.Order),
-		WithSeed(o.Seed),
-	}
-	if o.Weights != nil {
-		out = append(out, WithWeights(o.Weights))
-	}
-	if o.SCCPrefilter {
-		out = append(out, WithSCCPrefilter())
-	}
-	if o.PrepassWorkers != 0 {
-		out = append(out, WithPrepassWorkers(o.PrepassWorkers))
-	}
-	if o.Context != nil {
-		out = append(out, withContext(o.Context))
-	}
-	if o.Cancelled != nil {
-		out = append(out, withCancelled(o.Cancelled))
-	}
-	return out
-}

@@ -2,8 +2,6 @@ package tdb
 
 import (
 	"context"
-	"fmt"
-	"slices"
 	"testing"
 )
 
@@ -36,146 +34,6 @@ func TestOptionValidation(t *testing.T) {
 				t.Fatal("engine: expected an error")
 			}
 		})
-	}
-}
-
-// TestOptionValidationLegacyParity: the deprecated struct surface and the
-// functional options must accept and reject the same inputs.
-func TestOptionValidationLegacyParity(t *testing.T) {
-	g := GenPowerLaw(60, 240, 2.0, 0.3, 1)
-	bad := []*Options{
-		{MinLen: 1},
-		{Weights: []float64{1, 2}},
-		{Order: OrderWeighted},
-	}
-	for i, opts := range bad {
-		if _, err := Cover(g, 5, opts); err == nil {
-			t.Fatalf("case %d: legacy surface accepted invalid options", i)
-		}
-		if _, err := Solve(nil, g, 5, opts.ToOptions()...); err == nil {
-			t.Fatalf("case %d: functional surface accepted invalid options", i)
-		}
-	}
-}
-
-// TestShimEquivalenceProperty is the round-trip property test of the
-// deprecated shims: for every legacy Options field combination, across
-// algorithms and orders, the legacy entry point and the functional-options
-// path must produce the identical cover (the shims ARE the new path, so
-// this pins the conversion, not just the algorithms).
-func TestShimEquivalenceProperty(t *testing.T) {
-	graphs := []*Graph{
-		GenPowerLaw(200, 900, 2.2, 0.3, 7),
-		GenSmallWorld(150, 2, 0.35, 8),
-		GenPlantedCycles(250, 12, 3, 5, 400, 9).Graph,
-	}
-	weights := func(g *Graph) []float64 {
-		w := make([]float64, g.NumVertices())
-		for i := range w {
-			w[i] = float64((i*2654435761)%97) + 1
-		}
-		return w
-	}
-	for gi, g := range graphs {
-		for _, algo := range []Algorithm{BUR, BURPlus, TDB, TDBPlus, TDBPlusPlus, DARCDV} {
-			k := 4
-			variants := []*Options{
-				nil,
-				{},
-				{MinLen: 2},
-				{Order: OrderDegreeAsc, SCCPrefilter: true},
-				{Order: OrderDegreeDesc},
-				{Order: OrderRandom, Seed: 42},
-				{Order: OrderWeighted, Weights: weights(g)},
-			}
-			if algo == TDBPlusPlus {
-				variants = append(variants, &Options{PrepassWorkers: 2}, &Options{PrepassWorkers: -1})
-			}
-			for vi, opts := range variants {
-				name := fmt.Sprintf("g%d/%v/v%d", gi, algo, vi)
-				legacy, err := CoverWith(g, algo, k, opts)
-				if err != nil {
-					t.Fatalf("%s: legacy: %v", name, err)
-				}
-				functional, err := Solve(nil, g, k,
-					append(opts.ToOptions(), WithAlgorithm(algo), WithStrategy(StrategySequential))...)
-				if err != nil {
-					t.Fatalf("%s: functional: %v", name, err)
-				}
-				if !slices.Equal(legacy.Cover, functional.Cover) {
-					t.Fatalf("%s: legacy cover %v != functional cover %v",
-						name, legacy.Cover, functional.Cover)
-				}
-				minLen := 3
-				if opts != nil && opts.MinLen != 0 {
-					minLen = opts.MinLen
-				}
-				if rep := Verify(g, k, minLen, legacy.Cover, false); !rep.Valid {
-					t.Fatalf("%s: invalid cover", name)
-				}
-			}
-		}
-	}
-}
-
-// TestShimEquivalenceParallelAndVariants: the remaining legacy entry points
-// (CoverParallel, CoverEdges, CoverAllCycles) match their functional
-// spellings.
-func TestShimEquivalenceParallelAndVariants(t *testing.T) {
-	g := GenPlantedCycles(500, 15, 3, 5, 700, 11).Graph
-
-	legacyPar, err := CoverParallel(g, TDBPlusPlus, 5, &Options{Order: OrderDegreeAsc}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	funcPar, err := Solve(nil, g, 5, WithOrder(OrderDegreeAsc),
-		WithStrategy(StrategyParallelSCC), WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(legacyPar.Cover, funcPar.Cover) {
-		t.Fatalf("parallel: legacy %v != functional %v", legacyPar.Cover, funcPar.Cover)
-	}
-
-	legacyEdges, err := CoverEdges(g, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	funcEdges, err := Solve(nil, g, 4, WithEdgeCover())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(legacyEdges.Edges, funcEdges.Edges) {
-		t.Fatalf("edges: legacy %v != functional %v", legacyEdges.Edges, funcEdges.Edges)
-	}
-	if funcEdges.Cover != nil {
-		t.Fatalf("edge solve must not fill Cover, got %v", funcEdges.Cover)
-	}
-
-	legacyAll, err := CoverAllCycles(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	funcAll, err := Solve(nil, g, 0, WithUnconstrained(), WithStrategy(StrategySequential))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(legacyAll.Cover, funcAll.Cover) {
-		t.Fatalf("unconstrained: legacy %v != functional %v", legacyAll.Cover, funcAll.Cover)
-	}
-}
-
-// TestLegacyCancelledThroughSolve: the deprecated Cancelled hook survives
-// the ToOptions conversion and stops a Solve.
-func TestLegacyCancelledThroughSolve(t *testing.T) {
-	g := GenSmallWorld(300, 2, 0.3, 13)
-	opts := &Options{Cancelled: func() bool { return true }}
-	r, err := Solve(nil, g, 5, opts.ToOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Stats.TimedOut {
-		t.Fatal("converted Cancelled hook did not stop the solve")
 	}
 }
 

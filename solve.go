@@ -11,8 +11,8 @@ import (
 )
 
 // Solve computes a hop-constrained cycle cover of g for cycles of length in
-// [3, k] (or [WithMinLen, k]) — the unified entry point of the package. The
-// defaults match Cover: TDB++ over the whole graph. Options select the
+// [3, k] (or [WithMinLen, k]) — the single entry point of the package. The
+// default is TDB++ over the whole graph. Options select the
 // algorithm, the variant (edge transversal, unconstrained), and the
 // execution strategy; without a pinned strategy a planning step inspects
 // the SCC condensation and the worker budget and picks the fastest path
@@ -112,9 +112,7 @@ func prepareSolve(cfg *solveConfig, g Storage, k int, ctx context.Context) error
 	if cfg.unconstrained {
 		cfg.core.K = cycle.Unconstrained(g)
 	}
-	if ctx != nil {
-		cfg.core.Context = ctx
-	}
+	cfg.core.Context = ctx
 	if cfg.edgeCover {
 		switch cfg.strategy {
 		case StrategyAuto, StrategySequential:
@@ -150,8 +148,7 @@ func solveEdges(g Storage, cfg solveConfig) (*Result, error) {
 
 // Solve is the engine counterpart of the package-level Solve: identical
 // semantics, but sequential and prepass plans borrow the engine's pooled
-// scratch and the planning inspection is cached across calls. ctx
-// supersedes a context carried in converted legacy options.
+// scratch and the planning inspection is cached across calls.
 func (e *Engine) Solve(ctx context.Context, k int, opts ...Option) (*Result, error) {
 	cfg := newSolveConfig(opts)
 	if cfg.storage != nil && cfg.storage != e.Graph() {

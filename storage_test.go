@@ -117,12 +117,12 @@ func TestNewStorageEngine(t *testing.T) {
 	if eng.Graph() != Storage(mg) {
 		t.Fatal("Engine.Graph() does not expose the configured storage")
 	}
-	want, err := Cover(g, 5, nil)
+	want, err := Solve(ctx, g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // repeated solves reuse pooled state
-		res, err := eng.Cover(ctx, 5, nil)
+		res, err := eng.Solve(ctx, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,6 @@
 package tdb
 
 import (
-	"context"
 	"sync"
 
 	"tdb/internal/core"
@@ -171,84 +170,12 @@ const (
 	OrderWeighted = core.OrderWeighted
 )
 
-// Options tunes a cover computation; the zero value means: exclude 2-cycles
-// (MinLen 3), natural order, no prefilter, run to completion.
-//
-// Deprecated: pass functional options to Solve instead; ToOptions converts
-// an existing Options value. The struct remains fully honored by the legacy
-// entry points.
-type Options struct {
-	// MinLen: 3 (default) excludes 2-cycles; 2 includes them.
-	MinLen int
-	// Order of candidate processing.
-	Order Order
-	// Seed for OrderRandom.
-	Seed uint64
-	// Weights (length n) makes covers cost-aware: with OrderWeighted the
-	// algorithms steer expensive vertices out of the cover, and the
-	// minimal passes shed the most expensive cover vertices first.
-	Weights []float64
-	// SCCPrefilter exempts vertices outside non-trivial SCCs up front.
-	SCCPrefilter bool
-	// PrepassWorkers enables the parallel BFS-filter prepass for the
-	// TDB++ algorithm: that many workers (negative selects GOMAXPROCS)
-	// pre-resolve candidates before the sequential top-down loop, the
-	// cover produced being identical. This is the speedup for graphs that
-	// are one giant SCC, where CoverParallel's SCC decomposition gains
-	// nothing. 0 (the default) keeps the paper's sequential behavior.
-	// Requests resolving to one effective worker fall back to the plain
-	// sequential loop, which is faster (DESIGN.md §6).
-	PrepassWorkers int
-	// Context, when non-nil, carries cancellation and deadline for the
-	// run; a done context stops the computation and marks the result
-	// TimedOut.
-	Context context.Context
-	// Cancelled, polled between steps, stops the run early when true. With
-	// PrepassWorkers != 0 (or under CoverParallel) it is polled
-	// concurrently from worker goroutines and must be safe for concurrent
-	// use.
-	//
-	// Deprecated: set Context instead (e.g. via context.WithTimeout).
-	// Cancelled is still honored.
-	Cancelled func() bool
-}
-
-// legacySolveOptions converts a deprecated Options value plus an explicit
-// algorithm into the pinned option set reproducing the legacy entry-point
-// behavior exactly: the sequential loop, or — for TDB++ with prepass
-// workers requested — the prepass (ToOptions already pins that; every
-// other algorithm ignored the field, which a sequential pin preserves).
-func legacySolveOptions(opts *Options, algo Algorithm, extra ...Option) []Option {
-	o := append(opts.ToOptions(), WithAlgorithm(algo))
-	if opts == nil || opts.PrepassWorkers == 0 || algo != TDBPlusPlus {
-		o = append(o, WithStrategy(StrategySequential))
-	}
-	return append(o, extra...)
-}
-
 // Result is a computed cover plus run statistics; Stats records the
 // execution plan Solve selected.
 type Result = core.Result
 
 // Stats describes the work performed during a cover computation.
 type Stats = core.Stats
-
-// Cover computes a hop-constrained cycle cover of g for cycles of length in
-// [3, k] (or [MinLen, k] if opts overrides MinLen) using TDB++, the paper's
-// fastest algorithm. A nil opts selects the defaults.
-//
-// Deprecated: use Solve, which adds automatic strategy selection; Cover
-// always runs the sequential path.
-func Cover(g *Graph, k int, opts *Options) (*Result, error) {
-	return CoverWith(g, TDBPlusPlus, k, opts)
-}
-
-// CoverWith is Cover with an explicit algorithm choice.
-//
-// Deprecated: use Solve with WithAlgorithm.
-func CoverWith(g *Graph, algo Algorithm, k int, opts *Options) (*Result, error) {
-	return Solve(nil, g, k, legacySolveOptions(opts, algo)...)
-}
 
 // Engine computes repeated solves over one fixed graph while pooling all
 // working state (detector tables, filter queues, the active-adjacency
@@ -330,32 +257,6 @@ func NewStorageEngine(s Storage) *Engine {
 // Graph returns the storage backend the engine computes over.
 func (e *Engine) Graph() Storage { return e.e.Graph() }
 
-// Cover is the engine counterpart of the package-level Cover (TDB++ with
-// defaults). ctx bounds the run and supersedes opts.Context when non-nil.
-//
-// Deprecated: use Engine.Solve.
-func (e *Engine) Cover(ctx context.Context, k int, opts *Options) (*Result, error) {
-	return e.CoverWith(ctx, TDBPlusPlus, k, opts)
-}
-
-// CoverWith is Engine.Cover with an explicit algorithm choice.
-//
-// Deprecated: use Engine.Solve with WithAlgorithm.
-func (e *Engine) CoverWith(ctx context.Context, algo Algorithm, k int, opts *Options) (*Result, error) {
-	return e.Solve(ctx, k, legacySolveOptions(opts, algo)...)
-}
-
-// CoverParallel is the engine counterpart of the package-level
-// CoverParallel (SCC-partitioned decomposition).
-//
-// Deprecated: use Engine.Solve, which selects the SCC-partitioned strategy
-// automatically when the condensation splits (or pin it with
-// WithStrategy(StrategyParallelSCC) and WithWorkers).
-func (e *Engine) CoverParallel(ctx context.Context, algo Algorithm, k int, opts *Options, workers int) (*Result, error) {
-	return e.Solve(ctx, k, legacySolveOptions(opts, algo,
-		WithStrategy(StrategyParallelSCC), WithWorkers(workers))...)
-}
-
 // FindCycle returns one cycle of length in [3, k] through vertex s, or
 // nil, on scratch borrowed from the engine's pool — the allocation-free
 // counterpart of the package-level FindCycle.
@@ -367,14 +268,6 @@ func (e *Engine) FindCycle(k int, s VID) []VID {
 // cycle of length in [3, k], with pooled scratch.
 func (e *Engine) HasHopConstrainedCycle(k int) bool {
 	return e.e.HasHopConstrainedCycle(k, cycle.DefaultMinLen)
-}
-
-// CoverAllCycles computes a minimal cover of cycles of EVERY length (the
-// unconstrained feedback-vertex-style variant, paper Sec. VI-C).
-//
-// Deprecated: use Solve with WithUnconstrained.
-func CoverAllCycles(g *Graph, opts *Options) (*Result, error) {
-	return Solve(nil, g, 0, legacySolveOptions(opts, TDBPlusPlus, WithUnconstrained())...)
 }
 
 // Report is the outcome of Verify.

@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestQuickstartFlow(t *testing.T) {
 	b.AddEdge(2, 0)
 	g := b.Build()
 
-	res, err := Cover(g, 5, nil)
+	res, err := Solve(context.Background(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestCoverWithAllAlgorithms(t *testing.T) {
 	g := GenPowerLaw(300, 1800, 2.2, 0.3, 7)
 	for _, algo := range []Algorithm{BUR, BURPlus, TDB, TDBPlus, TDBPlusPlus, DARCDV} {
-		res, err := CoverWith(g, algo, 4, &Options{Order: OrderDegreeAsc})
+		res, err := Solve(context.Background(), g, 4, WithAlgorithm(algo), WithOrder(OrderDegreeAsc))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -46,7 +47,7 @@ func TestCoverAllCycles(t *testing.T) {
 		b.AddEdge(v, (v+1)%9)
 	}
 	g := b.Build()
-	res, err := CoverAllCycles(g, nil)
+	res, err := Solve(context.Background(), g, 0, WithUnconstrained())
 	if err != nil {
 		t.Fatal(err)
 	}
