@@ -166,7 +166,7 @@ func runBenchSuite(dir string, budget time.Duration) (string, error) {
 		Generated:        time.Now().UTC().Format(time.RFC3339),
 		GoVersion:        runtime.Version(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		FilterBatchWidth: cycle.MaxBatchWidth,
+		FilterBatchWidth: cycle.BatchWidth,
 		Benchmarks:       make(map[string]benchEntry, len(suite)),
 	}
 	for _, b := range suite {

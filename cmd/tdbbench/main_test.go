@@ -29,8 +29,8 @@ func TestBenchMode(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if rep.FilterBatchWidth != cycle.MaxBatchWidth {
-		t.Fatalf("filter_batch_width = %d, want %d", rep.FilterBatchWidth, cycle.MaxBatchWidth)
+	if rep.FilterBatchWidth != cycle.BatchWidth {
+		t.Fatalf("filter_batch_width = %d, want %d", rep.FilterBatchWidth, cycle.BatchWidth)
 	}
 	for _, name := range []string{"CoverRepeated/Engine", "BFSFilterBatch/powerlaw"} {
 		e, ok := rep.Benchmarks[name]

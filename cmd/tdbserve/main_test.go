@@ -5,6 +5,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -50,5 +53,42 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < readHeaderTimeout/2 {
 		t.Fatalf("disconnected after %v, before the header timeout %v", elapsed, readHeaderTimeout)
+	}
+}
+
+// TestRunFlagErrors: misconfigured flags must make run return an error
+// before it binds a listener. Each case gets an unused loopback address, so
+// a case that wrongly got as far as serving would block rather than fail;
+// the timeout turns that into a test failure.
+func TestRunFlagErrors(t *testing.T) {
+	dir := t.TempDir()
+	seed := filepath.Join(dir, "seed.txt")
+	if err := os.WriteFile(seed, []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"bogus fsync", []string{"-fsync", "bogus"}, "unknown fsync policy"},
+		{"mmap without graph", []string{"-store", "mmap"}, "-store mmap requires -graph"},
+		{"bogus store", []string{"-store", "bogus", "-graph", seed}, `unknown -store "bogus"`},
+		{"missing graph", []string{"-graph", filepath.Join(dir, "missing.txt")}, "loading graph"},
+		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			errc := make(chan error, 1)
+			go func() { errc <- run(append([]string{"-addr", "127.0.0.1:0"}, tc.args...)) }()
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("run(%q) did not return: it got past flag validation", tc.args)
+			}
+		})
 	}
 }

@@ -227,10 +227,9 @@ type Stats struct {
 	// proven in word-wide sweeps ahead of the per-candidate steps;
 	// Detector.Batches counts the sweeps.
 	FilterPruned int64
-	// FilterBatchWidth is the lane-group capacity the bit-parallel batched
-	// BFS filter was configured with (64, 256 or 512 — the widest group
-	// the run's chunk sizes could fill; 0 on runs without the batched
-	// filter): each of the run's Detector.Batches sweeps answered up to
+	// FilterBatchWidth is the lane width the bit-parallel batched BFS
+	// filter ran at: cycle.BatchWidth (64) when the run swept at least one
+	// batch (Detector.Batches > 0), 0 otherwise. Each sweep answered up to
 	// this many per-vertex pruning queries at once.
 	FilterBatchWidth int
 	// PrepassResolved counts candidates the parallel full-graph BFS-filter

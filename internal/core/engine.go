@@ -112,13 +112,12 @@ func (e *Engine) FindCycle(k, minLen int, s VID) []VID {
 
 // HasHopConstrainedCycle reports whether the engine's graph contains any
 // cycle of length in [minLen, k], with pooled scratch shared between the
-// batched BFS-filter (up to 512 pruning queries per sweep, width picked
-// from the graph size) and the detector run on the survivors.
+// batched BFS-filter (64 pruning queries per sweep) and the detector run on
+// the survivors.
 func (e *Engine) HasHopConstrainedCycle(k, minLen int) bool {
 	sc := e.cycPool.Get()
 	det := cycle.NewBlockDetectorWith(e.g, k, minLen, nil, sc)
 	filter := cycle.NewBatchBFSFilterWith(e.g, k, nil, sc)
-	filter.SetLanes(e.g.NumVertices())
 	found := !filter.VisitUnpruned(e.g.NumVertices(), func(v VID) bool {
 		return !det.HasCycleThrough(v) // a found cycle stops the sweep
 	})
@@ -157,14 +156,6 @@ type runScratch struct {
 	// bpf is the pooled batched in-loop filter, re-targeted per run so the
 	// steady-state engine cover does not allocate it.
 	bpf cycle.BatchPrefixFilter
-	// loopLadder and prepassLadder persist the filters' lane-width verdicts
-	// across runs: a width trial costs real sweeps (one wide group can be
-	// several milliseconds on a large graph), so a pooled scratch pays it
-	// once and serves every later run at the settled width. The hop
-	// constraint shapes the sweeps, so a changed k retrains both.
-	loopLadder    *cycle.WidthLadder
-	prepassLadder *cycle.WidthLadder
-	ladderK       int
 	// cycPool, when non-nil, supplies per-worker detector scratch for the
 	// prepass (set by Engine; nil on the one-shot path).
 	cycPool *cycle.ScratchPool
@@ -243,18 +234,6 @@ func (rs *runScratch) posBuf(n int) []int32 {
 		rs.pos = make([]int32, n)
 	}
 	return rs.pos
-}
-
-// widthLadders returns the run's persistent lane-width ladders (in-loop
-// windows capped by the order length, prepass groups by the claim chunk),
-// retraining both when the hop constraint changed since they were trained.
-func (rs *runScratch) widthLadders(k, n int) (loop, pre *cycle.WidthLadder) {
-	if rs.loopLadder == nil || rs.ladderK != k {
-		rs.loopLadder = cycle.NewWidthLadder(n)
-		rs.prepassLadder = cycle.NewWidthLadder(prepassChunk)
-		rs.ladderK = k
-	}
-	return rs.loopLadder, rs.prepassLadder
 }
 
 // filterRankBuf returns the rank array of the batched in-loop BFS filter,

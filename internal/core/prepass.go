@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
@@ -29,8 +28,8 @@ import (
 // would make the single-worker prepass slower than the plain sequential
 // loop it replaces.)
 //
-// Queries run bit-parallel: each worker packs up to cycle.MaxBatchWidth
-// consecutive candidates into one lane group and answers them with a
+// Queries run bit-parallel: each worker packs up to cycle.BatchWidth
+// consecutive candidates into one 64-lane word and answers them with a
 // single level-synchronous sweep (cycle.BatchPrefixFilter), each lane
 // confined to its own source's prefix, so the resolution mask is
 // bit-identical to per-vertex scalar queries — the in-loop filter, running
@@ -44,12 +43,11 @@ import (
 // gracefully to the sequential filter cost.
 
 // prepassChunk is the number of order positions a worker claims per atomic
-// increment: large enough to amortize the atomic (and to fill one
-// MaxBatchWidth lane group per claim), small enough to balance the
-// position-dependent query costs.
+// increment: large enough to amortize the atomic over several 64-lane
+// groups, small enough to balance the position-dependent query costs.
 const prepassChunk = 512
 
-// prunedGroup queries one lane group of candidates (ascending position
+// prunedGroup queries one group of candidates (ascending position
 // order) and marks the pruned lanes in resolved, returning how many it
 // marked.
 func prunedGroup(f *cycle.BatchPrefixFilter, batch []VID, prunedBuf []bool, resolved []bool) int64 {
@@ -89,46 +87,14 @@ func prepass(g digraph.Adjacency, opts Options, order []VID, candidates []bool, 
 		pos[v] = int32(i)
 	}
 
-	// The run's persistent WidthLadder (see cycle.WidthLadder and
-	// runScratch.widthLadders) adapts group widths — but only on the
-	// single-worker path. With workers oversubscribing the CPUs, a group's
-	// wall time mostly measures how often the scheduler preempted its
-	// goroutine, and verdicts from that noise are coin flips; parallel
-	// passes therefore run untimed at the ladder's committed width, and
-	// single-worker traffic (or the in-loop ladder) supplies the evidence.
-	_, ladder := rs.widthLadders(opts.K, n)
-	ladder.NewStream()
-	nextWidth := func() (int, bool) { return ladder.Next(), ladder.Adapting() }
-	observe := func(w int, d time.Duration, cands int) { ladder.Observe(w, d, cands) }
-	if workers > 1 {
-		w := ladder.Width()
-		nextWidth = func() (int, bool) { return w, false }
-		observe = nil
-	}
-
 	// scan resolves order positions [lo, hi) on one worker's filter, one
-	// lane group at a time; scanning by position yields the ascending order
-	// the per-lane prefixes require. Group widths follow the ladder: timed
-	// full groups at the committed width race groups at a neighboring one,
-	// and the sweep changes width only on a measured win, so the chunk size
-	// caps the width without dictating it.
+	// 64-lane group at a time; scanning by position yields the ascending
+	// order the per-lane prefixes require.
 	scan := func(f *cycle.BatchPrefixFilter, lo, hi int) int64 {
 		var pruned int64
-		var batchBuf [cycle.MaxBatchWidth]VID
-		var prunedBuf [cycle.MaxBatchWidth]bool
-		width, adapting := nextWidth()
+		var batchBuf [cycle.BatchWidth]VID
+		var prunedBuf [cycle.BatchWidth]bool
 		nb := 0
-		flush := func() {
-			if adapting {
-				t0 := time.Now()
-				pruned += prunedGroup(f, batchBuf[:nb], prunedBuf[:nb], resolved)
-				observe(width, time.Since(t0), nb)
-			} else {
-				pruned += prunedGroup(f, batchBuf[:nb], prunedBuf[:nb], resolved)
-			}
-			nb = 0
-			width, adapting = nextWidth()
-		}
 		for p := lo; p < hi; p++ {
 			v := order[p]
 			if candidates != nil && !candidates[v] {
@@ -136,12 +102,13 @@ func prepass(g digraph.Adjacency, opts Options, order []VID, candidates []bool, 
 			}
 			batchBuf[nb] = v
 			nb++
-			if nb == width {
-				flush()
+			if nb == cycle.BatchWidth {
+				pruned += prunedGroup(f, batchBuf[:nb], prunedBuf[:nb], resolved)
+				nb = 0
 			}
 		}
 		if nb > 0 {
-			flush()
+			pruned += prunedGroup(f, batchBuf[:nb], prunedBuf[:nb], resolved)
 		}
 		return pruned
 	}
@@ -152,7 +119,6 @@ func prepass(g digraph.Adjacency, opts Options, order []VID, candidates []bool, 
 		// sequential loop is about to skip. A panic here propagates on the
 		// calling goroutine as any sequential panic would.
 		f := cycle.NewBatchPrefixFilterWith(g, opts.K, pos, rs.cyc)
-		f.SetLanes(prepassChunk) // cap: one claim chunk fills one widest group
 		var pruned int64
 		for lo := 0; lo < n; lo += prepassChunk {
 			if stop != nil && stop() {
@@ -191,7 +157,6 @@ func prepass(g digraph.Adjacency, opts Options, order []VID, candidates []bool, 
 				}
 			}()
 			f := cycle.NewBatchPrefixFilterWith(g, opts.K, pos, sc)
-			f.SetLanes(prepassChunk) // cap: one claim chunk fills one widest group
 			var pruned int64
 			for {
 				lo := int(next.Add(prepassChunk)) - prepassChunk

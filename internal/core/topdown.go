@@ -23,15 +23,15 @@ type working interface {
 }
 
 // Tier-probe tuning. A probe round charges alternating stretches to the two
-// tiers until each has decided tierProbeCands candidates (stretches differ
-// in size across tiers — a batch window can be MaxBatchWidth wide while a
-// scalar stretch is one word — so rounds are sized in candidates, not
-// stretches). The committed span starts at tierCommitStretches and doubles
-// every time a re-probe confirms the standing winner, capped at
-// tierCommitMax: on stable workloads — fast-hit graphs where the scalar
-// filter keeps winning — the loop stops paying for speculative batched
-// probe sweeps almost entirely, while a flipped winner resets the span so
-// the probe still tracks the crossover as the working graph fills.
+// tiers until each has decided tierProbeCands candidates (a stretch of
+// either tier covers up to cycle.BatchWidth candidates, fewer at the end
+// of the order, so rounds are sized in candidates, not stretches). The
+// committed span starts at tierCommitStretches and doubles every time a
+// re-probe confirms the standing winner, capped at tierCommitMax: on
+// stable workloads — fast-hit graphs where the scalar filter keeps
+// winning — the loop stops paying for speculative batched probe sweeps
+// almost entirely, while a flipped winner resets the span so the probe
+// still tracks the crossover as the working graph fills.
 const (
 	tierProbeCands      = 3 * cycle.BatchWidth
 	tierCommitStretches = 26
@@ -43,10 +43,11 @@ const (
 // Filter edge-scans per decided candidate are the signal — the detector's
 // work is identical under either tier (the decisions are the same), so
 // scans are the whole mode-dependent cost, and normalizing by candidates
-// lets a 512-wide batch stretch be compared against one-word scalar
-// stretches directly. Each probe round alternates stretches between the
-// tiers until both have decided tierProbeCands candidates, commits to the
-// cheaper one for an escalating span of stretches, then re-probes.
+// lets a partial stretch be compared against full ones directly. Each
+// probe round alternates stretches between the tiers until both have
+// decided tierProbeCands candidates, commits to the cheaper one for an
+// escalating span of stretches, then re-probes. It is the only adaptive
+// controller in the filter path, and its signal is deterministic.
 type tierProbe struct {
 	started    bool
 	lastScans  int64
@@ -206,7 +207,6 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 			frank = rs.filterRankBuf(g.NumVertices())
 			filter = &rs.bpf
 			filter.Reinit(g, opts.K, frank, rs.cyc)
-			r.Stats.FilterBatchWidth = cycle.PickLanes(len(order))
 		}
 		// The prepass only pays off with real parallelism: at one effective
 		// worker it re-runs the filter queries the loop would run anyway,
@@ -220,17 +220,14 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 			if err != nil {
 				return nil, err
 			}
-			// The prepass answers its queries through the batched prefix
-			// filter on any path, one-shot included.
-			r.Stats.FilterBatchWidth = cycle.PickLanes(prepassChunk)
 		} else if filter != nil {
 			resolved = rs.resolvedBuf(g.NumVertices())
 		}
 	}
 
 	// Batched in-loop pruning (TDB++), tier one of the filter: candidates
-	// are pruned in lane groups of up to cycle.MaxBatchWidth ahead of
-	// processing.
+	// are pruned in windows of cycle.BatchWidth (one 64-lane word) ahead
+	// of processing.
 	// Lane i's filter graph — G0 plus the window scanned up to its member —
 	// is a superset of the member's sequential working graph (it
 	// conservatively includes earlier window vertices the loop will move to
@@ -252,8 +249,8 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 	// re-probing periodically in case the answer changes as the working
 	// graph fills.
 	var (
-		batchBuf     [cycle.MaxBatchWidth]VID
-		prunedBuf    [cycle.MaxBatchWidth]bool
+		batchBuf     [cycle.BatchWidth]VID
+		prunedBuf    [cycle.BatchWidth]bool
 		batchedUpTo  int // order positions < batchedUpTo have been tier-assigned
 		stretchCands int64
 		probe        tierProbe
@@ -273,24 +270,10 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 		stretchCands += int64(seen)
 		return j
 	}
-	// Window widths climb a WidthLadder capped by the order length: wide
-	// lane groups amortize each edge scan over up to cycle.MaxBatchWidth
-	// queries, but whether that beats narrow groups' tighter inner loop
-	// and smaller lane slabs is machine- and workload-dependent, so the
-	// ladder times the widths against each other and widens only on a
-	// measured win (see cycle.WidthLadder). The ladder persists in the
-	// pooled scratch: repeated engine runs start at the settled width.
-	var ladder *cycle.WidthLadder
-	if filter != nil {
-		ladder, _ = rs.widthLadders(opts.K, len(order))
-		ladder.NewStream()
-	}
 	batchWindow := func(start int) {
-		width := ladder.Next()
-		filter.SetLanes(width)
 		batch := batchBuf[:0]
 		j := start
-		for ; j < len(order) && len(batch) < width; j++ {
+		for ; j < len(order) && len(batch) < cycle.BatchWidth; j++ {
 			v := order[j]
 			// Rank everything scanned by window offset — non-candidates
 			// and resolved vertices join the working graph when the loop
@@ -306,13 +289,7 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 			return
 		}
 		pruned := prunedBuf[:len(batch)]
-		if ladder.Adapting() {
-			t0 := time.Now()
-			filter.CanPruneBatch(batch, pruned)
-			ladder.Observe(width, time.Since(t0), len(batch))
-		} else {
-			filter.CanPruneBatch(batch, pruned)
-		}
+		filter.CanPruneBatch(batch, pruned)
 		for i, v := range batch {
 			if pruned[i] {
 				// Proven: no constrained cycle through v in lane i's filter
@@ -410,6 +387,9 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 	}
 	if scalarFilter != nil {
 		r.Stats.Detector.Add(scalarFilter.Stats)
+	}
+	if r.Stats.Detector.Batches > 0 {
+		r.Stats.FilterBatchWidth = cycle.BatchWidth
 	}
 	if r.Stats.TimedOut && opts.PartialOnDeadline {
 		// The stop path above completed the cover conservatively (every

@@ -2,50 +2,23 @@ package cycle
 
 import (
 	"math/bits"
-	"time"
 
 	"tdb/internal/digraph"
 )
 
-// BatchWidth is the base lane capacity of the bit-parallel batched BFS
-// filters: one uint64 word packs this many concurrent single-source BFS
-// traversals, and every supported lane-group width is a multiple of it.
+// BatchWidth is the lane capacity of the bit-parallel batched BFS filters:
+// one uint64 word packs this many concurrent single-source BFS traversals.
+// Every group of a batch runs in one such word.
 const BatchWidth = 64
 
-// MaxBatchWidth is the widest supported lane group: eight words, 512
-// concurrent traversals per bidirectional sweep.
-const MaxBatchWidth = 512
-
-// maxLaneWords is the word count of the widest lane group.
-const maxLaneWords = MaxBatchWidth / BatchWidth
-
-// PickLanes returns the lane-group width suited to batches of the given
-// size: the widest supported group (64, 256 or 512 lanes) the batch can
-// fill. Pass it to SetLanes when the caller knows its chunk size — the
-// prepass chunk, a deferred-insertion queue, a whole-graph sweep.
-func PickLanes(batch int) int {
-	switch {
-	case batch >= MaxBatchWidth:
-		return MaxBatchWidth
-	case batch >= 4*BatchWidth:
-		return 4 * BatchWidth
-	default:
-		return BatchWidth
-	}
-}
-
 // BatchBFSFilter is the bit-parallel batched form of BFSFilter: it answers
-// up to MaxBatchWidth CanPrune queries with ONE bidirectional
-// level-synchronous BFS. Each source occupies one bit lane of a lane GROUP
-// of 1, 4 or 8 consecutive uint64 words — 64, 256 or 512 lanes; a vertex's
-// group records which sources' traversals have settled it, and every edge
-// scan ORs the scanning vertex's group into its successor — hundreds of
-// queue-driven traversals collapse into group-wide sweeps whose edge
-// expansions are shared by all lanes on the same frontier. SetLanes caps
-// the group width per filter (default BatchWidth); within the cap each
-// group runs at the narrowest width that covers it, so partial batches
-// never pay for words they don't use, and every width produces
-// bit-identical per-lane answers.
+// up to BatchWidth CanPrune queries with ONE bidirectional level-synchronous
+// BFS. Each source occupies one bit lane of a 64-bit word; a vertex's word
+// records which sources' traversals have settled it, and every edge scan
+// ORs the scanning vertex's word into its successor — dozens of
+// queue-driven traversals collapse into word-wide sweeps whose edge
+// expansions are shared by all lanes on the same frontier. Longer batches
+// run as consecutive 64-lane groups.
 //
 // The traversal meets in the middle. The scalar filter asks "is any
 // IN-NEIGHBOR of s reachable from s within k-1 hops" — a forward search of
@@ -66,21 +39,13 @@ func PickLanes(batch int) int {
 // the other side's cap alone bounds the meet.)
 //
 // Each level runs in two phases. EXPAND is a branch-free OR-scatter: for
-// every frontier vertex u, the group of lanes that newly reached u is OR-ed
-// into the pending group of each neighbor — no membership, settled or meet
+// every frontier vertex u, the lanes that newly reached u are OR-ed into
+// the pending word of each neighbor — no membership, settled or meet
 // checks in the inner loop. CONSOLIDATE then walks the (deduplicated)
 // pending vertices once: drops non-members, masks off lanes that already
 // settled the vertex in this direction, retires lanes that meet the other
 // direction's settlements, and compacts the survivors into the next
 // frontier.
-//
-// The sweep body exists twice per filter: a one-word specialization
-// (pruneWord, the historical code, whose lane ops are direct uint64
-// arithmetic) and a stride-parameterized wide body (pruneWide) whose short
-// counted loops amortize over 4-8 words per group. Generics cannot unify
-// them without putting a dictionary call behind every lane op (measured
-// ~2x); the pairs are pinned together by the width-sweep property tests —
-// change them in lockstep.
 //
 // Like BFSFilter it carries both working-graph backends — an active mask
 // over the CSR rows or a digraph.ActiveAdjacency view — via the shared
@@ -88,10 +53,9 @@ func PickLanes(batch int) int {
 // batches are visible to later batches.
 type BatchBFSFilter struct {
 	adjacency
-	k     int
-	lanes int // group-width cap; 0 means BatchWidth
+	k int
 
-	s *Scratch // lane group: per-width settlement maps, frontiers, touched
+	s *Scratch // lane group: settlement maps, frontiers, touched
 
 	Stats Stats
 }
@@ -131,82 +95,42 @@ func NewBatchBFSFilterView(view *digraph.ActiveAdjacency, k int, s *Scratch) *Ba
 	}
 }
 
-// SetLanes caps the filter's lane-group width, rounded down to the nearest
-// supported width (64, 256, 512); use PickLanes to derive the cap from an
-// expected batch size. Wider groups share more frontier work per sweep but
-// spend more words per edge scan, so the cap should track how many queries
-// arrive per CanPruneBatch call.
-func (f *BatchBFSFilter) SetLanes(w int) { f.lanes = PickLanes(w) }
-
-// Lanes returns the effective lane-group width cap.
-func (f *BatchBFSFilter) Lanes() int {
-	if f.lanes == 0 {
-		return BatchWidth
-	}
-	return f.lanes
-}
-
 // CanPruneBatch sets pruned[i] to BFSFilter.CanPrune(sources[i]) for every
-// source; len(pruned) must equal len(sources). Batches wider than the Lanes
-// cap are processed in consecutive lane groups.
+// source; len(pruned) must equal len(sources). Batches wider than
+// BatchWidth are processed in consecutive 64-lane groups.
 //
 // Stats accounting: Queries and BFSPruned count per lane, exactly as a
 // scalar query loop would; BFSVisited counts per-lane FORWARD settlements
 // (one vertex settled by three lanes counts three); EdgeScans counts
 // physical adjacency reads in both directions, each serving every lane on
-// the frontier group.
+// the frontier word.
 func (f *BatchBFSFilter) CanPruneBatch(sources []VID, pruned []bool) {
 	if len(sources) != len(pruned) {
 		panic("cycle: BatchBFSFilter sources/pruned length mismatch")
 	}
-	w := f.Lanes()
-	for len(sources) > w {
-		f.pruneGroup(sources[:w], pruned[:w])
-		sources, pruned = sources[w:], pruned[w:]
+	for len(sources) > BatchWidth {
+		f.pruneWord(sources[:BatchWidth], pruned[:BatchWidth])
+		sources, pruned = sources[BatchWidth:], pruned[BatchWidth:]
 	}
 	if len(sources) > 0 {
-		f.pruneGroup(sources, pruned)
-	}
-}
-
-// pruneGroup answers one lane group of at most Lanes sources, at the
-// narrowest supported width that covers the group.
-func (f *BatchBFSFilter) pruneGroup(sources []VID, pruned []bool) {
-	switch {
-	case len(sources) <= BatchWidth:
 		f.pruneWord(sources, pruned)
-	case len(sources) <= 4*BatchWidth:
-		f.pruneWide(f.s.laneStateFor(4), 4, sources, pruned)
-	default:
-		f.pruneWide(f.s.laneStateFor(8), 8, sources, pruned)
 	}
 }
 
-// VisitUnpruned sweeps every vertex of [0, n) through the filter and calls
-// visit for each vertex it cannot prune. A false return from visit stops
-// the sweep; VisitUnpruned reports whether the sweep ran to completion.
-// This is the shared shape of the filter-then-detector loops
-// (HasHopConstrainedCycle and friends). Group widths are chosen by a
-// WidthLadder capped at Lanes: a sweep long enough to amortize the trials
-// settles on the width the machine actually runs fastest, narrower sweeps
-// stay at BatchWidth.
+// VisitUnpruned sweeps every vertex of [0, n) through the filter, one
+// 64-vertex group at a time, and calls visit for each vertex it cannot
+// prune. A false return from visit stops the sweep; VisitUnpruned reports
+// whether the sweep ran to completion. This is the shared shape of the
+// filter-then-detector loops (HasHopConstrainedCycle and friends).
 func (f *BatchBFSFilter) VisitUnpruned(n int, visit func(VID) bool) bool {
-	var batch [MaxBatchWidth]VID
-	var pruned [MaxBatchWidth]bool
-	ladder := NewWidthLadder(f.Lanes())
+	var batch [BatchWidth]VID
+	var pruned [BatchWidth]bool
 	for lo := 0; lo < n; {
-		width := ladder.Next()
-		w := min(width, n-lo)
+		w := min(BatchWidth, n-lo)
 		for i := 0; i < w; i++ {
 			batch[i] = VID(lo + i)
 		}
-		if ladder.Adapting() {
-			t0 := time.Now()
-			f.CanPruneBatch(batch[:w], pruned[:w])
-			ladder.Observe(width, time.Since(t0), w)
-		} else {
-			f.CanPruneBatch(batch[:w], pruned[:w])
-		}
+		f.pruneWord(batch[:w], pruned[:w])
 		for i := 0; i < w; i++ {
 			if !pruned[i] && !visit(VID(lo+i)) {
 				return false
@@ -217,12 +141,12 @@ func (f *BatchBFSFilter) VisitUnpruned(n int, visit func(VID) bool) bool {
 	return true
 }
 
-// pruneWord answers one group of at most BatchWidth sources — the one-word
-// specialization whose lane ops are direct uint64 arithmetic.
+// pruneWord answers one group of at most BatchWidth sources in one 64-lane
+// word; every lane op is direct uint64 arithmetic.
 func (f *BatchBFSFilter) pruneWord(sources []VID, pruned []bool) {
 	f.Stats.Batches++
 	f.Stats.Queries += int64(len(sources))
-	ls := f.s.laneStateFor(1)
+	ls := f.s.laneState()
 	reachedF, reachedB := ls.reachedF, ls.reachedB
 	curF, nextF, curB, nextB := ls.frontiers[0], ls.frontiers[1], ls.frontiers[2], ls.frontiers[3]
 	touched := f.s.touched[:0]
@@ -402,280 +326,34 @@ func (f *BatchBFSFilter) pruneWord(sources []VID, pruned []bool) {
 	f.s.touched = touched[:0]
 }
 
-// seedPush merges one seed bit into v's nw-word frontier group (the cold
-// seeding path of the wide bodies).
-func seedPush(fr *digraph.LaneFrontier, v VID, nw, wi int, m uint64) {
-	base := int(v) * nw
-	g := fr.Bits.Words[base : base+nw]
-	var had uint64
-	for _, w := range g {
-		had |= w
-	}
-	if had == 0 {
-		fr.Verts = append(fr.Verts, v)
-	}
-	g[wi] |= m
-}
-
-// groupZero reports whether an nw-word group is all zero.
-func groupZero(g []uint64) bool {
-	var acc uint64
-	for _, w := range g {
-		acc |= w
-	}
-	return acc == 0
-}
-
-// pruneWide answers one group of 65..MaxBatchWidth sources at stride nw (4
-// or 8 words). The body mirrors pruneWord with every lane op widened to a
-// short counted loop over the group's words; the loops carry word-OR
-// accumulators so the "is anything left" checks stay single-compare.
-func (f *BatchBFSFilter) pruneWide(ls *laneState, nw int, sources []VID, pruned []bool) {
-	f.Stats.Batches++
-	f.Stats.Queries += int64(len(sources))
-	reachedF, reachedB := ls.reachedF, ls.reachedB
-	curF, nextF, curB, nextB := ls.frontiers[0], ls.frontiers[1], ls.frontiers[2], ls.frontiers[3]
-	touched := f.s.touched[:0]
-	var edgeScans int64
-
-	var aliveBuf, laneBuf [maxLaneWords]uint64
-	alive := aliveBuf[:nw]
-	lanes := laneBuf[:nw] // scratch group: expand's live lanes, consolidate's add set
-	var aliveAny uint64
-	for i, src := range sources {
-		pruned[i] = false
-		if !f.startActive(src) {
-			pruned[i] = true
-			f.Stats.BFSPruned++
-			continue
-		}
-		wi, m := i>>6, uint64(1)<<uint(i&63)
-		alive[wi] |= m
-		aliveAny |= m
-		base := int(src) * nw
-		if groupZero(reachedF.Words[base:base+nw]) && groupZero(reachedB.Words[base:base+nw]) {
-			touched = append(touched, src)
-		}
-		reachedF.Words[base+wi] |= m
-		reachedB.Words[base+wi] |= m
-		seedPush(curF, src, nw, wi, m)
-		seedPush(curB, src, nw, wi, m)
-	}
-
-	bmax := f.k / 2
-	fmax := f.k - bmax
-	fdist, bdist := 0, 0
-	for aliveAny != 0 {
-		back := bdist < bmax && curB.Len() > 0 &&
-			(fdist >= fmax || curF.Len() == 0 || curB.Len() <= curF.Len())
-		if !back && (fdist >= fmax || curF.Len() == 0) {
-			break
-		}
-		var cur, next *digraph.LaneFrontier
-		var settled, marks *digraph.LaneBits
-		if back {
-			bdist++
-			cur, next, settled, marks = curB, nextB, reachedB, reachedF
-		} else {
-			fdist++
-			cur, next, settled, marks = curF, nextF, reachedF, reachedB
-		}
-
-		// Expand (see pruneWord): per frontier vertex, lanes = live lanes
-		// at u; per edge, mid-row meet test then OR-scatter.
-		for _, u := range cur.Verts {
-			ubase := int(u) * nw
-			var laneAny uint64
-			for j := 0; j < nw; j++ {
-				lanes[j] = cur.Bits.Words[ubase+j] & alive[j]
-				laneAny |= lanes[j]
-			}
-			if laneAny == 0 {
-				continue
-			}
-			var row []VID
-			if back {
-				row = f.in(u)
-			} else {
-				row = f.out(u)
-			}
-			edgeScans += int64(len(row))
-			for _, w := range row {
-				if w == u {
-					continue
-				}
-				if f.active != nil && !f.active[w] {
-					continue
-				}
-				wbase := int(w) * nw
-				mg := marks.Words[wbase : wbase+nw]
-				var met uint64
-				for j := 0; j < nw; j++ {
-					met |= lanes[j] & mg[j]
-				}
-				if met != 0 {
-					laneAny = 0
-					for j := 0; j < nw; j++ {
-						h := lanes[j] & mg[j]
-						alive[j] &^= h
-						lanes[j] &^= h
-						laneAny |= lanes[j]
-					}
-					if laneAny == 0 {
-						break
-					}
-				}
-				ng := next.Bits.Words[wbase : wbase+nw]
-				var had uint64
-				for j := 0; j < nw; j++ {
-					had |= ng[j]
-				}
-				if had == 0 {
-					next.Verts = append(next.Verts, w)
-				}
-				for j := 0; j < nw; j++ {
-					ng[j] |= lanes[j]
-				}
-			}
-			aliveAny = 0
-			for j := 0; j < nw; j++ {
-				aliveAny |= alive[j]
-			}
-			if aliveAny == 0 {
-				break
-			}
-		}
-
-		// Consolidate (see pruneWord). The lanes buffer doubles as the add
-		// set; pending groups are zeroed as they are read and rewritten to
-		// the surviving add set when the vertex is kept.
-		kept := next.Verts[:0]
-		var gotBuf [maxLaneWords]uint64
-		got := gotBuf[:nw]
-		for _, w := range next.Verts {
-			wbase := int(w) * nw
-			pg := next.Bits.Words[wbase : wbase+nw]
-			if f.active != nil && !f.active[w] {
-				clear(pg)
-				continue
-			}
-			sg := settled.Words[wbase : wbase+nw]
-			mg := marks.Words[wbase : wbase+nw]
-			add := lanes
-			var addAny uint64
-			for j := 0; j < nw; j++ {
-				add[j] = pg[j] & alive[j] &^ sg[j]
-				pg[j] = 0
-				addAny |= add[j]
-			}
-			if addAny == 0 {
-				continue
-			}
-			var met uint64
-			for j := 0; j < nw; j++ {
-				met |= add[j] & mg[j]
-			}
-			if met != 0 {
-				addAny = 0
-				for j := 0; j < nw; j++ {
-					h := add[j] & mg[j]
-					alive[j] &^= h
-					add[j] &^= h
-					addAny |= add[j]
-				}
-				if addAny == 0 {
-					continue
-				}
-			}
-			var seen uint64
-			for j := 0; j < nw; j++ {
-				seen |= sg[j] | mg[j]
-			}
-			if seen == 0 {
-				touched = append(touched, w)
-			}
-			cnt := 0
-			for j := 0; j < nw; j++ {
-				sg[j] |= add[j]
-				got[j] |= add[j]
-				cnt += bits.OnesCount64(add[j])
-				pg[j] = add[j]
-			}
-			if !back {
-				f.Stats.BFSVisited += int64(cnt)
-			}
-			kept = append(kept, w)
-		}
-		next.Verts = kept
-		cur.Clear()
-		if back {
-			curB, nextB = next, cur
-		} else {
-			curF, nextF = next, cur
-		}
-
-		if back && bdist == 1 {
-			for i := range sources {
-				wi, m := i>>6, uint64(1)<<uint(i&63)
-				if alive[wi]&m != 0 && got[wi]&m == 0 {
-					alive[wi] &^= m
-					pruned[i] = true
-					f.Stats.BFSPruned++
-				}
-			}
-		}
-		aliveAny = 0
-		for j := 0; j < nw; j++ {
-			aliveAny |= alive[j]
-		}
-	}
-	f.Stats.EdgeScans += edgeScans
-
-	for i := range sources {
-		if alive[i>>6]&(uint64(1)<<uint(i&63)) != 0 {
-			pruned[i] = true
-			f.Stats.BFSPruned++
-		}
-	}
-
-	curF.Clear()
-	nextF.Clear()
-	curB.Clear()
-	nextB.Clear()
-	reachedF.ClearList(touched)
-	reachedB.ClearList(touched)
-	f.s.touched = touched[:0]
-}
-
 // BatchPrefixFilter is BatchBFSFilter specialized to PREFIX subgraphs of a
 // fixed candidate order, the batched counterpart of PrefixFilter: lane i
 // runs on the subgraph induced by {v : pos[v] <= pos[sources[i]]} — each
 // source's OWN prefix, exactly the graph the scalar prepass queried it on,
 // so batching changes neither the resolution set nor any downstream cover.
-// Like BatchBFSFilter it is width-capable: SetLanes caps the group width,
-// and each group runs at the narrowest supported width that covers it.
+// Like BatchBFSFilter it runs each group of up to BatchWidth sources in one
+// 64-lane word.
 //
 // Per-lane prefixes cost one extra trick: sources must arrive in ascending
 // position order (the candidate-order scan produces exactly that), which
 // makes the lanes eligible to settle a vertex w — those with
 // pos[source] >= pos[w] — a SUFFIX of the group, found by a short binary
 // search over the group's source positions once per consolidated vertex and
-// applied as one AND (per word on the wide paths).
+// applied as one AND.
 //
-// As with PrefixFilter vs BFSFilter, the sweep bodies duplicate
+// As with PrefixFilter vs BFSFilter, the sweep body duplicates
 // BatchBFSFilter's rather than sharing a predicate-parameterized helper:
 // the membership test sits in the hottest loop of the whole cover
 // computation, and an indirect call there is measurable. The copies are
 // pinned together by the bitfilter property tests; change them in lockstep.
 type BatchPrefixFilter struct {
-	g     digraph.Adjacency
-	k     int
-	pos   []int32 // pos[v] = rank of v in the candidate order
-	lanes int     // group-width cap; 0 means BatchWidth
+	g   digraph.Adjacency
+	k   int
+	pos []int32 // pos[v] = rank of v in the candidate order
 
-	srcPos [MaxBatchWidth]int32 // positions of the current group's sources
+	srcPos [BatchWidth]int32 // positions of the current group's sources
 
-	s *Scratch // lane group: per-width settlement maps, frontiers, touched
+	s *Scratch // lane group: settlement maps, frontiers, touched
 
 	Stats Stats
 }
@@ -694,9 +372,7 @@ func NewBatchPrefixFilterWith(g digraph.Adjacency, k int, pos []int32, s *Scratc
 }
 
 // Reinit re-targets a (possibly pooled) filter in place — the effect of
-// NewBatchPrefixFilterWith without the allocation. Stats restart at zero and
-// the lane cap resets to the default; SetLanes again if the owner widened
-// it.
+// NewBatchPrefixFilterWith without the allocation. Stats restart at zero.
 func (f *BatchPrefixFilter) Reinit(g digraph.Adjacency, k int, pos []int32, s *Scratch) {
 	if len(pos) != g.NumVertices() {
 		panic("cycle: BatchPrefixFilter pos length mismatch")
@@ -710,54 +386,28 @@ func (f *BatchPrefixFilter) Reinit(g digraph.Adjacency, k int, pos []int32, s *S
 	}
 }
 
-// SetLanes caps the filter's lane-group width, rounded down to the nearest
-// supported width (64, 256, 512); see BatchBFSFilter.SetLanes.
-func (f *BatchPrefixFilter) SetLanes(w int) { f.lanes = PickLanes(w) }
-
-// Lanes returns the effective lane-group width cap.
-func (f *BatchPrefixFilter) Lanes() int {
-	if f.lanes == 0 {
-		return BatchWidth
-	}
-	return f.lanes
-}
-
 // CanPruneBatch sets pruned[i] to PrefixFilter.CanPrune(sources[i],
 // pos[sources[i]]) for every source: each lane runs on its own source's
 // prefix subgraph. Sources must be ordered by ascending position (the
-// candidate-order scan produces exactly that); batches wider than the Lanes
-// cap are processed in consecutive lane groups.
+// candidate-order scan produces exactly that); batches wider than
+// BatchWidth are processed in consecutive 64-lane groups.
 func (f *BatchPrefixFilter) CanPruneBatch(sources []VID, pruned []bool) {
 	if len(sources) != len(pruned) {
 		panic("cycle: BatchPrefixFilter sources/pruned length mismatch")
 	}
-	w := f.Lanes()
-	for len(sources) > w {
-		f.pruneGroup(sources[:w], pruned[:w])
-		sources, pruned = sources[w:], pruned[w:]
+	for len(sources) > BatchWidth {
+		f.pruneWord(sources[:BatchWidth], pruned[:BatchWidth])
+		sources, pruned = sources[BatchWidth:], pruned[BatchWidth:]
 	}
 	if len(sources) > 0 {
-		f.pruneGroup(sources, pruned)
-	}
-}
-
-// pruneGroup answers one lane group of at most Lanes sources, at the
-// narrowest supported width that covers the group.
-func (f *BatchPrefixFilter) pruneGroup(sources []VID, pruned []bool) {
-	switch {
-	case len(sources) <= BatchWidth:
 		f.pruneWord(sources, pruned)
-	case len(sources) <= 4*BatchWidth:
-		f.pruneWide(f.s.laneStateFor(4), 4, sources, pruned)
-	default:
-		f.pruneWide(f.s.laneStateFor(8), 8, sources, pruned)
 	}
 }
 
-// searchPos returns the first index of srcPos (ascending) holding a
-// position >= p — the start of the lane suffix eligible to settle a vertex
-// at position p.
-func searchPos(srcPos []int32, p int32) int {
+// eligibleFrom returns the lane set allowed to settle a vertex at position
+// p — those with srcPos >= p, a suffix of the word since srcPos is
+// ascending, found by binary search.
+func eligibleFrom(srcPos []int32, p int32) uint64 {
 	lo, hi := 0, len(srcPos)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -767,27 +417,19 @@ func searchPos(srcPos []int32, p int32) int {
 			lo = mid + 1
 		}
 	}
-	return lo
-}
-
-// eligibleFrom returns the one-word lane set allowed to settle a vertex at
-// position p — those with srcPos >= p, a suffix of the word since srcPos is
-// ascending.
-func eligibleFrom(srcPos []int32, p int32) uint64 {
-	lo := searchPos(srcPos, p)
 	if lo >= BatchWidth {
 		return 0
 	}
 	return ^uint64(0) << uint(lo)
 }
 
-// pruneWord answers one group of at most BatchWidth sources — the one-word
-// specialization. The body mirrors BatchBFSFilter.pruneWord with per-lane
-// prefix membership pos[w] <= pos[source] enforced at consolidation.
+// pruneWord answers one group of at most BatchWidth sources. The body
+// mirrors BatchBFSFilter.pruneWord with per-lane prefix membership
+// pos[w] <= pos[source] enforced at consolidation.
 func (f *BatchPrefixFilter) pruneWord(sources []VID, pruned []bool) {
 	f.Stats.Batches++
 	f.Stats.Queries += int64(len(sources))
-	ls := f.s.laneStateFor(1)
+	ls := f.s.laneState()
 	reachedF, reachedB := ls.reachedF, ls.reachedB
 	curF, nextF, curB, nextB := ls.frontiers[0], ls.frontiers[1], ls.frontiers[2], ls.frontiers[3]
 	touched := f.s.touched[:0]
@@ -929,239 +571,6 @@ func (f *BatchPrefixFilter) pruneWord(sources []VID, pruned []bool) {
 
 	for i := range sources {
 		if alive&(uint64(1)<<uint(i)) != 0 {
-			pruned[i] = true
-			f.Stats.BFSPruned++
-		}
-	}
-
-	curF.Clear()
-	nextF.Clear()
-	curB.Clear()
-	nextB.Clear()
-	reachedF.ClearList(touched)
-	reachedB.ClearList(touched)
-	f.s.touched = touched[:0]
-}
-
-// pruneWide answers one group of 65..MaxBatchWidth sources at stride nw (4
-// or 8 words) — BatchBFSFilter.pruneWide with the prefix filter's
-// membership rules: the maxLimit bound in the scatter and the per-lane
-// suffix eligibility mask, applied word-by-word, at consolidation.
-func (f *BatchPrefixFilter) pruneWide(ls *laneState, nw int, sources []VID, pruned []bool) {
-	f.Stats.Batches++
-	f.Stats.Queries += int64(len(sources))
-	reachedF, reachedB := ls.reachedF, ls.reachedB
-	curF, nextF, curB, nextB := ls.frontiers[0], ls.frontiers[1], ls.frontiers[2], ls.frontiers[3]
-	touched := f.s.touched[:0]
-	var edgeScans int64
-
-	srcPos := f.srcPos[:len(sources)]
-	var aliveBuf, laneBuf [maxLaneWords]uint64
-	alive := aliveBuf[:nw]
-	lanes := laneBuf[:nw] // scratch group: expand's live lanes, consolidate's add set
-	var aliveAny uint64
-	for i, src := range sources {
-		pruned[i] = false
-		p := f.pos[src]
-		if i > 0 && p < srcPos[i-1] {
-			panic("cycle: BatchPrefixFilter sources not in ascending position order")
-		}
-		srcPos[i] = p
-		wi, m := i>>6, uint64(1)<<uint(i&63)
-		alive[wi] |= m
-		aliveAny |= m
-		base := int(src) * nw
-		if groupZero(reachedF.Words[base:base+nw]) && groupZero(reachedB.Words[base:base+nw]) {
-			touched = append(touched, src)
-		}
-		reachedF.Words[base+wi] |= m
-		reachedB.Words[base+wi] |= m
-		seedPush(curF, src, nw, wi, m)
-		seedPush(curB, src, nw, wi, m)
-	}
-	maxLimit := srcPos[len(srcPos)-1]
-
-	bmax := f.k / 2
-	fmax := f.k - bmax
-	fdist, bdist := 0, 0
-	for aliveAny != 0 {
-		back := bdist < bmax && curB.Len() > 0 &&
-			(fdist >= fmax || curF.Len() == 0 || curB.Len() <= curF.Len())
-		if !back && (fdist >= fmax || curF.Len() == 0) {
-			break
-		}
-		var cur, next *digraph.LaneFrontier
-		var settled, marks *digraph.LaneBits
-		if back {
-			bdist++
-			cur, next, settled, marks = curB, nextB, reachedB, reachedF
-		} else {
-			fdist++
-			cur, next, settled, marks = curF, nextF, reachedF, reachedB
-		}
-
-		for _, u := range cur.Verts {
-			ubase := int(u) * nw
-			var laneAny uint64
-			for j := 0; j < nw; j++ {
-				lanes[j] = cur.Bits.Words[ubase+j] & alive[j]
-				laneAny |= lanes[j]
-			}
-			if laneAny == 0 {
-				continue
-			}
-			var row []VID
-			if back {
-				row = f.g.In(u)
-			} else {
-				row = f.g.Out(u)
-			}
-			edgeScans += int64(len(row))
-			for _, w := range row {
-				if w == u || f.pos[w] > maxLimit {
-					continue
-				}
-				wbase := int(w) * nw
-				mg := marks.Words[wbase : wbase+nw]
-				var met uint64
-				for j := 0; j < nw; j++ {
-					met |= lanes[j] & mg[j]
-				}
-				if met != 0 {
-					laneAny = 0
-					for j := 0; j < nw; j++ {
-						h := lanes[j] & mg[j]
-						alive[j] &^= h
-						lanes[j] &^= h
-						laneAny |= lanes[j]
-					}
-					if laneAny == 0 {
-						break
-					}
-				}
-				ng := next.Bits.Words[wbase : wbase+nw]
-				var had uint64
-				for j := 0; j < nw; j++ {
-					had |= ng[j]
-				}
-				if had == 0 {
-					next.Verts = append(next.Verts, w)
-				}
-				for j := 0; j < nw; j++ {
-					ng[j] |= lanes[j]
-				}
-			}
-			aliveAny = 0
-			for j := 0; j < nw; j++ {
-				aliveAny |= alive[j]
-			}
-			if aliveAny == 0 {
-				break
-			}
-		}
-
-		kept := next.Verts[:0]
-		var gotBuf [maxLaneWords]uint64
-		got := gotBuf[:nw]
-		minLimit := srcPos[0]
-		for _, w := range next.Verts {
-			wbase := int(w) * nw
-			pg := next.Bits.Words[wbase : wbase+nw]
-			sg := settled.Words[wbase : wbase+nw]
-			mg := marks.Words[wbase : wbase+nw]
-			add := lanes
-			var addAny uint64
-			for j := 0; j < nw; j++ {
-				add[j] = pg[j] & alive[j] &^ sg[j]
-				pg[j] = 0
-				addAny |= add[j]
-			}
-			if addAny == 0 {
-				continue
-			}
-			// Per-lane prefix eligibility: mask the add set to the lane
-			// suffix whose prefixes contain w (word-by-word application of
-			// the one-word suffix mask).
-			if p := f.pos[w]; p > minLimit {
-				lo := searchPos(srcPos, p)
-				addAny = 0
-				for j := 0; j < nw; j++ {
-					switch base := j * BatchWidth; {
-					case lo <= base:
-						// Whole word eligible.
-					case lo >= base+BatchWidth:
-						add[j] = 0
-					default:
-						add[j] &= ^uint64(0) << uint(lo-base)
-					}
-					addAny |= add[j]
-				}
-				if addAny == 0 {
-					continue
-				}
-			}
-			var met uint64
-			for j := 0; j < nw; j++ {
-				met |= add[j] & mg[j]
-			}
-			if met != 0 {
-				addAny = 0
-				for j := 0; j < nw; j++ {
-					h := add[j] & mg[j]
-					alive[j] &^= h
-					add[j] &^= h
-					addAny |= add[j]
-				}
-				if addAny == 0 {
-					continue
-				}
-			}
-			var seen uint64
-			for j := 0; j < nw; j++ {
-				seen |= sg[j] | mg[j]
-			}
-			if seen == 0 {
-				touched = append(touched, w)
-			}
-			cnt := 0
-			for j := 0; j < nw; j++ {
-				sg[j] |= add[j]
-				got[j] |= add[j]
-				cnt += bits.OnesCount64(add[j])
-				pg[j] = add[j]
-			}
-			if !back {
-				f.Stats.BFSVisited += int64(cnt)
-			}
-			kept = append(kept, w)
-		}
-		next.Verts = kept
-		cur.Clear()
-		if back {
-			curB, nextB = next, cur
-		} else {
-			curF, nextF = next, cur
-		}
-
-		if back && bdist == 1 {
-			for i := range sources {
-				wi, m := i>>6, uint64(1)<<uint(i&63)
-				if alive[wi]&m != 0 && got[wi]&m == 0 {
-					alive[wi] &^= m
-					pruned[i] = true
-					f.Stats.BFSPruned++
-				}
-			}
-		}
-		aliveAny = 0
-		for j := 0; j < nw; j++ {
-			aliveAny |= alive[j]
-		}
-	}
-	f.Stats.EdgeScans += edgeScans
-
-	for i := range sources {
-		if alive[i>>6]&(uint64(1)<<uint(i&63)) != 0 {
 			pruned[i] = true
 			f.Stats.BFSPruned++
 		}

@@ -3,6 +3,7 @@ package cycle
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tdb/internal/digraph"
@@ -237,11 +238,17 @@ func TestBatchFilterViewTracksActivation(t *testing.T) {
 	}
 }
 
-// TestBatchBFSFilterWidthSweep is the wide-lane half of the tentpole's
-// equivalence property: for every supported lane-group width W (64, 256,
-// 512 lanes — the one-word body plus both wide strides), CanPruneBatch over
-// batches large enough to fill several groups must match the scalar filter
-// per lane, on both backends, including partial trailing groups.
+// sweepWidths are the batch widths W (sources per CanPruneBatch call) of
+// the multi-group sweep tests: a single lane, a word short by one, exactly
+// one word, one past a word, exact multiples of four and eight words, and a
+// long batch with a ragged tail (600 = 9*64 + 24). The filter splits every
+// batch into consecutive 64-lane groups, so these cover group splitting at
+// and around every word boundary.
+var sweepWidths = []int{1, 63, 64, 65, 256, 512, 600}
+
+// TestBatchBFSFilterWidthSweep checks multi-group batches: for every batch
+// width W, CanPruneBatch must match the scalar filter per lane on both
+// backends, including partial trailing groups.
 func TestBatchBFSFilterWidthSweep(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -253,28 +260,40 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 	for _, tc := range graphs {
 		n := tc.g.NumVertices()
 		for _, k := range []int{3, 5, 8} {
-			for _, lanes := range []int{64, 256, 512} {
-				t.Run(fmt.Sprintf("%s/k=%d/W=%d", tc.name, k, lanes), func(t *testing.T) {
-					rng := rand.New(rand.NewPCG(uint64(k*lanes), 99))
+			for _, size := range sweepWidths {
+				t.Run(fmt.Sprintf("%s/k=%d/W=%d", tc.name, k, size), func(t *testing.T) {
+					rng := rand.New(rand.NewPCG(uint64(k*size), 99))
 					active := make([]bool, n)
 					for v := range active {
 						active[v] = rng.IntN(5) > 0
 					}
-					scalar := NewBFSFilter(tc.g, k, active)
-					batch := NewBatchBFSFilter(tc.g, k, active)
-					batch.SetLanes(lanes)
-					if batch.Lanes() != lanes {
-						t.Fatalf("Lanes = %d after SetLanes(%d)", batch.Lanes(), lanes)
-					}
-					// 600 sources: full wide groups plus a ragged tail at
-					// every width (600 = 512+88 = 2*256+88 = 9*64+24).
-					src := batchSources(rng, n, 600)
-					got := make([]bool, len(src))
-					batch.CanPruneBatch(src, got)
-					for i, s := range src {
-						if want := scalar.CanPrune(s); got[i] != want {
-							t.Fatalf("lane %d source %d: batch pruned=%v, scalar pruned=%v", i, s, got[i], want)
-						}
+					src := batchSources(rng, n, size)
+					for _, backend := range []string{"mask", "view"} {
+						t.Run(backend, func(t *testing.T) {
+							var batch *BatchBFSFilter
+							if backend == "mask" {
+								batch = NewBatchBFSFilter(tc.g, k, active)
+							} else {
+								view := digraph.NewActiveAdjacency(tc.g, false)
+								for v := 0; v < n; v++ {
+									if active[v] {
+										view.Activate(VID(v))
+									}
+								}
+								batch = NewBatchBFSFilterView(view, k, nil)
+							}
+							scalar := NewBFSFilter(tc.g, k, active)
+							got := make([]bool, len(src))
+							batch.CanPruneBatch(src, got)
+							for i, s := range src {
+								if want := scalar.CanPrune(s); got[i] != want {
+									t.Fatalf("lane %d source %d: batch pruned=%v, scalar pruned=%v", i, s, got[i], want)
+								}
+							}
+							if groups := int64((size + BatchWidth - 1) / BatchWidth); batch.Stats.Batches != groups {
+								t.Fatalf("Batches = %d, want %d 64-lane groups", batch.Stats.Batches, groups)
+							}
+						})
 					}
 				})
 			}
@@ -283,16 +302,16 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 }
 
 // TestBatchPrefixFilterWidthSweep is TestBatchBFSFilterWidthSweep for the
-// prefix filter: every width must reproduce the scalar per-lane prefix
-// answers, exercising the wide bodies' word-by-word suffix eligibility
-// masks across group-word boundaries.
+// prefix filter: every batch width must reproduce the scalar per-lane
+// prefix answers, with each 64-lane group taking its suffix eligibility
+// masks from its own slice of source positions.
 func TestBatchPrefixFilterWidthSweep(t *testing.T) {
 	g := bfRandomGraph(700, 2800, 13)
 	n := g.NumVertices()
 	for _, k := range []int{3, 5, 8} {
-		for _, lanes := range []int{64, 256, 512} {
-			t.Run(fmt.Sprintf("k=%d/W=%d", k, lanes), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(uint64(k), uint64(lanes)))
+		for _, size := range sweepWidths {
+			t.Run(fmt.Sprintf("k=%d/W=%d", k, size), func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(uint64(k), uint64(size)))
 				order := rng.Perm(n)
 				pos := make([]int32, n)
 				for p, v := range order {
@@ -301,12 +320,12 @@ func TestBatchPrefixFilterWidthSweep(t *testing.T) {
 				sc := NewScratch(n)
 				scalar := NewPrefixFilterWith(g, k, pos, sc)
 				batch := NewBatchPrefixFilterWith(g, k, pos, sc)
-				batch.SetLanes(lanes)
-				// An ascending-position slice long enough for full wide
-				// groups plus a ragged tail.
-				src := make([]VID, 0, 600)
-				for p := 0; p < n && len(src) < 600; p += 1 + rng.IntN(2) {
-					src = append(src, VID(order[p]))
+				// size distinct positions in ascending order.
+				ps := rng.Perm(n)[:size]
+				slices.Sort(ps)
+				src := make([]VID, size)
+				for i, p := range ps {
+					src[i] = VID(order[p])
 				}
 				got := make([]bool, len(src))
 				batch.CanPruneBatch(src, got)
@@ -320,26 +339,40 @@ func TestBatchPrefixFilterWidthSweep(t *testing.T) {
 	}
 }
 
-// TestBatchFilterMixedWidthScratchReuse alternates widths on one shared
-// scratch: the per-width lane states must not contaminate each other, and a
-// filter re-capped mid-stream must keep answering exactly.
+// TestBatchFilterMixedWidthScratchReuse alternates BatchBFSFilter and
+// BatchPrefixFilter batches of mixed widths on one shared Scratch — the
+// engine pool's sharing pattern, where a pooled scratch serves
+// HasHopConstrainedCycle sweeps and prefix-filtered solves in turn. Each
+// batch must leave the lane buffers clean for the other filter.
 func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 	g := bfRandomGraph(640, 2600, 14)
 	n := g.NumVertices()
 	sc := NewScratch(n)
-	scalar := NewBFSFilter(g, 5, nil)
-	batch := NewBatchBFSFilterWith(g, 5, nil, sc)
-	src := make([]VID, n)
-	for v := range src {
-		src[v] = VID(v)
+	pos := make([]int32, n)
+	for v := range pos {
+		pos[v] = int32(v) // natural order
 	}
+	scalar := NewBFSFilter(g, 5, nil)
+	scalarPrefix := NewPrefixFilterWith(g, 5, pos, nil)
+	batch := NewBatchBFSFilterWith(g, 5, nil, sc)
+	batchPrefix := NewBatchPrefixFilterWith(g, 5, pos, sc)
 	got := make([]bool, n)
-	for round, lanes := range []int{512, 64, 256, 512, 64} {
-		batch.SetLanes(lanes)
-		batch.CanPruneBatch(src, got)
-		for v, p := range got {
-			if want := scalar.CanPrune(VID(v)); p != want {
-				t.Fatalf("round %d (W=%d) source %d: batch=%v scalar=%v", round, lanes, v, p, want)
+	for round, w := range []int{n, 64, 200, n, 65, 1} {
+		lo := (round * 97) % (n - w + 1)
+		src := make([]VID, w)
+		for i := range src {
+			src[i] = VID(lo + i)
+		}
+		batch.CanPruneBatch(src, got[:w])
+		for i, v := range src {
+			if want := scalar.CanPrune(v); got[i] != want {
+				t.Fatalf("round %d (W=%d) BFS source %d: batch=%v scalar=%v", round, w, v, got[i], want)
+			}
+		}
+		batchPrefix.CanPruneBatch(src, got[:w])
+		for i, v := range src {
+			if want := scalarPrefix.CanPrune(v, pos[v]); got[i] != want {
+				t.Fatalf("round %d (W=%d) prefix source %d: batch=%v scalar=%v", round, w, v, got[i], want)
 			}
 		}
 	}

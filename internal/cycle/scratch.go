@@ -21,8 +21,7 @@ import (
 //     PrefixFilter;
 //   - the lane group (settlement maps plus cur/next frontiers per
 //     direction), used by BatchBFSFilter and BatchPrefixFilter; allocated
-//     lazily PER LANE WIDTH on first use, so scalar-only workloads never pay
-//     for lane state and 64-lane workloads never pay for the wide groups.
+//     lazily on first use, so scalar-only workloads never pay for it.
 //
 // One Scratch may therefore back at most ONE component of each group at a
 // time — e.g. a BlockDetector plus a BatchBFSFilter, the exact pair the
@@ -45,48 +44,34 @@ type Scratch struct {
 	queue   []VID
 	nextQ   []VID
 
-	// Lane group (lazy, one state per supported lane width).
-	lanes1  *laneState // one-word groups (64 lanes)
-	lanes4  *laneState // four-word groups (256 lanes)
-	lanes8  *laneState // eight-word groups (512 lanes)
-	touched []VID      // vertices with non-zero reached groups
+	// Lane group (lazy).
+	lanes   *laneState
+	touched []VID // vertices with non-zero reached words
 }
 
-// laneState is the per-width lane buffer set of the batched filters: the two
+// laneState is the lane buffer set of the batched filters: the two
 // settlement maps of the bidirectional BFS plus a cur/next frontier pair per
 // direction. The slabs are handed over zeroed and must come back zeroed
-// (the filters clear exactly the entries they touched); the touched list is
-// shared across widths through Scratch, which is safe because one Scratch
-// backs at most one batched sweep at a time.
+// (the filters clear exactly the entries they touched).
 type laneState struct {
-	reachedF  *digraph.LaneBits        // forward-settled lane groups
-	reachedB  *digraph.LaneBits        // backward-settled lane groups
+	reachedF  *digraph.LaneBits        // forward-settled lanes
+	reachedB  *digraph.LaneBits        // backward-settled lanes
 	frontiers [4]*digraph.LaneFrontier // cur/next per direction
 }
 
-// laneStateFor returns the lane state for nw-word groups (nw in {1, 4, 8}),
-// allocating it on first use.
-func (s *Scratch) laneStateFor(nw int) *laneState {
-	var p **laneState
-	switch nw {
-	case 1:
-		p = &s.lanes1
-	case 4:
-		p = &s.lanes4
-	default:
-		p = &s.lanes8
-	}
-	if *p == nil {
+// laneState returns the lane buffers, allocating them on first use.
+func (s *Scratch) laneState() *laneState {
+	if s.lanes == nil {
 		st := &laneState{
-			reachedF: digraph.NewLaneBits(s.n, nw),
-			reachedB: digraph.NewLaneBits(s.n, nw),
+			reachedF: digraph.NewLaneBits(s.n),
+			reachedB: digraph.NewLaneBits(s.n),
 		}
 		for i := range st.frontiers {
-			st.frontiers[i] = digraph.NewLaneFrontier(s.n, nw)
+			st.frontiers[i] = digraph.NewLaneFrontier(s.n)
 		}
-		*p = st
+		s.lanes = st
 	}
-	return *p
+	return s.lanes
 }
 
 // NewScratch allocates scratch state for graphs with n vertices.

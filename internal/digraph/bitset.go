@@ -1,22 +1,12 @@
 package digraph
 
 // This file holds the word-packed primitives behind bit-parallel multi-source
-// BFS (cycle.BatchBFSFilter): a lane GROUP packs 1, 4 or 8 consecutive
-// 64-bit words, so one group carries 64, 256 or 512 concurrent traversals.
-// LaneBits maps every vertex to such a group, and LaneFrontier is one BFS
-// level whose members each carry one.
-//
-// The representation is a flat []uint64 slab with a fixed per-vertex STRIDE
-// (WordsPerGroup), not a generic array-element type: the group operations
-// sit in the innermost edge-expansion loop of the batched filters, and Go's
-// shape-based generics leave constraint-method calls behind a dictionary
-// there (measured ~2x on the filter benchmarks), while a stride the sweep
-// bodies read once lets the one-word path index Words[v] directly — codegen
-// identical to the historical Bitset64 — and the wide paths run short
-// counted loops whose overhead is amortized over 4-8 words per group.
+// BFS (cycle.BatchBFSFilter): one 64-bit word per vertex carries 64
+// concurrent traversals. LaneBits maps every vertex to its lane word, and
+// LaneFrontier is one BFS level whose members each carry one.
 //
 // LaneBits and LaneFrontier are FLAT arrays, not epoch-stamped maps: the
-// lane group of a vertex is read and written per scanned edge, where a stamp
+// lane word of a vertex is read and written per scanned edge, where a stamp
 // check is measurable, so a plain load wins — the owner zeroes exactly the
 // entries it touched afterwards (the filters track their touched vertices
 // anyway: frontier lists and seed lists). Exported fields keep those hot
@@ -25,10 +15,10 @@ package digraph
 // clearListDivisor is the bulk-clear cutover of LaneBits.ClearList: once the
 // touched list covers 1/clearListDivisor of the slab, one sequential
 // clear() replaces the scattered per-entry stores. The divisor is 1 — bulk
-// only from list size >= group count, i.e. duplicate-heavy or superset
+// only from list size >= vertex count, i.e. duplicate-heavy or superset
 // lists. BenchmarkLaneBitsClear shows why the isolated crossover is not the
 // right setting: cold scattered clears lose to memclr from ~n/8, and even
-// cache-hot ones (the filters' pattern — the list enumerates groups the
+// cache-hot ones (the filters' pattern — the list enumerates words the
 // sweep just wrote) only break even there. But in situ the memclr also
 // evicts the sweep's OTHER hot state — CSR rows, the opposite direction's
 // lane slabs — which the next word pays for: an n/8 cutover cost the
@@ -36,77 +26,49 @@ package digraph
 // shorter than the slab itself, where it cannot lose.
 const clearListDivisor = 1
 
-// LaneBits maps each vertex to one lane group of WordsPerGroup consecutive
-// uint64 words (the multi-word generalization of the old one-word Bitset64).
-// The group of vertex v occupies Words[v*nw : (v+1)*nw]; sweep bodies read
-// the stride once and index the slab directly. The zero group means "no
-// lane": owners must return every touched group to zero (ClearList) before
-// reuse.
+// LaneBits maps each vertex to one uint64 lane word: Words[v] is the lane
+// set of vertex v. The zero word means "no lane": owners must return every
+// touched word to zero (ClearList) before reuse.
 type LaneBits struct {
-	nw    int // words per group
 	Words []uint64
 }
 
-// NewLaneBits returns a lane map of nw-word groups over n vertices, all
-// groups zero. nw is typically 1, 4 or 8 (cycle.BatchWidth/8 lanes per
-// word).
-func NewLaneBits(n, nw int) *LaneBits {
-	return &LaneBits{nw: nw, Words: make([]uint64, n*nw)}
+// NewLaneBits returns a lane map over n vertices, all words zero.
+func NewLaneBits(n int) *LaneBits {
+	return &LaneBits{Words: make([]uint64, n)}
 }
 
-// Len returns the number of vertices the map covers.
-func (b *LaneBits) Len() int { return len(b.Words) / b.nw }
-
-// WordsPerGroup returns the per-vertex stride in words.
-func (b *LaneBits) WordsPerGroup() int { return b.nw }
-
-// Group returns vertex v's lane group as a slice of the underlying slab.
-// Convenience for cold paths and tests; sweep bodies index Words directly.
-func (b *LaneBits) Group(v VID) []uint64 {
-	return b.Words[int(v)*b.nw : (int(v)+1)*b.nw]
-}
-
-// ClearList zeroes the groups of the given vertices — O(len(verts)) scattered
+// ClearList zeroes the words of the given vertices — O(len(verts)) scattered
 // stores for short lists, one bulk clear of the whole slab once the list
 // passes the measured crossover (see clearListDivisor). Callers may
 // therefore pass any superset list of the touched vertices without
 // quadratic risk.
 func (b *LaneBits) ClearList(verts []VID) {
-	nw := b.nw
-	if len(verts)*nw*clearListDivisor >= len(b.Words) {
+	if len(verts)*clearListDivisor >= len(b.Words) {
 		clear(b.Words)
 		return
 	}
-	if nw == 1 {
-		for _, v := range verts {
-			b.Words[v] = 0
-		}
-		return
-	}
 	for _, v := range verts {
-		base := int(v) * nw
-		clear(b.Words[base : base+nw])
+		b.Words[v] = 0
 	}
 }
 
 // LaneFrontier is one level of a bit-parallel BFS: a set of vertices, each
-// carrying the group of lanes that arrived at it on this level. The push
-// helpers deduplicate vertices through the group itself (first lanes in =
-// list entry), so a level's edge expansion appends each vertex once no
-// matter how many lanes arrive.
+// carrying the lanes that arrived at it on this level. Push deduplicates
+// vertices through the lane word itself (first lanes in = list entry), so a
+// level's edge expansion appends each vertex once no matter how many lanes
+// arrive.
 type LaneFrontier struct {
 	Verts []VID
 	Bits  LaneBits
 }
 
-// NewLaneFrontier returns an empty frontier of nw-word lane groups over n
-// vertices.
-func NewLaneFrontier(n, nw int) *LaneFrontier {
-	return &LaneFrontier{Bits: LaneBits{nw: nw, Words: make([]uint64, n*nw)}}
+// NewLaneFrontier returns an empty frontier over n vertices.
+func NewLaneFrontier(n int) *LaneFrontier {
+	return &LaneFrontier{Bits: LaneBits{Words: make([]uint64, n)}}
 }
 
-// Push merges a one-word lane set into v's group — the stride-1 fast path
-// (the frontier must have been built with nw == 1). Pushing 0 is a no-op.
+// Push merges a lane set into v's word. Pushing 0 is a no-op.
 func (f *LaneFrontier) Push(v VID, lanes uint64) {
 	if lanes == 0 {
 		return
@@ -117,31 +79,10 @@ func (f *LaneFrontier) Push(v VID, lanes uint64) {
 	f.Bits.Words[v] |= lanes
 }
 
-// PushGroup merges an nw-word lane group into v's group; len(lanes) must
-// equal the frontier's WordsPerGroup. Pushing an all-zero group is a no-op.
-func (f *LaneFrontier) PushGroup(v VID, lanes []uint64) {
-	var any, had uint64
-	base := int(v) * f.Bits.nw
-	dst := f.Bits.Words[base : base+len(lanes)]
-	for j, l := range lanes {
-		any |= l
-		had |= dst[j]
-	}
-	if any == 0 {
-		return
-	}
-	if had == 0 {
-		f.Verts = append(f.Verts, v)
-	}
-	for j, l := range lanes {
-		dst[j] |= l
-	}
-}
-
 // Len returns the number of distinct vertices on the frontier.
 func (f *LaneFrontier) Len() int { return len(f.Verts) }
 
-// Clear zeroes the listed vertices' groups and empties the list, leaving the
+// Clear zeroes the listed vertices' words and empties the list, leaving the
 // frontier ready for reuse in O(frontier size).
 func (f *LaneFrontier) Clear() {
 	f.Bits.ClearList(f.Verts)

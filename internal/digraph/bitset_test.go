@@ -1,40 +1,33 @@
 package digraph
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestLaneBitsClearList(t *testing.T) {
-	for _, nw := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("nw=%d", nw), func(t *testing.T) {
-			b := NewLaneBits(8, nw)
-			if b.Len() != 8 || b.WordsPerGroup() != nw {
-				t.Fatalf("Len/WordsPerGroup = %d/%d, want 8/%d", b.Len(), b.WordsPerGroup(), nw)
+	// One 64-lane word per vertex: the only layout LaneBits has.
+	t.Run("nw=1", func(t *testing.T) {
+		b := NewLaneBits(8)
+		b.Words[2] |= 0b101
+		b.Words[5] |= 1 << 63
+		b.ClearList([]VID{2, 5, 3}) // clearing an untouched vertex is a no-op
+		for i, w := range b.Words {
+			if w != 0 {
+				t.Fatalf("word %d = %b after ClearList, want 0", i, w)
 			}
-			b.Group(2)[0] |= 0b101
-			b.Group(5)[nw-1] |= 1 << 63
-			b.ClearList([]VID{2, 5, 3}) // clearing an untouched vertex is a no-op
-			for i, w := range b.Words {
-				if w != 0 {
-					t.Fatalf("word %d = %b after ClearList, want 0", i, w)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestLaneBitsClearListBulkCutover(t *testing.T) {
 	// A touched list past the crossover takes the bulk clear() path. Owners
-	// guarantee the list covers every nonzero group, so the observable
-	// contract is the same on both paths: every group is zero afterwards.
-	b := NewLaneBits(16, 4)
+	// guarantee the list covers every nonzero word, so the observable
+	// contract is the same on both paths: every word is zero afterwards.
+	b := NewLaneBits(16)
 	verts := make([]VID, 0, 16)
 	for v := range 16 {
-		b.Group(VID(v))[v%4] = 1 << uint(v)
+		b.Words[v] = 1 << uint(v)
 		verts = append(verts, VID(v))
 	}
-	b.ClearList(verts) // 16*4*8 >= 64: bulk path
+	b.ClearList(verts) // 16 >= 16: bulk path
 	for i, w := range b.Words {
 		if w != 0 {
 			t.Fatalf("word %d nonzero after bulk ClearList", i)
@@ -43,7 +36,7 @@ func TestLaneBitsClearListBulkCutover(t *testing.T) {
 }
 
 func TestLaneFrontierPushDedupe(t *testing.T) {
-	f := NewLaneFrontier(6, 1)
+	f := NewLaneFrontier(6)
 	f.Push(3, 0b01)
 	f.Push(3, 0b10) // second push merges, no duplicate list entry
 	f.Push(1, 0b100)
@@ -62,29 +55,6 @@ func TestLaneFrontierPushDedupe(t *testing.T) {
 	f.Push(3, 0b1000)
 	if f.Len() != 1 || f.Bits.Words[3] != 0b1000 {
 		t.Fatal("frontier not reusable after Clear")
-	}
-}
-
-func TestLaneFrontierPushGroupWide(t *testing.T) {
-	f := NewLaneFrontier(4, 8)
-	lanes := make([]uint64, 8)
-	lanes[4] = 1 << 44 // lane 300
-	f.PushGroup(1, lanes)
-	lanes[4] = 0
-	lanes[7] = 1 << 63 // lane 511: merges, no duplicate entry
-	f.PushGroup(1, lanes)
-	f.PushGroup(2, make([]uint64, 8)) // all-zero group: no-op
-	if f.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", f.Len())
-	}
-	if g := f.Bits.Group(1); g[4] != 1<<44 || g[7] != 1<<63 {
-		t.Fatalf("merged group wrong: %v", g)
-	}
-	f.Clear()
-	for _, w := range f.Bits.Group(1) {
-		if w != 0 {
-			t.Fatal("Clear left wide state behind")
-		}
 	}
 }
 
@@ -113,7 +83,7 @@ func BenchmarkLaneBitsClear(b *testing.B) {
 			verts[i] = VID((i * 2654435761) % n)
 		}
 		b.Run("cold-list/"+f.name, func(b *testing.B) {
-			bs := NewLaneBits(n, 1)
+			bs := NewLaneBits(n)
 			for b.Loop() {
 				for _, v := range verts {
 					bs.Words[v] = 0
@@ -121,7 +91,7 @@ func BenchmarkLaneBitsClear(b *testing.B) {
 			}
 		})
 		b.Run("hot-list/"+f.name, func(b *testing.B) {
-			bs := NewLaneBits(n, 1)
+			bs := NewLaneBits(n)
 			for b.Loop() {
 				for _, v := range verts {
 					bs.Words[v] = 1
@@ -132,7 +102,7 @@ func BenchmarkLaneBitsClear(b *testing.B) {
 			}
 		})
 		b.Run("hot-bulk/"+f.name, func(b *testing.B) {
-			bs := NewLaneBits(n, 1)
+			bs := NewLaneBits(n)
 			for b.Loop() {
 				for _, v := range verts {
 					bs.Words[v] = 1

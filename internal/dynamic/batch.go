@@ -2,7 +2,6 @@ package dynamic
 
 import (
 	"fmt"
-	"time"
 
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
@@ -12,10 +11,9 @@ import (
 // The batched update path. A batch applies all structural changes first
 // and defers the cycle-existence queries of insertions between uncovered
 // endpoints to the end; the deferred queries are then answered up to
-// cycle.MaxBatchWidth at a time by ONE bit-parallel bidirectional BFS
+// cycle.BatchWidth (64) at a time by ONE bit-parallel bidirectional BFS
 // sweep (cycle.BatchBFSFilter, lane per edge, covered vertices as the
-// mask, lane-group width picked from the deferred-queue length), with the
-// few lanes the filter cannot prune re-checked by the exact scalar search
+// mask), with the few lanes the filter cannot prune re-checked by the exact scalar search
 // — the same two-tier pattern the top-down solver uses.
 //
 // Deferral is sound because the cover only grows during resolution: a
@@ -178,23 +176,18 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 		active[v] = !m.covered[v]
 	}
 	bf := cycle.NewBatchBFSFilterWith(g, m.k, active, m.remScratchFor(n))
-	bf.SetLanes(len(pending)) // width cap from the deferred-queue length
-	ladder := cycle.NewWidthLadder(len(pending))
 	var (
-		word   [cycle.MaxBatchWidth]digraph.Edge
-		srcs   [cycle.MaxBatchWidth]VID
-		pruned [cycle.MaxBatchWidth]bool
+		word   [cycle.BatchWidth]digraph.Edge
+		srcs   [cycle.BatchWidth]VID
+		pruned [cycle.BatchWidth]bool
 	)
 	for len(pending) > 0 {
-		// Fill one lane group, skipping edges an earlier group resolved.
+		// Fill one 64-lane word, skipping edges an earlier word resolved.
 		// Lane i asks about e.U: every cycle through the edge passes
 		// through it, so "no closed walk <= k through e.U" retires the
-		// query. Group widths climb the queue-capped WidthLadder, so
-		// bursts deep enough to amortize the timed trials can widen while
-		// ordinary batches keep the one-word sweep.
-		width := ladder.Next()
+		// query.
 		w := 0
-		for w < width && len(pending) > 0 {
+		for w < cycle.BatchWidth && len(pending) > 0 {
 			e := pending[0]
 			pending = pending[1:]
 			if m.covered[e.U] || m.covered[e.V] {
@@ -208,13 +201,7 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 			break
 		}
 		m.cycleChecks += int64(w)
-		if ladder.Adapting() {
-			t0 := time.Now()
-			bf.CanPruneBatch(srcs[:w], pruned[:w])
-			ladder.Observe(width, time.Since(t0), w)
-		} else {
-			bf.CanPruneBatch(srcs[:w], pruned[:w])
-		}
+		bf.CanPruneBatch(srcs[:w], pruned[:w])
 		for i := 0; i < w; i++ {
 			e := word[i]
 			if pruned[i] || m.covered[e.U] || m.covered[e.V] {

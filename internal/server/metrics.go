@@ -14,11 +14,12 @@ import (
 // solveLabels is one per-solve execution profile: the dimensions a
 // dashboard slices solve traffic by. All values come out of core.Stats, so
 // the cardinality is tiny and bounded (a handful of strategies × two
-// filter tiers × three batch widths × the storage backends in use).
+// filter tiers × the storage backends in use; the batch width follows the
+// tier: 0 scalar, 64 batched).
 type solveLabels struct {
 	strategy   string // execution strategy the planner selected
 	filterTier string // "batched" (bit-parallel sweeps ran) or "scalar"
-	batchWidth int    // lane-group capacity of the batched filter (0 scalar)
+	batchWidth int    // lane width the batched filter ran at (0 scalar)
 	storage    string // adjacency backend ("memory", "mapped", ...)
 }
 

@@ -209,32 +209,59 @@ func TestAutoMatchesPinned(t *testing.T) {
 }
 
 // TestEngineSolveMatchesPackageSolve across repeated runs (recycled
-// scratch) and strategies.
+// scratch), strategies, hop constraints and prepass worker counts. Engine
+// TDB++ solves run the batched in-loop filter (and, with two prepass
+// workers, the batched prefix prepass) while the one-shot package solve
+// keeps the scalar loop, so this pins both batched filters to it.
 func TestEngineSolveMatchesPackageSolve(t *testing.T) {
 	ctx := context.Background()
-	for _, g := range []*Graph{multiSCCGraph(), singleSCCGraph()} {
-		for _, opts := range [][]Option{
-			nil,
-			{WithWorkers(4)},
-			{WithAlgorithm(BURPlus)},
-			{WithWorkers(3), WithStrategy(StrategyParallelSCC)},
-		} {
-			want, err := Solve(ctx, g, 5, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewEngine(g)
-			for round := 0; round < 3; round++ {
-				got, err := e.Solve(ctx, 5, opts...)
+	// The DAG has no cycle at all: under WithSCCPrefilter engine TDB++
+	// configures the batched filter but has no candidate to sweep.
+	dag := FromEdges(200, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 199}})
+	for _, g := range []*Graph{multiSCCGraph(), singleSCCGraph(), dag} {
+		for _, k := range []int{3, 5, 8} {
+			for _, opts := range [][]Option{
+				nil,
+				{WithWorkers(4)},
+				{WithAlgorithm(BURPlus)},
+				{WithWorkers(3), WithStrategy(StrategyParallelSCC)},
+				{WithSCCPrefilter()},
+				{WithPrepassWorkers(1)},
+				{WithPrepassWorkers(2)},
+			} {
+				want, err := Solve(ctx, g, k, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(got.Cover, want.Cover) {
-					t.Fatalf("round %d: engine cover %v != package cover %v",
-						round, got.Cover, want.Cover)
+				checkBatchWidth(t, want.Stats)
+				e := NewEngine(g)
+				for round := 0; round < 3; round++ {
+					got, err := e.Solve(ctx, k, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Cover, want.Cover) {
+						t.Fatalf("k=%d %v round %d: engine cover %v != package cover %v",
+							k, got.Stats.Strategy, round, got.Cover, want.Cover)
+					}
+					checkBatchWidth(t, got.Stats)
 				}
 			}
 		}
+	}
+}
+
+// checkBatchWidth: Stats.FilterBatchWidth reports the 64-lane width exactly
+// when the batched filter swept at least one group, and 0 otherwise.
+func checkBatchWidth(t *testing.T, st Stats) {
+	t.Helper()
+	want := 0
+	if st.Detector.Batches > 0 {
+		want = 64
+	}
+	if st.FilterBatchWidth != want {
+		t.Fatalf("%v: FilterBatchWidth = %d with %d batches, want %d",
+			st.Strategy, st.FilterBatchWidth, st.Detector.Batches, want)
 	}
 }
 

@@ -288,15 +288,14 @@ func FindCycle(g Storage, k int, s VID) []VID {
 }
 
 // HasHopConstrainedCycle reports whether g contains any cycle of length in
-// [3, k]. It prunes vertices with the bit-parallel batched BFS-filter (up
-// to 512 sources per sweep, the lane width picked from the graph size) and
-// falls through to the paper's block-based detector only for the
-// survivors. For repeated queries use Engine.HasHopConstrainedCycle.
+// [3, k]. It prunes vertices with the bit-parallel batched BFS-filter (64
+// sources per sweep) and falls through to the paper's block-based detector
+// only for the survivors. For repeated queries use
+// Engine.HasHopConstrainedCycle.
 func HasHopConstrainedCycle(g Storage, k int) bool {
 	sc := cycle.NewScratch(g.NumVertices()) // detector + filter share one scratch
 	det := cycle.NewBlockDetectorWith(g, k, cycle.DefaultMinLen, nil, sc)
 	filter := cycle.NewBatchBFSFilterWith(g, k, nil, sc)
-	filter.SetLanes(g.NumVertices())
 	return !filter.VisitUnpruned(g.NumVertices(), func(v VID) bool {
 		return !det.HasCycleThrough(v) // a found cycle stops the sweep
 	})

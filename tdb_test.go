@@ -2,8 +2,12 @@ package tdb
 
 import (
 	"context"
+	"fmt"
+	"math/rand/v2"
 	"path/filepath"
 	"testing"
+
+	"tdb/internal/cycle"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -70,6 +74,87 @@ func TestFindCycleAndHas(t *testing.T) {
 	dag := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if HasHopConstrainedCycle(dag, 5) {
 		t.Fatal("DAG has no cycle")
+	}
+}
+
+// oracleGraph is a random DAG (n forward edges under a random vertex
+// order) plus one planted ring of ringLen distinct vertices and extra
+// random edges in either direction. Every cycle uses a backward edge of
+// the ring or the extras, so a ring just shorter or longer than k makes
+// hop-constrained cycles present in some graphs and absent in others.
+// With tailRing set the ring is the last ringLen vertex IDs, the DAG spans
+// only the others and there are no extras: the ring is then the only
+// cycle, and it lies in the sweep's last (partial) 64-vertex group.
+func oracleGraph(n, ringLen, extra int, tailRing bool, seed uint64) *Graph {
+	rng := rand.New(rand.NewPCG(seed, uint64(n*ringLen)))
+	dagN := n
+	ring := rng.Perm(n)[:ringLen]
+	if tailRing {
+		dagN = n - ringLen
+		for i := range ring {
+			ring[i] = dagN + i
+		}
+	}
+	rank := rng.Perm(dagN)
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		u, v := rng.IntN(dagN), rng.IntN(dagN)
+		if rank[u] > rank[v] {
+			u, v = v, u
+		}
+		if u != v {
+			b.AddEdge(VID(u), VID(v))
+		}
+	}
+	for i, v := range ring {
+		b.AddEdge(VID(v), VID(ring[(i+1)%ringLen]))
+	}
+	for i := 0; i < extra; i++ {
+		u, v := rng.IntN(n), rng.IntN(n)
+		if u != v {
+			b.AddEdge(VID(u), VID(v))
+		}
+	}
+	return b.Build()
+}
+
+// TestHasHopConstrainedCycleMatchesEnumerator: the one-shot and engine
+// HasHopConstrainedCycle (batched BFS filter in 64-vertex groups, block
+// detector on the survivors) must agree with the exhaustive enumeration
+// oracle on graphs whose size is not a multiple of the group width.
+func TestHasHopConstrainedCycleMatchesEnumerator(t *testing.T) {
+	var yes, no int
+	for _, n := range []int{65, 200, 700} {
+		for _, k := range []int{3, 5, 8} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				ringLen := k - 1 + int(seed%3) // k-1, k or k+1
+				extra := 0
+				if seed == 4 {
+					extra = n / 16
+				}
+				g := oracleGraph(n, ringLen, extra, seed >= 5, seed)
+				t.Run(fmt.Sprintf("n=%d/k=%d/seed=%d", n, k, seed), func(t *testing.T) {
+					want := cycle.NewEnumerator(g, k, cycle.DefaultMinLen, nil).HasAny()
+					if got := HasHopConstrainedCycle(g, k); got != want {
+						t.Fatalf("HasHopConstrainedCycle = %v, enumerator %v", got, want)
+					}
+					e := NewEngine(g)
+					for round := 0; round < 2; round++ { // round 2 reuses pooled scratch
+						if got := e.HasHopConstrainedCycle(k); got != want {
+							t.Fatalf("round %d: Engine.HasHopConstrainedCycle = %v, enumerator %v", round, got, want)
+						}
+					}
+					if want {
+						yes++
+					} else {
+						no++
+					}
+				})
+			}
+		}
+	}
+	if yes == 0 || no == 0 {
+		t.Fatalf("corpus is one-sided: %d graphs with a cycle, %d without", yes, no)
 	}
 }
 
