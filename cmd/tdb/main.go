@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		sccPre    = fs.Bool("scc", false, "enable the SCC prefilter")
 		stratName = fs.String("strategy", "auto", "execution strategy: auto, sequential, scc-parallel, prepass")
 		workers   = fs.Int("workers", 0, "worker budget for strategy selection (0 = all cores)")
-		prepass   = fs.Int("prepass", 0, "pin the TDB++ BFS-filter prepass to this many workers (0 = let -strategy decide, -1 = all cores)")
+		prepass   = fs.Int("prepass", 0, "pin the TDB++ BFS-filter prepass to this many workers (0 = none unless -strategy prepass, -1 = all cores)")
 		timeout   = fs.Duration("timeout", 0, "abort after this duration (0 = unlimited)")
 		degrade   = fs.Bool("degrade", false, "on timeout, write the valid-but-possibly-non-minimal cover instead of failing")
 		edgeMode  = fs.Bool("edges", false, "compute the EDGE transversal instead of the vertex cover")

@@ -159,9 +159,15 @@ func run(args []string) error {
 // Slow-client connection timeouts. Admission control starts once a request
 // is parsed, so a client that never finishes its headers would otherwise
 // hold a connection outside both admission pools; readHeaderTimeout drops
-// it, and idleTimeout reclaims idle keep-alive connections.
+// it. A request is admitted before its handler decodes the body, so a
+// client that trickles its body would hold an admission token;
+// readTimeout bounds the whole request read (10 s still admits the 8 MiB
+// body cap at ~1 MB/s). net/http clears the read deadline once the body is
+// consumed, so a long solve after it is not cancelled. idleTimeout
+// reclaims idle keep-alive connections.
 const (
 	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -172,6 +178,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -56,6 +56,46 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	}
 }
 
+// TestSlowBodyClientDisconnected: a client that sends a complete header and
+// then trickles its body must not hold the handler (and with it an
+// admission token) past readTimeout.
+func TestSlowBodyClientDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := io.ReadAll(r.Body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn,
+		"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 3 * time.Second
+	conn.SetReadDeadline(start.Add(readTimeout + slack))
+	_, err = io.Copy(io.Discard, conn) // returns once the server answers and hangs up
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after a partial body", readTimeout+slack)
+	}
+	if elapsed := time.Since(start); elapsed < readTimeout/2 {
+		t.Fatalf("disconnected after %v, before the read timeout %v", elapsed, readTimeout)
+	}
+}
+
 // TestRunFlagErrors: misconfigured flags must make run return an error
 // before it binds a listener. Each case gets an unused loopback address, so
 // a case that wrongly got as far as serving would block rather than fail;

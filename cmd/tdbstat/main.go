@@ -9,8 +9,8 @@
 // The locality lines report how the vertex numbering interacts with the
 // CSR layout (mean and p90 neighbor-ID distance, adjacency bandwidth);
 // -renumber additionally shows the same quantities after the chosen
-// cache-aware renumbering(s), previewing what Solve's WithRenumbering
-// option would run on.
+// cache-aware renumbering(s), previewing the layout a graph renumbered at
+// ingest (Builder.BuildRenumbered) would solve on.
 package main
 
 import (

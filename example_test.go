@@ -3,6 +3,7 @@ package tdb_test
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"tdb"
 )
@@ -140,4 +141,41 @@ func ExampleSolve_edgeCover() {
 	fmt.Println("edges removed:", len(res.Edges))
 	// Output:
 	// edges removed: 1
+}
+
+// Cache-aware renumbering happens once, when the graph is built: solve the
+// renumbered graph, then translate the cover back to the input IDs with
+// the inverse permutation. Here two triangles share input vertex 4, which
+// degree renumbering moves to the front of the ID range.
+func ExampleBuilder_BuildRenumbered() {
+	edges := []tdb.Edge{
+		{U: 4, V: 1}, {U: 1, V: 5}, {U: 5, V: 4},
+		{U: 4, V: 0}, {U: 0, V: 2}, {U: 2, V: 4},
+	}
+	b := tdb.NewBuilder(0)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	g, perm := b.BuildRenumbered(tdb.RenumberDegree)
+	fmt.Println("input vertex 4 is now", perm[4])
+
+	res, err := tdb.Solve(context.Background(), g, 5)
+	if err != nil {
+		panic(err)
+	}
+	inv := tdb.InversePerm(perm)
+	cover := make([]tdb.VID, len(res.Cover))
+	for i, v := range res.Cover {
+		cover[i] = inv[v]
+	}
+	slices.Sort(cover)
+	fmt.Println("cover in input IDs:", cover)
+
+	input := tdb.FromEdges(6, edges)
+	rep := tdb.Verify(input, 5, 3, cover, true)
+	fmt.Println("valid:", rep.Valid, "minimal:", rep.Minimal)
+	// Output:
+	// input vertex 4 is now 0
+	// cover in input IDs: [2 5]
+	// valid: true minimal: true
 }

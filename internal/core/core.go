@@ -119,17 +119,6 @@ type Options struct {
 	// is a best-effort heuristic (the weighted problem inherits the
 	// unweighted NP-hardness), extension over the paper.
 	Weights []float64
-	// CandidateOrder, when non-nil, is the exact candidate processing
-	// sequence (a permutation of [0, n)) and overrides Order. The
-	// renumbering layer uses it to replay the ORIGINAL graph's candidate
-	// order on the locality-renumbered graph: the top-down family's cover
-	// is a function of the candidate sequence alone (its detector queries
-	// are yes/no questions with representation-independent answers), so
-	// replaying the order makes the renumbered cover map back exactly onto
-	// the unrenumbered one. BUR also honors the sequence, but its cover
-	// additionally depends on WHICH cycle the DFS finds per hit — an
-	// adjacency-order artifact no candidate sequence can pin down.
-	CandidateOrder []VID
 	// SCCPrefilter, when set, first computes strongly connected components
 	// and exempts every vertex outside non-trivial SCCs from cover
 	// candidacy (such vertices lie on no cycle of any length). This is an
@@ -205,9 +194,6 @@ func (o Options) validate(g digraph.Adjacency) error {
 	if o.Order == OrderWeighted && o.Weights == nil {
 		return fmt.Errorf("core: OrderWeighted requires Options.Weights")
 	}
-	if o.CandidateOrder != nil && len(o.CandidateOrder) != g.NumVertices() {
-		return fmt.Errorf("core: CandidateOrder length %d != n %d", len(o.CandidateOrder), g.NumVertices())
-	}
 	return nil
 }
 
@@ -255,10 +241,6 @@ type Stats struct {
 	// or another cause). Empty on runs that finished on their own.
 	StopReason string
 
-	// Renumbering names the cache-aware vertex renumbering mode the solve
-	// layer applied before the computation ("degree", "bfs"); empty when
-	// the graph ran in its input numbering.
-	Renumbering string
 	// Strategy names the execution strategy the planning layer selected
 	// for this run ("sequential", "scc-parallel", "prepass"); empty when
 	// Compute, ComputeParallel or TopDownEdges ran directly, below the

@@ -31,15 +31,6 @@ func vertexOrder(g digraph.Adjacency, opts Options) []VID {
 	return vertexOrderBuf(g, opts, nil)
 }
 
-// VertexOrder materializes the candidate processing order the given
-// options produce on g — the sequence the sequential loop would follow.
-// The solve-level renumbering support uses it to compute the order on the
-// ORIGINAL graph and replay it, mapped, on the renumbered one (see
-// Options.CandidateOrder).
-func VertexOrder(g digraph.Adjacency, opts Options) []VID {
-	return vertexOrder(g, opts)
-}
-
 // vertexOrderBuf is vertexOrder writing into buf when it has the right
 // length (a pooled engine buffer), allocating otherwise.
 func vertexOrderBuf(g digraph.Adjacency, opts Options, buf []VID) []VID {
@@ -47,10 +38,6 @@ func vertexOrderBuf(g digraph.Adjacency, opts Options, buf []VID) []VID {
 	ids := buf
 	if len(ids) != n {
 		ids = make([]VID, n)
-	}
-	if opts.CandidateOrder != nil {
-		copy(ids, opts.CandidateOrder) // validated: a length-n sequence
-		return ids
 	}
 	for i := range ids {
 		ids[i] = VID(i)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,8 +24,9 @@ import (
 // This is an extension over the paper (which is single-threaded): it helps
 // exactly when the cyclic part of the graph splits into many components
 // (program-analysis and circuit workloads often do). A graph that is one
-// giant SCC gains nothing from the decomposition — for that shape, enable
-// the intra-SCC BFS-filter prepass (Options.PrepassWorkers) instead; the
+// giant SCC gains nothing from the decomposition; the intra-SCC BFS-filter
+// prepass (Options.PrepassWorkers) parallelizes inside one component
+// instead, and the planner selects neither for that shape on its own. The
 // two compose, each component run inheriting the caller's options.
 //
 // Options.Context is polled by every worker; a timeout marks the whole
@@ -107,15 +107,6 @@ func computeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers 
 	for len(parts) > 0 && parts[len(parts)-1].g.NumVertices() < opts.MinLen {
 		parts = parts[:len(parts)-1]
 	}
-	// An explicit candidate order induces per-component orders: position
-	// index once, each job sorts its component's dense IDs by it.
-	var orderPos []int32
-	if opts.CandidateOrder != nil {
-		orderPos = make([]int32, g.NumVertices())
-		for i, v := range opts.CandidateOrder {
-			orderPos[v] = int32(i)
-		}
-	}
 	var (
 		next     atomic.Int64 // index of the next undispatched component
 		wg       sync.WaitGroup
@@ -139,19 +130,6 @@ func computeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers 
 		n := p.g.NumVertices()
 		subOpts := opts
 		subOpts.SCCPrefilter = false // already decomposed
-		if orderPos != nil {
-			// The component's dense IDs follow old-ID order, so dense
-			// ID i is oldID[i]; sorting the dense IDs by the global
-			// order's positions replays it inside the component.
-			so := make([]VID, n)
-			for i := range so {
-				so[i] = VID(i)
-			}
-			sort.Slice(so, func(a, b int) bool {
-				return orderPos[p.oldID[so[a]]] < orderPos[p.oldID[so[b]]]
-			})
-			subOpts.CandidateOrder = so
-		}
 		if opts.Weights != nil {
 			// Remap the cost vector to the component's dense IDs.
 			sw := make([]float64, n)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -19,7 +18,7 @@ import (
 // parallelOracle is the per-solve partitioned loop the cached component
 // subgraphs replaced, kept as the reference: for every non-trivial SCC it
 // carves the component with digraph.Induced over a whole-graph mask, remaps
-// the order and weights, clamps K, runs the one-shot Compute and translates
+// the weights, clamps K, runs the one-shot Compute and translates
 // the cover back. Components are independent, so running them one after
 // another gives the cover a worker pool must produce.
 func parallelOracle(t *testing.T, g digraph.Adjacency, algo Algorithm, opts Options) []VID {
@@ -30,13 +29,6 @@ func parallelOracle(t *testing.T, g digraph.Adjacency, algo Algorithm, opts Opti
 	for v := 0; v < g.NumVertices(); v++ {
 		if c := comps.Comp[v]; comps.Size[c] >= 2 {
 			members[c] = append(members[c], VID(v))
-		}
-	}
-	var orderPos []int32
-	if opts.CandidateOrder != nil {
-		orderPos = make([]int32, g.NumVertices())
-		for i, v := range opts.CandidateOrder {
-			orderPos[v] = int32(i)
 		}
 	}
 	var cover []VID
@@ -51,16 +43,6 @@ func parallelOracle(t *testing.T, g digraph.Adjacency, algo Algorithm, opts Opti
 		}
 		subOpts := opts
 		subOpts.SCCPrefilter = false
-		if orderPos != nil {
-			so := make([]VID, len(oldID))
-			for i := range so {
-				so[i] = VID(i)
-			}
-			sort.Slice(so, func(a, b int) bool {
-				return orderPos[oldID[so[a]]] < orderPos[oldID[so[b]]]
-			})
-			subOpts.CandidateOrder = so
-		}
 		if opts.Weights != nil {
 			sw := make([]float64, sub.NumVertices())
 			for i, old := range oldID {
@@ -135,10 +117,6 @@ func TestSCCParallelMatchesOracle(t *testing.T) {
 		for v := range weights {
 			weights[v] = 1 + rng.Float64()*9
 		}
-		explicit := make([]VID, n)
-		for i, v := range rng.Perm(n) {
-			explicit[i] = VID(v)
-		}
 		orders := []struct {
 			name string
 			opts Options
@@ -148,7 +126,6 @@ func TestSCCParallelMatchesOracle(t *testing.T) {
 			{"degree-desc", Options{Order: OrderDegreeDesc}},
 			{"random", Options{Order: OrderRandom, Seed: seed}},
 			{"weighted", Options{Order: OrderWeighted, Weights: weights}},
-			{"explicit", Options{CandidateOrder: explicit}},
 		}
 
 		path := filepath.Join(t.TempDir(), "g.tdbcsr")

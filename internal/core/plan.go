@@ -13,18 +13,20 @@ import (
 // point (Solve / Engine.Solve) accepts the full option set plus a worker
 // budget, inspects the graph's SCC condensation, and picks the execution
 // strategy, instead of the caller choosing among per-strategy entry
-// points. The rules mirror where each strategy actually wins:
+// points. The rule mirrors where each strategy actually wins:
 //
-//   - the cyclic part splits into several non-trivial SCCs -> the
-//     SCC-partitioned parallel solver (parallel.go) covers them
-//     concurrently;
-//   - one giant SCC, more than one worker, and the TDB++ algorithm -> the
-//     intra-SCC BFS-filter prepass (prepass.go);
-//   - otherwise (one worker, non-TDB++ algorithm, or an acyclic graph) ->
-//     the paper's sequential loop.
+//   - the cyclic part splits into several non-trivial SCCs and more than
+//     one worker is available -> the SCC-partitioned parallel solver
+//     (parallel.go) covers them concurrently;
+//   - otherwise (one worker, one giant SCC, or an acyclic graph) -> the
+//     paper's sequential loop.
 //
-// A pinned Strategy bypasses the inspection entirely, and the chosen plan
-// is recorded in Stats so callers can see which path served them.
+// The planner never selects the intra-SCC BFS-filter prepass (prepass.go)
+// on its own: on one giant SCC it measured no faster than the sequential
+// loop it fronts (DESIGN.md §8), so it runs only when pinned. A pinned
+// Strategy (or an explicit Opts.PrepassWorkers) bypasses the inspection
+// entirely, and the chosen plan is recorded in Stats so callers can see
+// which path served them.
 
 // Strategy identifies the execution strategy of a solve.
 type Strategy int
@@ -84,10 +86,6 @@ type SolveSpec struct {
 	// Strategy pins the execution strategy; StrategyAuto (the zero value)
 	// lets the planner choose.
 	Strategy Strategy
-	// NoAutoPrepass stops the planner from selecting StrategyPrepass on its
-	// own (set when the caller explicitly disabled the prepass). Pinned
-	// strategies are unaffected.
-	NoAutoPrepass bool
 }
 
 // Plan is the executable outcome of strategy selection.
@@ -116,23 +114,16 @@ func countNontrivial(comps *scc.Result) int {
 	return nontrivial
 }
 
-// minAutoPrepassVertices is the smallest graph the auto-planner selects
-// the prepass for: below two worker chunks the atomic chunk claiming
-// degenerates to one worker doing everything — the single-effective-worker
-// regime that is slower than the plain sequential loop (DESIGN.md §6). An
-// explicit pin is still honored.
-const minAutoPrepassVertices = 2 * prepassChunk
-
-// planFor selects the execution plan for a spec over a graph with n
-// vertices. nontrivial lazily counts the non-trivial SCCs (an O(n+m)
-// inspection); it is only invoked when the decision actually depends on
-// the condensation, and engines cache it across calls.
+// planFor selects the execution plan for a spec. nontrivial lazily counts
+// the non-trivial SCCs (an O(n+m) inspection); it is only invoked when the
+// decision actually depends on the condensation, and engines cache it
+// across calls.
 //
 // Stats must record what actually runs, so degenerate prepass requests are
 // demoted to the sequential plan here rather than silently skipped later:
 // the prepass exists only for TDBPlusPlus, and at one effective worker it
 // is strictly slower than the loop it fronts (DESIGN.md §6).
-func planFor(spec SolveSpec, n int, nontrivial func() int) Plan {
+func planFor(spec SolveSpec, nontrivial func() int) Plan {
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -171,18 +162,10 @@ func planFor(spec SolveSpec, n int, nontrivial func() int) Plan {
 		}
 		return Plan{Strategy: StrategyPrepass, Workers: w, Pinned: true}
 	}
-	if workers <= 1 {
-		return Plan{Strategy: StrategySequential, Workers: 1}
-	}
-	switch nc := nontrivial(); {
-	case nc >= 2:
+	if workers > 1 && nontrivial() >= 2 {
 		return Plan{Strategy: StrategyParallelSCC, Workers: workers}
-	case nc == 1 && spec.Algorithm == TDBPlusPlus && !spec.NoAutoPrepass &&
-		n >= minAutoPrepassVertices:
-		return Plan{Strategy: StrategyPrepass, Workers: workers}
-	default:
-		return Plan{Strategy: StrategySequential, Workers: 1}
 	}
+	return Plan{Strategy: StrategySequential, Workers: 1}
 }
 
 // Solve plans and runs a cover computation one-shot. For repeated solves
@@ -190,7 +173,7 @@ func planFor(spec SolveSpec, n int, nontrivial func() int) Plan {
 // condensation inspection and the per-component subgraphs.
 func Solve(g digraph.Adjacency, spec SolveSpec) (*Result, error) {
 	var comps *scc.Result // planner's decomposition, reused by the executor
-	plan := planFor(spec, g.NumVertices(), func() int {
+	plan := planFor(spec, func() int {
 		comps = scc.Compute(g)
 		return countNontrivial(comps)
 	})
@@ -210,7 +193,7 @@ func (e *Engine) Solve(ctx context.Context, spec SolveSpec) (*Result, error) {
 	if ctx != nil {
 		spec.Opts.Context = ctx
 	}
-	plan := planFor(spec, e.g.NumVertices(), e.nontrivialSCCs)
+	plan := planFor(spec, e.nontrivialSCCs)
 	return runPlan(e, e.g, spec, plan, e.sccParts)
 }
 

@@ -80,7 +80,7 @@ func BenchmarkLaneBitsClear(b *testing.B) {
 		for i := range verts {
 			// Spread the touched vertices across the slab the way a BFS
 			// frontier would, not as one dense prefix.
-			verts[i] = VID((i * 2654435761) % n)
+			verts[i] = VID(uint64(i) * 2654435761 % uint64(n))
 		}
 		b.Run("cold-list/"+f.name, func(b *testing.B) {
 			bs := NewLaneBits(n)

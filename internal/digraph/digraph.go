@@ -19,6 +19,7 @@ package digraph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -177,14 +178,21 @@ func (b *Builder) AddEdge(u, v VID) {
 	if u == v && !b.KeepSelfLoops {
 		return
 	}
-	if int(u) >= b.n {
-		b.n = int(u) + 1
-	}
-	if int(v) >= b.n {
-		b.n = int(v) + 1
+	// Compare in uint64: where int is 32 bits wide, int(w) of an ID at or
+	// above 2^31 is negative and would never grow the count.
+	if w := max(u, v); uint64(w) >= uint64(b.n) {
+		if uint64(w) > maxVertexID {
+			panic("digraph: vertex ID exceeds the platform's vertex range")
+		}
+		b.n = int(w) + 1
 	}
 	b.edges = append(b.edges, Edge{u, v})
 }
+
+// maxVertexID is the largest vertex ID a graph can hold: IDs are uint32,
+// and the vertex count ID+1 must also fit in an int, which caps IDs at
+// 2^31-2 where int is 32 bits wide. The file loaders reject larger IDs.
+const maxVertexID = min(math.MaxUint32, math.MaxInt-1)
 
 // AddEdges records a batch of edges under the same policies as AddEdge.
 func (b *Builder) AddEdges(edges []Edge) {

@@ -54,6 +54,9 @@ func parseEdgeLine(line string) (VID, VID, error) {
 	}
 	// Trailing columns (weights, timestamps) are permitted and ignored.
 	_ = i
+	if u > maxVertexID || v > maxVertexID {
+		return 0, 0, fmt.Errorf("vertex ID %d out of range in %q", max(u, v), line)
+	}
 	return VID(u), VID(v), nil
 }
 
@@ -133,8 +136,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("digraph: reading header: %w", err)
 	}
 	n, m := hdr[0], hdr[1]
-	if n > 1<<32 {
-		return nil, fmt.Errorf("digraph: vertex count %d exceeds 32-bit ID space", n)
+	if n > maxVertexID+1 {
+		return nil, fmt.Errorf("digraph: vertex count %d exceeds the vertex ID range", n)
 	}
 	b := NewBuilder(int(n))
 	buf := make([]VID, 2*4096)
@@ -148,6 +151,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("digraph: reading edges: %w", err)
 		}
 		for i := uint64(0); i+1 < chunk; i += 2 {
+			if uint64(max(buf[i], buf[i+1])) > maxVertexID {
+				return nil, fmt.Errorf("digraph: vertex ID %d exceeds the vertex ID range", max(buf[i], buf[i+1]))
+			}
 			b.AddEdge(buf[i], buf[i+1])
 		}
 		remaining -= chunk

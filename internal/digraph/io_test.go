@@ -36,6 +36,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"0\n",                      // missing target
 		"a b\n",                    // non-numeric
 		"0 99999999999999999999\n", // overflow
+		"4294967296 0\n",           // beyond uint32, not truncated to 0
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {

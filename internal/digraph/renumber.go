@@ -25,11 +25,11 @@ import (
 //     shrinks — following an edge lands near the current position instead
 //     of anywhere in the slab.
 //
-// The permutation is applied at build time (Graph.Renumber rebuilds the
-// CSR in the new order); everything downstream — detectors, filters,
-// covers — runs on renumbered IDs without knowing it. Callers that must
-// preserve their external IDs keep the permutation and translate at the
-// boundary, which is what the solve-level WithRenumbering option does.
+// The permutation is applied once, at ingest (Graph.Renumber or
+// Builder.BuildRenumbered rebuilds the CSR in the new order); everything
+// downstream — detectors, filters, covers — runs on renumbered IDs without
+// knowing it. Callers that must preserve their external IDs keep the
+// permutation and translate results back with InversePerm.
 
 // Renumbering selects a vertex renumbering mode.
 type Renumbering int

@@ -72,7 +72,7 @@ func (m *Maintainer) ValidateUpdates(updates []Update) error {
 		if up.Op != OpInsert && up.Op != OpDelete {
 			return fmt.Errorf("dynamic: update %d: unknown op %d", i, up.Op)
 		}
-		if int(up.U) >= m.n || int(up.V) >= m.n {
+		if uint64(up.U) >= uint64(m.n) || uint64(up.V) >= uint64(m.n) {
 			return fmt.Errorf("dynamic: update %d: edge (%d, %d) out of range (graph has %d vertices)",
 				i, up.U, up.V, m.n)
 		}

@@ -144,7 +144,7 @@ func New(n, k, minLen int) *Maintainer {
 func FromGraph(g digraph.Adjacency, k, minLen int, cover []VID) (*Maintainer, error) {
 	n := g.NumVertices()
 	for _, v := range cover {
-		if int(v) >= n {
+		if uint64(v) >= uint64(n) {
 			return nil, fmt.Errorf("dynamic: cover vertex %d out of range (graph has %d vertices)", v, n)
 		}
 	}

@@ -395,7 +395,7 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.Release()
 	g := e.Graph()
-	if int(req.Source) >= g.NumVertices() {
+	if uint64(req.Source) >= uint64(g.NumVertices()) {
 		writeError(w, http.StatusBadRequest, "source %d out of range (epoch has %d vertices)",
 			req.Source, g.NumVertices())
 		return

@@ -31,6 +31,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -80,8 +81,9 @@ type Config struct {
 	// do not set partial_on_deadline: degraded valid cover instead of 504
 	// when the deadline expires mid-solve.
 	DegradeOnDeadline bool
-	// MaxVertices caps grow_to requests (default 1<<31) so a single bad
-	// update cannot balloon the maintainer's per-vertex state.
+	// MaxVertices caps grow_to requests (default math.MaxInt32, the largest
+	// count an int holds on every platform) so a single bad update cannot
+	// balloon the maintainer's per-vertex state.
 	MaxVertices int
 
 	// DataDir, when non-empty, enables durable writes: acknowledged batches
@@ -131,7 +133,7 @@ func (c *Config) withDefaults() (Config, error) {
 		cfg.PublishEvery = 512
 	}
 	if cfg.MaxVertices <= 0 {
-		cfg.MaxVertices = 1 << 31
+		cfg.MaxVertices = math.MaxInt32
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1024

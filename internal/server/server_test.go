@@ -185,6 +185,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/solve", `{"k":4,"min_len":5}`, 400},
 		{"/v1/solve", `{"deadline_ms":-5}`, 400},
 		{"/v1/cycle", `{"source":100}`, 400},
+		{"/v1/cycle", `{"source":4294967295}`, 400}, // negative as a 32-bit int
 		{"/v1/update", `{}`, 400},
 		{"/v1/update", `{"updates":[{"op":"upsert","u":0,"v":1}]}`, 400},
 		{"/v1/update", `{"updates":[{"op":"insert","u":0,"v":200}],"wait":true}`, 400},

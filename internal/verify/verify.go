@@ -35,7 +35,7 @@ func activeWithout(n int, cover []VID) []bool {
 		active[i] = true
 	}
 	for _, v := range cover {
-		if int(v) >= n {
+		if uint64(v) >= uint64(n) {
 			panic(fmt.Sprintf("verify: cover vertex %d out of range (n=%d)", v, n))
 		}
 		active[v] = false

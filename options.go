@@ -26,8 +26,6 @@ type solveConfig struct {
 	strategy      Strategy
 	edgeCover     bool
 	unconstrained bool
-	prepassSet    bool
-	renumber      Renumbering
 	storage       Storage
 }
 
@@ -45,11 +43,10 @@ func newSolveConfig(opts []Option) solveConfig {
 // spec translates the configuration for the core planning layer.
 func (c *solveConfig) spec() core.SolveSpec {
 	return core.SolveSpec{
-		Algorithm:     c.algo,
-		Opts:          c.core,
-		Workers:       c.workers,
-		Strategy:      c.strategy,
-		NoAutoPrepass: c.prepassSet && c.core.PrepassWorkers == 0,
+		Algorithm: c.algo,
+		Opts:      c.core,
+		Workers:   c.workers,
+		Strategy:  c.strategy,
 	}
 }
 
@@ -85,19 +82,16 @@ func WithSCCPrefilter() Option {
 	return func(c *solveConfig) { c.core.SCCPrefilter = true }
 }
 
-// WithPrepassWorkers pins the TDB++ BFS-filter prepass configuration:
-// n > 1 workers pre-resolve candidates before the sequential loop (the
-// intra-SCC parallelization for graphs that are one giant SCC), n < 0
-// selects GOMAXPROCS, and n == 0 forbids the planner from selecting the
-// prepass on its own. Requests that resolve to a single effective worker
-// run the plain sequential loop, which is faster (DESIGN.md §6). Without
-// this option the planner sizes the prepass from WithWorkers when it
-// selects that strategy.
+// WithPrepassWorkers pins the TDB++ BFS-filter prepass: n > 1 workers
+// pre-resolve candidates before the sequential loop (the intra-SCC
+// parallelization for graphs that are one giant SCC), n < 0 selects
+// GOMAXPROCS, and n == 0 (the default) runs no prepass. Requests that
+// resolve to a single effective worker run the plain sequential loop,
+// which is faster (DESIGN.md §6). The planner never selects the prepass
+// on its own; WithStrategy(StrategyPrepass) is the other way to pin it,
+// sized from WithWorkers.
 func WithPrepassWorkers(n int) Option {
-	return func(c *solveConfig) {
-		c.core.PrepassWorkers = n
-		c.prepassSet = true
-	}
+	return func(c *solveConfig) { c.core.PrepassWorkers = n }
 }
 
 // WithPartialOnDeadline degrades instead of failing when the context
@@ -132,41 +126,15 @@ func WithStrategy(s Strategy) Option {
 	return func(c *solveConfig) { c.strategy = s }
 }
 
-// WithRenumbering runs the solve on a cache-aware renumbering of the
-// graph: a locality permutation (RenumberDegree packs high-degree hubs
-// into a compact ID prefix, RenumberBFS shrinks adjacency bandwidth with
-// a Cuthill-McKee-style sweep) is computed up front, the CSR is rebuilt
-// in permuted order, and the computation runs entirely on renumbered IDs.
-// The result is translated back before it is returned, so callers never
-// see vertex IDs change — Result.Cover, Stats and the labeled layer all
-// speak the input numbering. Stats.Renumbering records the mode.
-//
-// The candidate processing order is computed on the ORIGINAL graph and
-// replayed on the renumbered one, so for the top-down family (TDB, TDB+,
-// TDB++) — whose cover is a function of the candidate sequence and
-// yes/no detector answers alone — the returned cover is exactly the
-// cover the unrenumbered solve returns: renumbering is purely a
-// memory-layout optimization. BUR/BUR+ (whose hit-counter heuristic
-// follows the concrete cycles the DFS finds, an adjacency-order artifact)
-// and DARC-DV (which iterates edges in CSR order) may return a different
-// — equally valid, equally minimal — cover. Not compatible with
-// WithEdgeCover. Engine.Solve caches the renumbered graph per mode, so
-// repeated engine solves pay the permutation cost once.
-func WithRenumbering(mode Renumbering) Option {
-	return func(c *solveConfig) { c.renumber = mode }
-}
-
 // WithStorage runs the solve over s instead of the Graph argument, which
 // may then be nil — the entry point for non-default storage backends:
 //
 //	mg, err := tdb.OpenMapped("web-Google.tdbcsr")
 //	res, err := tdb.Solve(ctx, nil, 5, tdb.WithStorage(mg))
 //
-// Every algorithm, strategy and option works unchanged over any backend
-// except WithRenumbering, which rebuilds the CSR in permuted order and
-// therefore requires the in-memory *Graph backend (passing a *Graph to
-// WithStorage is fine). For repeated solves over one backend use
-// NewStorageEngine, which additionally pools working state.
+// Every algorithm, strategy and option works unchanged over any backend.
+// For repeated solves over one backend use NewStorageEngine, which
+// additionally pools working state.
 func WithStorage(s Storage) Option {
 	return func(c *solveConfig) { c.storage = s }
 }
@@ -195,10 +163,10 @@ type Strategy = core.Strategy
 
 // Execution strategies.
 const (
-	// StrategyAuto (the default) selects: StrategyParallelSCC when the
-	// condensation splits into several non-trivial SCCs, StrategyPrepass
-	// when one giant SCC meets TDB++ and more than one worker, and
-	// StrategySequential otherwise.
+	// StrategyAuto (the default) selects StrategyParallelSCC when the
+	// condensation splits into several non-trivial SCCs and more than one
+	// worker is available, and StrategySequential otherwise. It never
+	// selects StrategyPrepass, which only a pin enables.
 	StrategyAuto = core.StrategyAuto
 	// StrategySequential is the paper's single-threaded cover loop.
 	StrategySequential = core.StrategySequential
@@ -210,13 +178,14 @@ const (
 	StrategyPrepass = core.StrategyPrepass
 )
 
-// Renumbering selects a cache-aware vertex renumbering mode for
-// WithRenumbering; see the digraph-layer docs for the layouts.
+// Renumbering selects a cache-aware vertex renumbering mode, applied once
+// when the graph is built (Builder.BuildRenumbered, Graph.Renumber with
+// RenumberPerm); see the digraph-layer docs for the layouts.
 type Renumbering = digraph.Renumbering
 
 // Renumbering modes.
 const (
-	// RenumberNone keeps the input numbering (the default).
+	// RenumberNone keeps the input numbering (the identity permutation).
 	RenumberNone = digraph.RenumberNone
 	// RenumberDegree renames vertices by descending total degree, packing
 	// the high-degree core into a compact cache-resident ID prefix.

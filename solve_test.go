@@ -12,8 +12,8 @@ func multiSCCGraph() *Graph {
 }
 
 // singleSCCGraph is one giant strongly connected component: a directed
-// ring with short back-chords. Large enough (beyond two prepass chunks)
-// that the auto-planner considers the prepass worthwhile.
+// ring with short back-chords, large enough (beyond two prepass chunks)
+// that a pinned prepass splits it across workers.
 func singleSCCGraph() *Graph {
 	const n = 1200
 	b := NewBuilder(n)
@@ -41,7 +41,7 @@ func TestPlanAutoSelection(t *testing.T) {
 		{"split condensation, one worker", multiSCCGraph(),
 			[]Option{WithWorkers(1)}, "sequential"},
 		{"giant SCC, many workers, TDB++", singleSCCGraph(),
-			[]Option{WithWorkers(4)}, "prepass"},
+			[]Option{WithWorkers(4)}, "sequential"},
 		{"giant SCC, one worker", singleSCCGraph(),
 			[]Option{WithWorkers(1)}, "sequential"},
 		{"giant SCC, many workers, BUR+", singleSCCGraph(),
@@ -380,5 +380,34 @@ func TestEngineCycleQueries(t *testing.T) {
 	dag := NewEngine(FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}))
 	if dag.HasHopConstrainedCycle(5) {
 		t.Fatal("DAG has no cycle")
+	}
+}
+
+// TestIngestRenumberingRoundTrip: a graph renumbered at ingest solves like
+// any other graph, and its cover, mapped back through InversePerm, is a
+// valid cover of the input graph (minimal for the algorithms that promise
+// it). Renumbering is an isomorphism, so both properties carry over.
+func TestIngestRenumberingRoundTrip(t *testing.T) {
+	g := GenPowerLaw(300, 1800, 2.2, 0.3, 22)
+	minimal := map[Algorithm]bool{TDB: true, TDBPlus: true, TDBPlusPlus: true, BURPlus: true}
+	for _, mode := range []Renumbering{RenumberDegree, RenumberBFS} {
+		perm := RenumberPerm(g, mode)
+		inv := InversePerm(perm)
+		rg := g.Renumber(perm)
+		for _, algo := range []Algorithm{TDBPlusPlus, TDBPlus, TDB, BURPlus, BUR, DARCDV} {
+			res, err := Solve(nil, rg, 5, WithAlgorithm(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cover := make([]VID, len(res.Cover))
+			for i, v := range res.Cover {
+				cover[i] = inv[v]
+			}
+			rep := Verify(g, 5, 3, cover, minimal[algo])
+			if !rep.Valid || (minimal[algo] && !rep.Minimal) {
+				t.Fatalf("%v %v: valid=%v minimal=%v witness %v redundant %v",
+					mode, algo, rep.Valid, rep.Minimal, rep.Witness, rep.Redundant)
+			}
+		}
 	}
 }

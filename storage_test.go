@@ -4,7 +4,6 @@ import (
 	"context"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -98,12 +97,6 @@ func TestWithStorageSemantics(t *testing.T) {
 		}
 		if res.Stats.Storage != "mapped" {
 			t.Fatalf("Storage = %q, want mapped (WithStorage must win)", res.Stats.Storage)
-		}
-	})
-	t.Run("renumbering-requires-memory", func(t *testing.T) {
-		_, err := Solve(ctx, nil, 4, WithStorage(mg), WithRenumbering(RenumberDegree))
-		if err == nil || !strings.Contains(err.Error(), "mapped") {
-			t.Fatalf("renumbering a mapped backend: err = %v, want backend error", err)
 		}
 	})
 }

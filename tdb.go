@@ -20,8 +20,8 @@
 //
 // Solve is the single entry point: it takes a context, a graph, the hop
 // constraint, and functional options, and automatically selects the
-// execution strategy (sequential, SCC-partitioned parallel, or the TDB++
-// prepass) from the graph's structure and the worker budget:
+// execution strategy (sequential or SCC-partitioned parallel) from the
+// graph's structure and the worker budget:
 //
 //	b := tdb.NewBuilder(0)
 //	b.AddEdge(0, 1)
@@ -69,8 +69,6 @@
 package tdb
 
 import (
-	"sync"
-
 	"tdb/internal/core"
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
@@ -186,60 +184,19 @@ type Stats = core.Stats
 // Engines are safe for concurrent use.
 type Engine struct {
 	e *core.Engine
-
-	// Per-mode renumbered twins of the graph (WithRenumbering), built
-	// lazily: computing the permutation and rebuilding the CSR is O(n + m
-	// log d), so repeated engine solves amortize it to once per mode.
-	renMu sync.Mutex
-	ren   map[Renumbering]*renumberedEngine
-}
-
-// renumberedEngine is a core engine over the renumbered graph plus the
-// translations in and out of it.
-type renumberedEngine struct {
-	e         *core.Engine
-	perm, inv []VID // perm[old] = new, inv[new] = old
 }
 
 // RenumberPerm computes the cache-aware locality permutation of g under
 // mode (perm[old] = new, deterministic; the identity for RenumberNone).
-// Solve applies it internally via WithRenumbering; the standalone form
-// serves callers that want to inspect or pre-apply the layout — a
-// renumbered graph is built with g.Renumber(perm), and InversePerm
-// translates renumbered IDs back.
+// Renumbering happens once, at ingest: build the renumbered graph with
+// g.Renumber(perm) (or Builder.BuildRenumbered), solve it, and translate
+// the cover back with InversePerm.
 func RenumberPerm(g *Graph, mode Renumbering) []VID {
 	return digraph.RenumberPerm(g, mode)
 }
 
 // InversePerm inverts a permutation: inv[perm[v]] = v.
 func InversePerm(perm []VID) []VID { return digraph.InversePerm(perm) }
-
-// renumbered returns the cached renumbered twin for mode, building it on
-// first use. It returns nil when the engine's storage backend is not the
-// in-memory CSR: renumbering rebuilds the CSR in permuted order, which
-// only that backend supports (a mapped file is immutable on disk).
-func (e *Engine) renumbered(mode Renumbering) *renumberedEngine {
-	e.renMu.Lock()
-	defer e.renMu.Unlock()
-	if re, ok := e.ren[mode]; ok {
-		return re
-	}
-	g, ok := e.e.Graph().(*digraph.Graph)
-	if !ok {
-		return nil
-	}
-	perm := digraph.RenumberPerm(g, mode)
-	re := &renumberedEngine{
-		e:    core.NewEngine(g.Renumber(perm)),
-		perm: perm,
-		inv:  digraph.InversePerm(perm),
-	}
-	if e.ren == nil {
-		e.ren = make(map[Renumbering]*renumberedEngine)
-	}
-	e.ren[mode] = re
-	return re
-}
 
 // NewEngine creates a reusable compute engine over g.
 func NewEngine(g *Graph) *Engine {
@@ -248,8 +205,7 @@ func NewEngine(g *Graph) *Engine {
 
 // NewStorageEngine creates a reusable compute engine over any storage
 // backend — e.g. a MappedGraph serving a graph bigger than RAM. Every
-// Engine method except WithRenumbering-based solves (which need the
-// in-memory CSR) behaves identically across backends.
+// Engine method behaves identically across backends.
 func NewStorageEngine(s Storage) *Engine {
 	return &Engine{e: core.NewEngine(s)}
 }
