@@ -21,15 +21,26 @@ import "tdb/internal/digraph"
 // and so on), exactly Alg. 9 line 7. Without this repair the pessimistic
 // bound set at push time would wrongly suppress longer cycles through u.
 //
+// Distance-seeded barriers (deviation from Alg. 9, DESIGN.md §2): where the
+// paper starts every query at block[u] = 0, query first runs a backward BFS
+// from s over the live in-edges to depth D = (k-1)/2 and stamps
+// block[w] = dist(w -> s) for every vertex it reaches. Unreached vertices
+// read the floor D+1, or k when the BFS ran out of vertices first (nothing
+// else reaches s). dist(w -> s) ignores the stack, so it is a true lower
+// bound on sd(w, s | S), and a negative query now prunes every subtree that
+// cannot close within the budget instead of exhausting the k-hop DFS.
+//
 // Each vertex can be re-pushed only at strictly smaller depths (the prune
 // condition with the updated block forces it), so a query pushes every
-// vertex at most k times and runs in O(k*m) — Theorem 6.
+// vertex at most k times and runs in O(k*m) — Theorem 6; the seed adds one
+// O(m) BFS.
 type BlockDetector struct {
 	adjacency
 	k      int
 	minLen int
+	floor  int32 // block of a vertex the seed BFS left unstamped
 
-	s *Scratch // DFS group: onPath, blocked, stamp, epoch, path
+	s *Scratch // DFS group: onPath, blocked, stamp, epoch, path, seedQ
 
 	Stats Stats
 }
@@ -68,7 +79,7 @@ func (d *BlockDetector) block(v VID) int {
 	if d.s.stamp[v] == d.s.epoch {
 		return int(d.s.blocked[v])
 	}
-	return 0 // no information: sd >= 0
+	return int(d.floor)
 }
 
 func (d *BlockDetector) setBlock(v VID, b int) {
@@ -108,6 +119,7 @@ func (d *BlockDetector) query(s VID) bool {
 		}
 		d.s.epoch = 1
 	}
+	d.seed(s)
 	d.s.path = d.s.path[:0]
 	d.s.path = append(d.s.path, s)
 	d.s.onPath.set(s)
@@ -117,6 +129,37 @@ func (d *BlockDetector) query(s VID) bool {
 		return true
 	}
 	return false
+}
+
+// seed stamps block[w] = dist(w -> s) for every vertex within D = (k-1)/2
+// backward hops of s and sets the floor the unstamped vertices read. The
+// queue holds the ball level by level; after each pass q[lo:] is the
+// deepest level reached.
+func (d *BlockDetector) seed(s VID) {
+	depth := (d.k - 1) / 2
+	d.setBlock(s, 0)
+	q := append(d.s.seedQ[:0], s)
+	lo := 0
+	for dist := 1; dist <= depth && lo < len(q); dist++ {
+		hi := len(q)
+		for _, u := range q[lo:hi] {
+			for _, v := range d.in(u) {
+				d.Stats.EdgeScans++
+				if (d.active != nil && !d.active[v]) || d.s.stamp[v] == d.s.epoch {
+					continue
+				}
+				d.setBlock(v, dist)
+				q = append(q, v)
+			}
+		}
+		lo = hi
+	}
+	if lo == len(q) {
+		d.floor = int32(d.k) // the ball is everything that reaches s
+	} else {
+		d.floor = int32(depth + 1)
+	}
+	d.s.seedQ = q[:0]
 }
 
 func (d *BlockDetector) search(s, u VID, depth int) bool {

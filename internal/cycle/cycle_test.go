@@ -185,7 +185,8 @@ func randomTestGraph(rng *rand.Rand, n, m int) *digraph.Graph {
 
 // The central equivalence property: plain DFS, block DFS, and the
 // enumeration oracle agree on "is s on some constrained cycle", for random
-// graphs, all k in [3,7], both minLen settings, with and without masks.
+// graphs, all k in [minLen,9] (seed depths D = 1..4), both minLen settings,
+// with and without masks.
 func TestDetectorEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 202))
 	for iter := 0; iter < 120; iter++ {
@@ -199,7 +200,7 @@ func TestDetectorEquivalenceRandom(t *testing.T) {
 			}
 		}
 		for _, minLen := range []int{2, 3} {
-			for k := minLen; k <= 7; k++ {
+			for k := minLen; k <= 9; k++ {
 				pd := NewPlainDetector(gr, k, minLen, active)
 				bd := NewBlockDetector(gr, k, minLen, active)
 				for s := VID(0); int(s) < n; s++ {

@@ -15,7 +15,8 @@ import (
 //
 // The buffers split into three independent groups:
 //
-//   - the DFS group (onPath, blocked, stamp, path), used by PlainDetector,
+//   - the DFS group (onPath, blocked, stamp, path, plus seedQ, the queue of
+//     BlockDetector's backward distance seed), used by PlainDetector,
 //     BlockDetector and Enumerator;
 //   - the BFS group (visited, inNbr, queue, nextQ), used by BFSFilter and
 //     PrefixFilter;
@@ -37,6 +38,7 @@ type Scratch struct {
 	stamp   []uint32
 	epoch   uint32
 	path    []VID
+	seedQ   []VID
 
 	// BFS group.
 	visited epochMark

@@ -29,10 +29,11 @@
 // (and on Snapshot/Reminimize, which therefore run on flat arrays).
 //
 // Cost model: an insertion between uncovered endpoints runs one bounded
-// BFS over the uncovered region — O(min(m, edges within k-1 hops)), the
-// same bound as the paper's BFS filter — whose shortest path, being
-// simple, certifies the answer outright in all but the short-walk regime
-// (a walk shorter than minLen-1, e.g. a 2-cycle under minLen=3). Only
+// meet-in-the-middle BFS over the uncovered region — O(min(m, edges
+// within k-1 hops)), the same bound as the paper's BFS filter — whose
+// shortest path, being simple, certifies the answer outright in all but
+// the short-walk regime (a walk shorter than minLen-1, e.g. a 2-cycle
+// under minLen=3). Only
 // that ambiguous remainder falls through to an iterative, distance-pruned
 // DFS whose explored states are capped; on cap the endpoint is covered
 // conservatively, so validity never depends on the exponential tail.

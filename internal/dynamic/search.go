@@ -9,11 +9,12 @@ package dynamic
 //
 // Two tiers answer it:
 //
-//  1. A bounded BFS from v (the paper's BFS-filter traversal with the
-//     covered vertices as the mask) computes d0, the shortest uncovered
-//     path length to u. Shortest paths are simple, so d0 in
-//     [minLen-1, k-1] certifies YES outright, and d0 > k-1 (or
-//     unreachable) certifies NO — both in O(min(m, k-hop frontier)).
+//  1. A bounded meet-in-the-middle BFS (a backward ball around u, then
+//     forward levels from v, both with the covered vertices as the mask)
+//     computes d0, the shortest uncovered path length from v to u.
+//     Shortest paths are simple, so d0 in [minLen-1, k-1] certifies YES
+//     outright, and d0 > k-1 (or unreachable) certifies NO — both in
+//     O(min(m, k-hop frontier)).
 //  2. Only d0 < minLen-1 is ambiguous (a shorter-than-minLen walk exists,
 //     e.g. the 2-cycle of the paper's Example 2 under minLen=3); that
 //     remainder runs an iterative DFS pruned by exact backward BFS
@@ -60,36 +61,90 @@ func (m *Maintainer) edgeCreatesCycle(u, v VID) bool {
 // uncovered vertices (dst is touched only as the endpoint, never
 // expanded), or -1 when every such path is longer than maxLen. Self-loops
 // fall to the visited check.
+//
+// The search meets in the middle. It scans src's row first, which settles
+// the common case of a direct edge or no live first hop. Otherwise a
+// backward ball from dst to maxLen/2 hops records exact completions in
+// distB, and forward levels from src run up to maxLen-maxLen/2: a vertex
+// x at forward level f inside the ball closes a walk of length
+// f+distB(x). On the shortest path, the vertex maxLen/2 hops before dst
+// (or the first hop, when the path is shorter) is such an x at a level the
+// search reaches, so the minimum over the closed walks is exact.
 func (m *Maintainer) shortestLivePath(src, dst VID, maxLen int) int {
+	if maxLen < 1 {
+		return -1
+	}
 	m.ensureScratch()
 	mk := m.nextMark()
-	m.mark[src] = mk
-	q := append(m.queue[:0], src)
-	next := m.nextQ[:0]
-	found := -1
-	for dist := 0; dist < maxLen && len(q) > 0 && found < 0; dist++ {
-		next = next[:0]
-		for _, u := range q {
-			m.rowBuf = m.outInto(u, m.rowBuf[:0])
+	m.mark[src], m.mark[dst] = mk, mk // dst never joins a forward level
+	fq := m.nextQ[:0]
+	m.rowBuf = m.outInto(src, m.rowBuf[:0])
+	for _, w := range m.rowBuf {
+		if w == dst {
+			m.nextQ = fq[:0]
+			return 1
+		}
+		if m.covered[w] || m.mark[w] == mk {
+			continue
+		}
+		m.mark[w] = mk
+		fq = append(fq, w)
+	}
+	if len(fq) == 0 || maxLen == 1 {
+		m.nextQ = fq[:0]
+		return -1
+	}
+
+	ball := maxLen / 2
+	bk := m.nextBmark()
+	m.bmark[dst] = bk
+	m.distB[dst] = 0
+	bq := append(m.queue[:0], dst)
+	for dist, lo := 1, 0; dist <= ball && lo < len(bq); dist++ {
+		hi := len(bq)
+		for _, u := range bq[lo:hi] {
+			m.rowBuf = m.inInto(u, m.rowBuf[:0])
 			for _, w := range m.rowBuf {
-				if w == dst {
-					found = dist + 1
-					break
+				if m.covered[w] || m.bmark[w] == bk {
+					continue
 				}
+				m.bmark[w] = bk
+				m.distB[w] = int32(dist)
+				bq = append(bq, w)
+			}
+		}
+		lo = hi
+	}
+	m.queue = bq[:0]
+
+	// fq holds the forward levels back to back; fq[lo:hi] is level f.
+	best := maxLen + 1
+	deepest := maxLen - ball
+	for f, lo := 1, 0; f <= deepest && lo < len(fq) && best > f+1; f++ {
+		hi := len(fq)
+		for _, x := range fq[lo:hi] {
+			if m.bmark[x] == bk {
+				best = min(best, f+int(m.distB[x]))
+			}
+			if f == deepest {
+				continue // the deepest level is only met, never expanded
+			}
+			m.rowBuf = m.outInto(x, m.rowBuf[:0])
+			for _, w := range m.rowBuf {
 				if m.covered[w] || m.mark[w] == mk {
 					continue
 				}
 				m.mark[w] = mk
-				next = append(next, w)
-			}
-			if found >= 0 {
-				break
+				fq = append(fq, w)
 			}
 		}
-		q, next = next, q
+		lo = hi
 	}
-	m.queue, m.nextQ = q[:0], next[:0]
-	return found
+	m.nextQ = fq[:0]
+	if best > maxLen {
+		return -1
+	}
+	return best
 }
 
 // boundedPathDFS reports whether a simple uncovered path src -> dst with
