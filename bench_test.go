@@ -373,12 +373,13 @@ func BenchmarkCoverRepeated(b *testing.B) {
 
 // benchSingleSCCGraph builds a graph that is ONE giant strongly connected
 // component — the shape where the SCC-partitioned parallel solver gains
-// nothing and only the intra-SCC prepass helps: a width-2 directed ring
+// nothing: a width-2 directed ring
 // (ensures strong connectivity) plus random long chords and a sprinkling
 // of short back-chords that close hop-constrained cycles. Vertex IDs are
 // randomly relabeled so that ID order does not correlate with ring
 // position (real datasets exhibit no such correlation, and with it the
-// natural candidate order would degenerate every prefix query).
+// natural candidate order would make every candidate's working graph a
+// contiguous arc of the ring).
 func benchSingleSCCGraph(n int) *Graph {
 	rng := rand.New(rand.NewPCG(99, 7))
 	perm := rng.Perm(n)
@@ -402,37 +403,23 @@ func benchSingleSCCGraph(n int) *Graph {
 	return b.Build()
 }
 
-// BenchmarkPrepassSingleSCC measures TDB++ with the parallel BFS-filter
-// prepass on a single-SCC graph: Workers0 is the sequential baseline and
-// Workers4 shows the intra-SCC speedup. The Workers4 wall-clock gain
-// tracks available cores (GOMAXPROCS): on a single-CPU machine it degrades
-// to Workers1 behavior, which is slightly SLOWER than sequential since the
-// active-adjacency view made the in-loop filter queries it front-runs
-// cheaper (prefix queries scan the full CSR; see DESIGN.md §6-7).
-func BenchmarkPrepassSingleSCC(b *testing.B) {
+// BenchmarkSingleSCC measures the sequential TDB++ loop on a single-SCC
+// graph, the shape where the SCC-partitioned parallel solver gains nothing.
+func BenchmarkSingleSCC(b *testing.B) {
 	g := benchSingleSCCGraph(60_000)
-	for _, w := range []int{0, 1, 4} {
-		name := map[int]string{0: "Workers0-sequential", 1: "Workers1", 4: "Workers4"}[w]
-		b.Run(name, func(b *testing.B) {
-			e := NewEngine(g)
-			opt := sequential
-			if w != 0 {
-				opt = WithPrepassWorkers(w)
-			}
-			if _, err := e.Solve(context.Background(), 8, opt); err != nil {
-				b.Fatal(err) // warm the scratch pool
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := e.Solve(context.Background(), 8, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.TimedOut {
-					b.Fatal("unexpected timeout")
-				}
-			}
-		})
+	e := NewEngine(g)
+	if _, err := e.Solve(context.Background(), 8, sequential); err != nil {
+		b.Fatal(err) // warm the scratch pool
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Solve(context.Background(), 8, sequential)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.TimedOut {
+			b.Fatal("unexpected timeout")
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	tdb -graph g.txt -k 5 [-algo TDB++] [-minlen 3] [-order natural]
-//	    [-scc] [-strategy auto] [-workers 0] [-prepass N] [-timeout 60s]
+//	    [-scc] [-strategy auto] [-workers 0] [-timeout 60s]
 //	    [-edges] [-out cover.txt] [-verify]
 //
 // The graph file is a SNAP-style text edge list ("u v" per line, '#'
@@ -59,9 +59,8 @@ func run(args []string, out io.Writer) error {
 		orderName = fs.String("order", "natural", "candidate order: natural, degree-asc, degree-desc, random")
 		seed      = fs.Uint64("seed", 0, "seed for -order random")
 		sccPre    = fs.Bool("scc", false, "enable the SCC prefilter")
-		stratName = fs.String("strategy", "auto", "execution strategy: auto, sequential, scc-parallel, prepass")
+		stratName = fs.String("strategy", "auto", "execution strategy: auto, sequential, scc-parallel")
 		workers   = fs.Int("workers", 0, "worker budget for strategy selection (0 = all cores)")
-		prepass   = fs.Int("prepass", 0, "pin the TDB++ BFS-filter prepass to this many workers (0 = none unless -strategy prepass, -1 = all cores)")
 		timeout   = fs.Duration("timeout", 0, "abort after this duration (0 = unlimited)")
 		degrade   = fs.Bool("degrade", false, "on timeout, write the valid-but-possibly-non-minimal cover instead of failing")
 		edgeMode  = fs.Bool("edges", false, "compute the EDGE transversal instead of the vertex cover")
@@ -118,9 +117,6 @@ func run(args []string, out io.Writer) error {
 	if *sccPre {
 		opts = append(opts, tdb.WithSCCPrefilter())
 	}
-	if *prepass != 0 {
-		opts = append(opts, tdb.WithPrepassWorkers(*prepass))
-	}
 	if *edgeMode {
 		opts = append(opts, tdb.WithEdgeCover())
 	}
@@ -132,14 +128,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	st := res.Stats
-	batched := ""
-	if st.FilterBatchWidth > 0 {
-		batched = fmt.Sprintf(", filter-batches=%dx%d lanes", st.Detector.Batches, st.FilterBatchWidth)
-	}
-	fmt.Fprintf(os.Stderr, "%s k=%d minlen=%d [%s, %d workers]: cover=%d in %v (checked=%d, filter-pruned=%d, scc-skipped=%d%s)\n",
+	fmt.Fprintf(os.Stderr, "%s k=%d minlen=%d [%s, %d workers]: cover=%d in %v (checked=%d, filter-pruned=%d, scc-skipped=%d)\n",
 		st.Algorithm, st.K, st.MinLen, st.Strategy, st.Workers,
 		st.CoverSize, st.Duration.Round(time.Millisecond),
-		st.Checked, st.FilterPruned, st.SCCSkipped, batched)
+		st.Checked, st.FilterPruned, st.SCCSkipped)
 	if st.TimedOut {
 		if st.StopReason == "canceled" {
 			return fmt.Errorf("%w (interrupt); partial cover not written", errCanceled)

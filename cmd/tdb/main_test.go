@@ -52,11 +52,13 @@ func TestRunWritesOutFile(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	path := writeTriangle(t)
 	cases := [][]string{
-		{},                                     // missing -graph
-		{"-graph", "/does/not/exist"},          // bad file
-		{"-graph", path, "-algo", "NOPE"},      // bad algorithm
-		{"-graph", path, "-order", "sideways"}, // bad order
-		{"-graph", path, "-k", "1"},            // k < minlen
+		{},                                       // missing -graph
+		{"-graph", "/does/not/exist"},            // bad file
+		{"-graph", path, "-algo", "NOPE"},        // bad algorithm
+		{"-graph", path, "-order", "sideways"},   // bad order
+		{"-graph", path, "-k", "1"},              // k < minlen
+		{"-graph", path, "-prepass", "2"},        // removed flag
+		{"-graph", path, "-strategy", "prepass"}, // removed strategy
 	}
 	for i, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {

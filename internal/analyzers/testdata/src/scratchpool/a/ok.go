@@ -3,7 +3,7 @@ package a
 
 import "pool"
 
-// quarantineOnPanic is the canonical worker shape (core/prepass.go): the
+// quarantineOnPanic is the recover-and-quarantine worker shape: the
 // deferred closure Puts only on the non-panic branch; the panic branch
 // quarantines by NOT repooling.
 func quarantineOnPanic(p *pool.ScratchPool) {

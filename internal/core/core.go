@@ -6,8 +6,8 @@
 // directed cycle of length in [MinLen, K] of the input graph; BUR+ and the
 // whole top-down family additionally guarantee minimality (no cover vertex
 // can be dropped). The core cover loops are sequential, as in the paper;
-// the SCC-partitioned solver (parallel.go) and the TDB++ BFS-filter
-// prepass (prepass.go) parallelize around them without changing covers.
+// the SCC-partitioned solver (parallel.go) runs them on independent
+// components in parallel without changing covers.
 package core
 
 import (
@@ -124,18 +124,6 @@ type Options struct {
 	// candidacy (such vertices lie on no cycle of any length). This is an
 	// extension over the paper; see DESIGN.md.
 	SCCPrefilter bool
-	// PrepassWorkers enables the parallel BFS-filter prepass for
-	// TDBPlusPlus: before the sequential top-down loop, that many workers
-	// (each with its own scratch and prefix mask) run the BFS-filter over
-	// all candidates and pre-resolve every one it prunes, producing the
-	// identical cover. Soundness: each candidate is queried on a superset
-	// of the working graph the loop would query it on, and "no constrained
-	// cycle through v" is inherited by subgraphs (see prepass.go). This is
-	// the speedup for graphs that are one giant SCC, where ComputeParallel
-	// gains nothing. 0 disables the prepass (the paper's sequential
-	// behavior); a negative value selects GOMAXPROCS. Ignored by every
-	// other algorithm.
-	PrepassWorkers int
 	// Context, when non-nil, carries cancellation and deadline for the
 	// run: it is polled between candidate steps — and additionally inside
 	// the exponential-worst-case DFS of the plain detector (TDB, BUR) and
@@ -208,19 +196,15 @@ type Stats struct {
 	Checked int64
 	// SCCSkipped counts candidates exempted by the SCC prefilter.
 	SCCSkipped int64
-	// FilterPruned counts candidates the BFS-filter resolved inside the
-	// sequential loop (TDB++). Since the batched filter these prunes are
-	// proven in word-wide sweeps ahead of the per-candidate steps;
-	// Detector.Batches counts the sweeps.
+	// FilterPruned counts candidates the scalar BFS-filter (Alg. 11)
+	// proved unnecessary on the exact working graph G0+v (TDB++); the
+	// other checked candidates went to the block detector.
 	FilterPruned int64
-	// FilterBatchWidth is the lane width the bit-parallel batched BFS
-	// filter ran at: cycle.BatchWidth (64) when the run swept at least one
-	// batch (Detector.Batches > 0), 0 otherwise. Each sweep answered up to
-	// this many per-vertex pruning queries at once.
+	// FilterBatchWidth is always 0: no solve runs the bit-parallel batched
+	// filter any more. Kept so existing readers of the field still compile.
 	FilterBatchWidth int
-	// PrepassResolved counts candidates the parallel full-graph BFS-filter
-	// prepass resolved before the sequential loop (TDB++ with
-	// Options.PrepassWorkers != 0).
+	// PrepassResolved is always 0: TDB++ has no prepass any more. Kept so
+	// existing readers of the field still compile.
 	PrepassResolved int64
 	// CyclesHit counts cycles discovered while building the cover (BUR).
 	CyclesHit int64
@@ -242,7 +226,7 @@ type Stats struct {
 	StopReason string
 
 	// Strategy names the execution strategy the planning layer selected
-	// for this run ("sequential", "scc-parallel", "prepass"); empty when
+	// for this run ("sequential" or "scc-parallel"); empty when
 	// Compute, ComputeParallel or TopDownEdges ran directly, below the
 	// planner.
 	Strategy string
@@ -316,7 +300,7 @@ func compute(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 	case BURPlus:
 		r = bottomUp(g, opts, true, rs)
 	case TDB, TDBPlus, TDBPlusPlus:
-		r, err = topDown(g, algo, opts, rs)
+		r = topDown(g, algo, opts, rs)
 	case DARCDV:
 		r, err = darcDV(g, opts)
 	default:

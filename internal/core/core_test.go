@@ -18,6 +18,20 @@ func g(n int, pairs ...VID) *digraph.Graph {
 	return b.Build()
 }
 
+// randomGraph builds a random digraph with n vertices and ~m edges.
+func randomGraph(n, m int, seed uint64) *digraph.Graph {
+	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
+	b := digraph.NewBuilder(n)
+	for i := 0; i < m; i++ {
+		u := VID(rng.IntN(n))
+		v := VID(rng.IntN(n))
+		if u != v {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
+}
+
 func mustCompute(t *testing.T, gr *digraph.Graph, a Algorithm, opts Options) *Result {
 	t.Helper()
 	r, err := Compute(gr, a, opts)

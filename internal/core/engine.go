@@ -2,18 +2,12 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
 	"tdb/internal/scc"
 )
-
-// rankExcluded marks vertices outside the batched in-loop filter graph
-// (cover vertices, unreached candidates); working-graph members rank 0 and
-// the current filter window counts up from 1 (see topDown).
-const rankExcluded = math.MaxInt32
 
 // Engine computes covers over one fixed graph while pooling all working
 // state — the detectors' epoch-mark/stamp tables, the BFS-filter queues,
@@ -33,8 +27,8 @@ type Engine struct {
 	// run-level scratch (mask + order buffer + detector scratch), one per
 	// concurrent sequential run.
 	runPool sync.Pool
-	// detector-level scratch for prepass and parallel workers, which need
-	// many scratches per run.
+	// detector-level scratch for the cycle queries (FindCycle,
+	// HasHopConstrainedCycle).
 	cycPool *cycle.ScratchPool
 	// Strategy planning inspects the SCC condensation; the graph is fixed,
 	// so the engine computes the decomposition and its non-trivial
@@ -70,7 +64,6 @@ func (e *Engine) Compute(ctx context.Context, algo Algorithm, opts Options) (*Re
 		return nil, err
 	}
 	rs := e.runPool.Get().(*runScratch)
-	rs.cycPool = e.cycPool
 	// Deliberately NOT a deferred Put: if compute panics out of this frame
 	// (caller-supplied callbacks, or a bug the pool recovery above this layer
 	// contains), the scratch was abandoned mid-traversal and may hold
@@ -147,18 +140,9 @@ type runScratch struct {
 	active *digraph.VertexMask // working-graph overlay (mask fallback; lazy)
 	// view is the compacted active-adjacency working graph (lazy; pooled
 	// across runs so steady-state engine covers stay allocation-free).
-	view     *digraph.ActiveAdjacency
-	ids      []VID   // candidate-order buffer
-	h        []int64 // BUR hit counters (lazy)
-	resolved []bool  // prepass/batch-filter result buffer (lazy)
-	pos      []int32 // prepass order-position index (lazy)
-	frank    []int32 // batched in-loop filter rank array (lazy)
-	// bpf is the pooled batched in-loop filter, re-targeted per run so the
-	// steady-state engine cover does not allocate it.
-	bpf cycle.BatchPrefixFilter
-	// cycPool, when non-nil, supplies per-worker detector scratch for the
-	// prepass (set by Engine; nil on the one-shot path).
-	cycPool *cycle.ScratchPool
+	view *digraph.ActiveAdjacency
+	ids  []VID   // candidate-order buffer
+	h    []int64 // BUR hit counters (lazy)
 }
 
 func newRunScratch(n int) *runScratch {
@@ -215,39 +199,4 @@ func (rs *runScratch) hitCounters(n int) []int64 {
 		clear(rs.h)
 	}
 	return rs.h
-}
-
-// resolvedBuf returns the zeroed prepass result buffer.
-func (rs *runScratch) resolvedBuf(n int) []bool {
-	if rs.resolved == nil {
-		rs.resolved = make([]bool, n)
-	} else {
-		clear(rs.resolved)
-	}
-	return rs.resolved
-}
-
-// posBuf returns the prepass position buffer (fully overwritten by the
-// caller, so no clearing is needed).
-func (rs *runScratch) posBuf(n int) []int32 {
-	if rs.pos == nil {
-		rs.pos = make([]int32, n)
-	}
-	return rs.pos
-}
-
-// filterRankBuf returns the rank array of the batched in-loop BFS filter,
-// reset to all-excluded. It is deliberately separate from the run's
-// working-graph representation: the filter queries a window of candidates
-// AHEAD of the per-candidate loop, and admitting the window through these
-// O(1)-toggle ranks keeps the view — and with it every detector query —
-// bit-exactly on the sequential working graph (see topDown).
-func (rs *runScratch) filterRankBuf(n int) []int32 {
-	if rs.frank == nil {
-		rs.frank = make([]int32, n)
-	}
-	for i := range rs.frank {
-		rs.frank[i] = rankExcluded
-	}
-	return rs.frank
 }

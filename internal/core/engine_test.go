@@ -136,18 +136,3 @@ func TestComputeParallelTimeoutCoverStillValid(t *testing.T) {
 		t.Fatalf("timed-out parallel cover leaves cycle %v uncovered", witness)
 	}
 }
-
-// TestCancellationPrepass: cancellation observed during the prepass leaves
-// a sound (TimedOut-marked) partial result rather than hanging workers.
-func TestCancellationPrepass(t *testing.T) {
-	gr := gen.SmallWorld(500, 2, 0.3, 17)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r, err := Compute(gr, TDBPlusPlus, Options{K: 5, PrepassWorkers: 4, Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Stats.TimedOut {
-		t.Fatal("cancelled prepass run did not mark TimedOut")
-	}
-}

@@ -24,10 +24,9 @@ import (
 // This is an extension over the paper (which is single-threaded): it helps
 // exactly when the cyclic part of the graph splits into many components
 // (program-analysis and circuit workloads often do). A graph that is one
-// giant SCC gains nothing from the decomposition; the intra-SCC BFS-filter
-// prepass (Options.PrepassWorkers) parallelizes inside one component
-// instead, and the planner selects neither for that shape on its own. The
-// two compose, each component run inheriting the caller's options.
+// giant SCC gains nothing from the decomposition, and the planner runs the
+// sequential loop on it instead. Each component run inherits the caller's
+// options.
 //
 // Options.Context is polled by every worker; a timeout marks the whole
 // result. workers <= 0 selects GOMAXPROCS. Engine.Solve with
@@ -179,10 +178,6 @@ func computeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers 
 					}
 					r.Stats.Checked += res.Stats.Checked
 					r.Stats.FilterPruned += res.Stats.FilterPruned
-					if res.Stats.FilterBatchWidth > r.Stats.FilterBatchWidth {
-						r.Stats.FilterBatchWidth = res.Stats.FilterBatchWidth
-					}
-					r.Stats.PrepassResolved += res.Stats.PrepassResolved
 					r.Stats.CyclesHit += res.Stats.CyclesHit
 					r.Stats.PruneRemoved += res.Stats.PruneRemoved
 					r.Stats.Detector.Add(res.Stats.Detector)

@@ -176,24 +176,6 @@ func panicOnce(v any) func() {
 	}
 }
 
-func TestPrepassWorkerPanicIsolated(t *testing.T) {
-	gr := gen.ErdosRenyi(3000, 12000, 13)
-	disarm := fault.Arm("core/prepass-worker", panicOnce("injected prepass panic"))
-	defer disarm()
-	_, err := Compute(gr, TDBPlusPlus, Options{K: 6, PrepassWorkers: 4})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err=%v, want a *PanicError", err)
-	}
-	if pe.Value != "injected prepass panic" || len(pe.Stack) == 0 {
-		t.Fatalf("PanicError lost the original panic: value=%v stackLen=%d", pe.Value, len(pe.Stack))
-	}
-	disarm()
-	// The pool must be healthy afterwards: same solve, correct cover.
-	r := mustCompute(t, gr, TDBPlusPlus, Options{K: 6, PrepassWorkers: 4})
-	checkCover(t, gr, TDBPlusPlus, Options{K: 6}, r)
-}
-
 func TestParallelWorkerPanicIsolated(t *testing.T) {
 	gr := gen.Communities(12, 30, 0.2, 0.002, 9)
 	disarm := fault.Arm("core/parallel-worker", panicOnce("injected component panic"))

@@ -13,8 +13,8 @@ import (
 // The top-down family only asks order-independent questions of the working
 // graph (cycle existence, shortest-closed-walk length), so switching the
 // representation from the []bool mask to the compacted active-adjacency
-// view must leave its covers bit-identical — across k, the SCC prefilter,
-// and the parallel prepass. See DESIGN.md §7.
+// view must leave its covers bit-identical — across k and the SCC
+// prefilter. See DESIGN.md §7.
 func TestViewMatchesMaskTopDown(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 7))
 	for trial := 0; trial < 4; trial++ {
@@ -22,22 +22,16 @@ func TestViewMatchesMaskTopDown(t *testing.T) {
 		for _, k := range []int{3, 5, 8} {
 			for _, sccPre := range []bool{false, true} {
 				for _, a := range []Algorithm{TDB, TDBPlus, TDBPlusPlus} {
-					workers := []int{0}
-					if a == TDBPlusPlus {
-						workers = []int{0, 4}
+					opts := Options{K: k, SCCPrefilter: sccPre}
+					maskOpts := opts
+					maskOpts.maskWorkingGraph = true
+					rv := mustCompute(t, gr, a, opts)
+					rm := mustCompute(t, gr, a, maskOpts)
+					if !slices.Equal(rv.Cover, rm.Cover) {
+						t.Fatalf("%v k=%d scc=%v: view cover %v != mask cover %v",
+							a, k, sccPre, rv.Cover, rm.Cover)
 					}
-					for _, w := range workers {
-						opts := Options{K: k, SCCPrefilter: sccPre, PrepassWorkers: w}
-						maskOpts := opts
-						maskOpts.maskWorkingGraph = true
-						rv := mustCompute(t, gr, a, opts)
-						rm := mustCompute(t, gr, a, maskOpts)
-						if !slices.Equal(rv.Cover, rm.Cover) {
-							t.Fatalf("%v k=%d scc=%v workers=%d: view cover %v != mask cover %v",
-								a, k, sccPre, w, rv.Cover, rm.Cover)
-						}
-						checkCover(t, gr, a, opts, rv)
-					}
+					checkCover(t, gr, a, opts, rv)
 				}
 			}
 		}
@@ -138,36 +132,6 @@ func TestTimedOutCoverSkipsNonCandidates(t *testing.T) {
 		if ok, witness := verify.IsValid(gr, 5, 3, r.Cover); !ok {
 			t.Fatalf("%v: timed-out cover %v invalid, surviving cycle %v", a, r.Cover, witness)
 		}
-	}
-}
-
-// The same soundness argument covers prepass-resolved vertices: a cycle
-// through one would lie inside its prefix graph (refuted by the prepass) or
-// pass through a later unprocessed candidate kept in the cover. A timeout
-// firing after the prepass must not re-add resolved vertices.
-func TestTimedOutCoverSkipsPrepassResolved(t *testing.T) {
-	// Triangle 0-1-2 plus an acyclic tail. With natural order, the prepass
-	// resolves every vertex except 2 (the first whose prefix graph closes
-	// the triangle). Two workers: a single-worker request skips the prepass
-	// entirely (it cannot beat the sequential loop; see topDown).
-	gr := g(10, 0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9)
-	opts := Options{
-		K:              5,
-		PrepassWorkers: 2,
-		// The prepass polls once (one chunk covers all 10 vertices, and the
-		// worker whose claim is beyond n breaks before polling); every later
-		// poll — the sequential loop — times out.
-		Context: cancelAfter(1),
-	}
-	r := mustComputeTimedOut(t, gr, TDBPlusPlus, opts)
-	if r.Stats.PrepassResolved == 0 {
-		t.Fatal("prepass resolved nothing; the test graph no longer exercises the resolved branch")
-	}
-	if len(r.Cover) != 1 || r.Cover[0] != 2 {
-		t.Fatalf("timed-out cover %v, want only the unresolved vertex [2]", r.Cover)
-	}
-	if ok, witness := verify.IsValid(gr, 5, 3, r.Cover); !ok {
-		t.Fatalf("timed-out cover %v invalid, surviving cycle %v", r.Cover, witness)
 	}
 }
 

@@ -325,262 +325,3 @@ func (f *BatchBFSFilter) pruneWord(sources []VID, pruned []bool) {
 	reachedB.ClearList(touched)
 	f.s.touched = touched[:0]
 }
-
-// BatchPrefixFilter is BatchBFSFilter specialized to PREFIX subgraphs of a
-// fixed candidate order, the batched counterpart of PrefixFilter: lane i
-// runs on the subgraph induced by {v : pos[v] <= pos[sources[i]]} — each
-// source's OWN prefix, exactly the graph the scalar prepass queried it on,
-// so batching changes neither the resolution set nor any downstream cover.
-// Like BatchBFSFilter it runs each group of up to BatchWidth sources in one
-// 64-lane word.
-//
-// Per-lane prefixes cost one extra trick: sources must arrive in ascending
-// position order (the candidate-order scan produces exactly that), which
-// makes the lanes eligible to settle a vertex w — those with
-// pos[source] >= pos[w] — a SUFFIX of the group, found by a short binary
-// search over the group's source positions once per consolidated vertex and
-// applied as one AND.
-//
-// As with PrefixFilter vs BFSFilter, the sweep body duplicates
-// BatchBFSFilter's rather than sharing a predicate-parameterized helper:
-// the membership test sits in the hottest loop of the whole cover
-// computation, and an indirect call there is measurable. The copies are
-// pinned together by the bitfilter property tests; change them in lockstep.
-type BatchPrefixFilter struct {
-	g   digraph.Adjacency
-	k   int
-	pos []int32 // pos[v] = rank of v in the candidate order
-
-	srcPos [BatchWidth]int32 // positions of the current group's sources
-
-	s *Scratch // lane group: settlement maps, frontiers, touched
-
-	Stats Stats
-}
-
-// NewBatchPrefixFilterWith creates a batched prefix filter for hop
-// constraint k over the order described by pos, borrowing the lane buffers
-// from s (nil allocates fresh scratch). The pos slice is retained; it must
-// not change during a CanPruneBatch call, but a single-goroutine owner may
-// rewrite entries between calls (the top-down loop tracks its working graph
-// that way). Concurrent filters may share one pos array as long as nobody
-// writes it (the prepass does).
-func NewBatchPrefixFilterWith(g digraph.Adjacency, k int, pos []int32, s *Scratch) *BatchPrefixFilter {
-	f := &BatchPrefixFilter{}
-	f.Reinit(g, k, pos, s)
-	return f
-}
-
-// Reinit re-targets a (possibly pooled) filter in place — the effect of
-// NewBatchPrefixFilterWith without the allocation. Stats restart at zero.
-func (f *BatchPrefixFilter) Reinit(g digraph.Adjacency, k int, pos []int32, s *Scratch) {
-	if len(pos) != g.NumVertices() {
-		panic("cycle: BatchPrefixFilter pos length mismatch")
-	}
-	if k < 2 {
-		panic("cycle: BatchPrefixFilter needs k >= 2")
-	}
-	*f = BatchPrefixFilter{
-		g: g, k: k, pos: pos,
-		s: checkScratch(s, g.NumVertices()),
-	}
-}
-
-// CanPruneBatch sets pruned[i] to PrefixFilter.CanPrune(sources[i],
-// pos[sources[i]]) for every source: each lane runs on its own source's
-// prefix subgraph. Sources must be ordered by ascending position (the
-// candidate-order scan produces exactly that); batches wider than
-// BatchWidth are processed in consecutive 64-lane groups.
-func (f *BatchPrefixFilter) CanPruneBatch(sources []VID, pruned []bool) {
-	if len(sources) != len(pruned) {
-		panic("cycle: BatchPrefixFilter sources/pruned length mismatch")
-	}
-	for len(sources) > BatchWidth {
-		f.pruneWord(sources[:BatchWidth], pruned[:BatchWidth])
-		sources, pruned = sources[BatchWidth:], pruned[BatchWidth:]
-	}
-	if len(sources) > 0 {
-		f.pruneWord(sources, pruned)
-	}
-}
-
-// eligibleFrom returns the lane set allowed to settle a vertex at position
-// p — those with srcPos >= p, a suffix of the word since srcPos is
-// ascending, found by binary search.
-func eligibleFrom(srcPos []int32, p int32) uint64 {
-	lo, hi := 0, len(srcPos)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if srcPos[mid] >= p {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo >= BatchWidth {
-		return 0
-	}
-	return ^uint64(0) << uint(lo)
-}
-
-// pruneWord answers one group of at most BatchWidth sources. The body
-// mirrors BatchBFSFilter.pruneWord with per-lane prefix membership
-// pos[w] <= pos[source] enforced at consolidation.
-func (f *BatchPrefixFilter) pruneWord(sources []VID, pruned []bool) {
-	f.Stats.Batches++
-	f.Stats.Queries += int64(len(sources))
-	ls := f.s.laneState()
-	reachedF, reachedB := ls.reachedF, ls.reachedB
-	curF, nextF, curB, nextB := ls.frontiers[0], ls.frontiers[1], ls.frontiers[2], ls.frontiers[3]
-	touched := f.s.touched[:0]
-	var edgeScans int64
-
-	srcPos := f.srcPos[:len(sources)]
-	var alive uint64
-	for i, src := range sources {
-		pruned[i] = false
-		p := f.pos[src]
-		if i > 0 && p < srcPos[i-1] {
-			panic("cycle: BatchPrefixFilter sources not in ascending position order")
-		}
-		srcPos[i] = p
-		bit := uint64(1) << uint(i)
-		alive |= bit
-		if reachedF.Words[src] == 0 && reachedB.Words[src] == 0 {
-			touched = append(touched, src)
-		}
-		reachedF.Words[src] |= bit
-		reachedB.Words[src] |= bit
-		curF.Push(src, bit)
-		curB.Push(src, bit)
-	}
-	// Vertices beyond the widest lane's prefix are ineligible for EVERY
-	// lane; one compare against this bound keeps them out of the scatter
-	// entirely (the per-lane suffix masks then refine at consolidation).
-	maxLimit := srcPos[len(srcPos)-1]
-
-	bmax := f.k / 2
-	fmax := f.k - bmax
-	fdist, bdist := 0, 0
-	for alive != 0 {
-		back := bdist < bmax && curB.Len() > 0 &&
-			(fdist >= fmax || curF.Len() == 0 || curB.Len() <= curF.Len())
-		if !back && (fdist >= fmax || curF.Len() == 0) {
-			break
-		}
-		var cur, next *digraph.LaneFrontier
-		var settled, marks *digraph.LaneBits
-		if back {
-			bdist++
-			cur, next, settled, marks = curB, nextB, reachedB, reachedF
-		} else {
-			fdist++
-			cur, next, settled, marks = curF, nextF, reachedF, reachedB
-		}
-
-		for _, u := range cur.Verts {
-			lanes := cur.Bits.Words[u] & alive
-			if lanes == 0 {
-				continue
-			}
-			var row []VID
-			if back {
-				row = f.g.In(u)
-			} else {
-				row = f.g.Out(u)
-			}
-			edgeScans += int64(len(row))
-			for _, w := range row {
-				// Self-loops never extend a walk (see BatchBFSFilter).
-				if w == u || f.pos[w] > maxLimit {
-					continue
-				}
-				// Mid-row meet test; the opposite side's settlements are
-				// already eligibility-filtered, so no mask is needed here.
-				if h := lanes & marks.Words[w]; h != 0 {
-					alive &^= h
-					lanes &^= h
-					if lanes == 0 {
-						break
-					}
-				}
-				if next.Bits.Words[w] == 0 {
-					next.Verts = append(next.Verts, w)
-				}
-				next.Bits.Words[w] |= lanes
-			}
-			if alive == 0 {
-				break
-			}
-		}
-
-		kept := next.Verts[:0]
-		var got uint64
-		minLimit := srcPos[0]
-		for _, w := range next.Verts {
-			pend := next.Bits.Words[w]
-			next.Bits.Words[w] = 0
-			add := pend & alive &^ settled.Words[w]
-			// Vertices below the narrowest lane's prefix (the bulk of the
-			// prefix graph) are eligible for every lane; only the window
-			// between the group's limits needs the suffix search.
-			if p := f.pos[w]; p > minLimit {
-				add &= eligibleFrom(srcPos, p)
-			}
-			if add == 0 {
-				continue
-			}
-			if h := add & marks.Words[w]; h != 0 {
-				alive &^= h
-				add &^= h
-				if add == 0 {
-					continue
-				}
-			}
-			if settled.Words[w] == 0 && marks.Words[w] == 0 {
-				touched = append(touched, w)
-			}
-			settled.Words[w] |= add
-			got |= add
-			if !back {
-				f.Stats.BFSVisited += int64(bits.OnesCount64(add))
-			}
-			next.Bits.Words[w] = add
-			kept = append(kept, w)
-		}
-		next.Verts = kept
-		cur.Clear()
-		if back {
-			curB, nextB = next, cur
-		} else {
-			curF, nextF = next, cur
-		}
-
-		if back && bdist == 1 {
-			for i := range sources {
-				bit := uint64(1) << uint(i)
-				if alive&bit != 0 && got&bit == 0 {
-					alive &^= bit
-					pruned[i] = true
-					f.Stats.BFSPruned++
-				}
-			}
-		}
-	}
-	f.Stats.EdgeScans += edgeScans
-
-	for i := range sources {
-		if alive&(uint64(1)<<uint(i)) != 0 {
-			pruned[i] = true
-			f.Stats.BFSPruned++
-		}
-	}
-
-	curF.Clear()
-	nextF.Clear()
-	curB.Clear()
-	nextB.Clear()
-	reachedF.ClearList(touched)
-	reachedB.ClearList(touched)
-	f.s.touched = touched[:0]
-}

@@ -3,7 +3,6 @@ package cycle
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"tdb/internal/digraph"
@@ -116,65 +115,21 @@ func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchPrefixFilterMatchesScalar pins the batched prefix filter to the
-// scalar PrefixFilter: for sources in ascending position order, each lane's
-// answer must equal CanPrune(source, pos[source]) — the exact per-lane
-// prefix, not a shared widened one.
-func TestBatchPrefixFilterMatchesScalar(t *testing.T) {
-	for _, seed := range []uint64{4, 5} {
-		g := bfRandomGraph(200, 800, seed)
-		if seed == 5 { // one corpus entry with self-loops kept
-			g = bfSelfLoopGraph(200, 800, seed)
-		}
-		n := g.NumVertices()
-		for _, k := range []int{3, 5, 8} {
-			t.Run(fmt.Sprintf("seed=%d/k=%d", seed, k), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(seed, uint64(k)))
-				// Random candidate order.
-				order := rng.Perm(n)
-				pos := make([]int32, n)
-				for p, v := range order {
-					pos[v] = int32(p)
-				}
-				sc := NewScratch(n)
-				scalar := NewPrefixFilterWith(g, k, pos, sc)
-				batch := NewBatchPrefixFilterWith(g, k, pos, sc)
-				for _, size := range []int{1, 7, 64, 200} {
-					// Sources = a random ascending slice of the order.
-					start := rng.IntN(n)
-					src := make([]VID, 0, size)
-					for p := start; p < n && len(src) < size; p += 1 + rng.IntN(3) {
-						src = append(src, VID(order[p]))
-					}
-					got := make([]bool, len(src))
-					batch.CanPruneBatch(src, got)
-					for i, s := range src {
-						want := scalar.CanPrune(s, pos[s])
-						if got[i] != want {
-							t.Fatalf("size %d lane %d source %d: batch pruned=%v, scalar pruned=%v",
-								size, i, s, got[i], want)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestBatchFilterScratchReuse runs mask and prefix batches back to back on
-// one shared scratch to catch cross-batch contamination of the lane group.
+// TestBatchFilterScratchReuse runs whole-graph and masked batches back to
+// back on one shared scratch to catch cross-batch contamination of the lane
+// group.
 func TestBatchFilterScratchReuse(t *testing.T) {
 	g := bfRandomGraph(120, 500, 9)
 	n := g.NumVertices()
 	sc := NewScratch(n)
+	active := make([]bool, n)
+	for v := range active {
+		active[v] = v%4 != 0
+	}
 	scalar := NewBFSFilter(g, 5, nil)
 	batch := NewBatchBFSFilterWith(g, 5, nil, sc)
-	pos := make([]int32, n)
-	for v := range pos {
-		pos[v] = int32(v) // natural order
-	}
-	scalarPrefix := NewPrefixFilterWith(g, 5, pos, nil)
-	batchPrefix := NewBatchPrefixFilterWith(g, 5, pos, sc)
+	scalarMasked := NewBFSFilter(g, 5, active)
+	batchMasked := NewBatchBFSFilterWith(g, 5, active, sc)
 
 	src := make([]VID, n)
 	for v := range src {
@@ -188,10 +143,10 @@ func TestBatchFilterScratchReuse(t *testing.T) {
 				t.Fatalf("round %d full-graph source %d: batch=%v scalar=%v", round, v, p, want)
 			}
 		}
-		batchPrefix.CanPruneBatch(src, got)
+		batchMasked.CanPruneBatch(src, got)
 		for v, p := range got {
-			if want := scalarPrefix.CanPrune(VID(v), pos[v]); p != want {
-				t.Fatalf("round %d prefix source %d: batch=%v scalar=%v", round, v, p, want)
+			if want := scalarMasked.CanPrune(VID(v)); p != want {
+				t.Fatalf("round %d masked source %d: batch=%v scalar=%v", round, v, p, want)
 			}
 		}
 	}
@@ -301,61 +256,23 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 	}
 }
 
-// TestBatchPrefixFilterWidthSweep is TestBatchBFSFilterWidthSweep for the
-// prefix filter: every batch width must reproduce the scalar per-lane
-// prefix answers, with each 64-lane group taking its suffix eligibility
-// masks from its own slice of source positions.
-func TestBatchPrefixFilterWidthSweep(t *testing.T) {
-	g := bfRandomGraph(700, 2800, 13)
-	n := g.NumVertices()
-	for _, k := range []int{3, 5, 8} {
-		for _, size := range sweepWidths {
-			t.Run(fmt.Sprintf("k=%d/W=%d", k, size), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(uint64(k), uint64(size)))
-				order := rng.Perm(n)
-				pos := make([]int32, n)
-				for p, v := range order {
-					pos[v] = int32(p)
-				}
-				sc := NewScratch(n)
-				scalar := NewPrefixFilterWith(g, k, pos, sc)
-				batch := NewBatchPrefixFilterWith(g, k, pos, sc)
-				// size distinct positions in ascending order.
-				ps := rng.Perm(n)[:size]
-				slices.Sort(ps)
-				src := make([]VID, size)
-				for i, p := range ps {
-					src[i] = VID(order[p])
-				}
-				got := make([]bool, len(src))
-				batch.CanPruneBatch(src, got)
-				for i, s := range src {
-					if want := scalar.CanPrune(s, pos[s]); got[i] != want {
-						t.Fatalf("lane %d source %d: batch pruned=%v, scalar pruned=%v", i, s, got[i], want)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestBatchFilterMixedWidthScratchReuse alternates BatchBFSFilter and
-// BatchPrefixFilter batches of mixed widths on one shared Scratch — the
-// engine pool's sharing pattern, where a pooled scratch serves
-// HasHopConstrainedCycle sweeps and prefix-filtered solves in turn. Each
-// batch must leave the lane buffers clean for the other filter.
+// TestBatchFilterMixedWidthScratchReuse alternates whole-graph and masked
+// BatchBFSFilter batches of mixed widths on one shared Scratch — the engine
+// pool's sharing pattern, where a pooled scratch serves
+// HasHopConstrainedCycle sweeps over different graphs in turn. Each batch
+// must leave the lane buffers clean for the other filter.
 func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 	g := bfRandomGraph(640, 2600, 14)
 	n := g.NumVertices()
 	sc := NewScratch(n)
-	pos := make([]int32, n)
-	for v := range pos {
-		pos[v] = int32(v) // natural order
+	active := make([]bool, n)
+	for v := range active {
+		active[v] = v%3 != 1
 	}
 	scalar := NewBFSFilter(g, 5, nil)
-	scalarPrefix := NewPrefixFilterWith(g, 5, pos, nil)
+	scalarMasked := NewBFSFilter(g, 5, active)
 	batch := NewBatchBFSFilterWith(g, 5, nil, sc)
-	batchPrefix := NewBatchPrefixFilterWith(g, 5, pos, sc)
+	batchMasked := NewBatchBFSFilterWith(g, 5, active, sc)
 	got := make([]bool, n)
 	for round, w := range []int{n, 64, 200, n, 65, 1} {
 		lo := (round * 97) % (n - w + 1)
@@ -369,10 +286,10 @@ func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 				t.Fatalf("round %d (W=%d) BFS source %d: batch=%v scalar=%v", round, w, v, got[i], want)
 			}
 		}
-		batchPrefix.CanPruneBatch(src, got[:w])
+		batchMasked.CanPruneBatch(src, got[:w])
 		for i, v := range src {
-			if want := scalarPrefix.CanPrune(v, pos[v]); got[i] != want {
-				t.Fatalf("round %d (W=%d) prefix source %d: batch=%v scalar=%v", round, w, v, got[i], want)
+			if want := scalarMasked.CanPrune(v); got[i] != want {
+				t.Fatalf("round %d (W=%d) masked source %d: batch=%v scalar=%v", round, w, v, got[i], want)
 			}
 		}
 	}

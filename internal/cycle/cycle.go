@@ -8,11 +8,13 @@
 //     block/barrier-based detector with O(k*m) worst-case time per query,
 //     used by TDB+ and TDB++.
 //   - BFSFilter: the paper's BFS-filter (Alg. 11), a linear-time test that
-//     soundly proves the absence of any constrained cycle through a vertex.
-//   - BatchBFSFilter / BatchPrefixFilter: the bit-parallel batched form of
-//     the BFS-filter — up to 64 sources packed into one uint64 lane word,
-//     answered by a single level-synchronous sweep (the cover algorithms'
-//     default pruning path).
+//     soundly proves the absence of any constrained cycle through a vertex;
+//     TDB++ runs it on every candidate before the block detector.
+//   - BatchBFSFilter: the bit-parallel batched form of the BFS-filter — up
+//     to 64 sources packed into one uint64 lane word, answered by a single
+//     level-synchronous sweep. It serves the whole-graph sweeps that know
+//     all their sources up front: the streaming maintainer's ApplyBatch and
+//     HasHopConstrainedCycle.
 //   - Enumerator: a bounded enumeration of all constrained cycles, used as a
 //     test oracle and by the DARC baseline.
 //
@@ -47,8 +49,7 @@ const DefaultMinLen = 3
 // Stats aggregates work counters across detector queries. Counters are
 // plain ints — NOT atomics — under a single-writer discipline: each
 // detector or filter instance is owned by one goroutine and counts into its
-// own Stats, and parallel callers (the TDB++ prepass, the SCC-partitioned
-// solver) merge the per-worker values into the run's aggregate with Add
+// own Stats, and parallel callers (the SCC-partitioned solver) merge the per-worker values into the run's aggregate with Add
 // under their own synchronization (a mutex around the merge, or a
 // post-Wait fold). Never share one Stats value between concurrently
 // querying instances.

@@ -18,15 +18,15 @@ import (
 //   - the DFS group (onPath, blocked, stamp, path, plus seedQ, the queue of
 //     BlockDetector's backward distance seed), used by PlainDetector,
 //     BlockDetector and Enumerator;
-//   - the BFS group (visited, inNbr, queue, nextQ), used by BFSFilter and
-//     PrefixFilter;
+//   - the BFS group (visited, inNbr, queue, nextQ), used by BFSFilter;
 //   - the lane group (settlement maps plus cur/next frontiers per
-//     direction), used by BatchBFSFilter and BatchPrefixFilter; allocated
-//     lazily on first use, so scalar-only workloads never pay for it.
+//     direction), used by BatchBFSFilter; allocated lazily on first use, so
+//     scalar-only workloads never pay for it.
 //
 // One Scratch may therefore back at most ONE component of each group at a
-// time — e.g. a BlockDetector plus a BatchBFSFilter, the exact pair the
-// top-down cover interleaves — but never two detectors, or a detector and
+// time — e.g. a BlockDetector plus a BFSFilter, the pair the top-down cover
+// interleaves, or a BlockDetector plus a BatchBFSFilter, the pair
+// HasHopConstrainedCycle interleaves — but never two detectors, or a detector and
 // an enumerator, concurrently. Scratch is not safe for concurrent use; give
 // each worker its own (see ScratchPool).
 type Scratch struct {

@@ -23,11 +23,6 @@ const (
 	// (core/parallel.go).
 	SiteCoreParallelWorker Site = "core/parallel-worker"
 
-	// SiteCorePrepassWorker fires per claimed chunk in the TDB++ prepass
-	// worker pool, inside the defer that quarantines the worker's scratch
-	// on panic (core/prepass.go).
-	SiteCorePrepassWorker Site = "core/prepass-worker"
-
 	// SiteDynamicApplyBatch fires at the head of Maintainer.ApplyBatch,
 	// under the server writer's rollback-and-replay containment
 	// (dynamic/batch.go).
@@ -65,7 +60,6 @@ func Sites() []Site {
 	return []Site{
 		SiteCoreCompute,
 		SiteCoreParallelWorker,
-		SiteCorePrepassWorker,
 		SiteDynamicApplyBatch,
 		SiteServerReader,
 		SiteWALAppend,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -13,14 +12,11 @@ import (
 
 // solveLabels is one per-solve execution profile: the dimensions a
 // dashboard slices solve traffic by. All values come out of core.Stats, so
-// the cardinality is tiny and bounded (a handful of strategies × two
-// filter tiers × the storage backends in use; the batch width follows the
-// tier: 0 scalar, 64 batched).
+// the cardinality is tiny and bounded (the strategies × the storage
+// backends in use).
 type solveLabels struct {
-	strategy   string // execution strategy the planner selected
-	filterTier string // "batched" (bit-parallel sweeps ran) or "scalar"
-	batchWidth int    // lane width the batched filter ran at (0 scalar)
-	storage    string // adjacency backend ("memory", "mapped", ...)
+	strategy string // execution strategy the planner selected
+	storage  string // adjacency backend ("memory", "mapped", ...)
 }
 
 // solveSeries accumulates per-profile solve counts. A mutex-guarded map
@@ -33,15 +29,7 @@ type solveSeries struct {
 
 // observe records one completed solve's execution profile.
 func (ss *solveSeries) observe(st *core.Stats) {
-	l := solveLabels{
-		strategy:   st.Strategy,
-		filterTier: "scalar",
-		batchWidth: st.FilterBatchWidth,
-		storage:    st.Storage,
-	}
-	if st.FilterBatchWidth > 0 {
-		l.filterTier = "batched"
-	}
+	l := solveLabels{strategy: st.Strategy, storage: st.Storage}
 	ss.mu.Lock()
 	if ss.counts == nil {
 		ss.counts = make(map[solveLabels]int64)
@@ -54,12 +42,12 @@ func (ss *solveSeries) observe(st *core.Stats) {
 // so consecutive scrapes are byte-stable.
 func (ss *solveSeries) write(b *strings.Builder) {
 	const name = "tdbserve_solves_total"
-	fmt.Fprintf(b, "# HELP %s Completed solves by strategy, filter tier, batch width and storage backend.\n# TYPE %s counter\n", name, name)
+	fmt.Fprintf(b, "# HELP %s Completed solves by strategy and storage backend.\n# TYPE %s counter\n", name, name)
 	ss.mu.Lock()
 	lines := make([]string, 0, len(ss.counts))
 	for l, v := range ss.counts {
-		lines = append(lines, fmt.Sprintf("%s{strategy=%q,filter_tier=%q,batch_width=%q,storage=%q} %d",
-			name, l.strategy, l.filterTier, strconv.Itoa(l.batchWidth), l.storage, v))
+		lines = append(lines, fmt.Sprintf("%s{strategy=%q,storage=%q} %d",
+			name, l.strategy, l.storage, v))
 	}
 	ss.mu.Unlock()
 	sort.Strings(lines)

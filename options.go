@@ -82,18 +82,6 @@ func WithSCCPrefilter() Option {
 	return func(c *solveConfig) { c.core.SCCPrefilter = true }
 }
 
-// WithPrepassWorkers pins the TDB++ BFS-filter prepass: n > 1 workers
-// pre-resolve candidates before the sequential loop (the intra-SCC
-// parallelization for graphs that are one giant SCC), n < 0 selects
-// GOMAXPROCS, and n == 0 (the default) runs no prepass. Requests that
-// resolve to a single effective worker run the plain sequential loop,
-// which is faster (DESIGN.md §6). The planner never selects the prepass
-// on its own; WithStrategy(StrategyPrepass) is the other way to pin it,
-// sized from WithWorkers.
-func WithPrepassWorkers(n int) Option {
-	return func(c *solveConfig) { c.core.PrepassWorkers = n }
-}
-
 // WithPartialOnDeadline degrades instead of failing when the context
 // deadline expires mid-solve: the top-down family returns the cover built so
 // far completed with every still-undecided candidate — a VALID
@@ -165,17 +153,13 @@ type Strategy = core.Strategy
 const (
 	// StrategyAuto (the default) selects StrategyParallelSCC when the
 	// condensation splits into several non-trivial SCCs and more than one
-	// worker is available, and StrategySequential otherwise. It never
-	// selects StrategyPrepass, which only a pin enables.
+	// worker is available, and StrategySequential otherwise.
 	StrategyAuto = core.StrategyAuto
 	// StrategySequential is the paper's single-threaded cover loop.
 	StrategySequential = core.StrategySequential
 	// StrategyParallelSCC covers each non-trivial strongly connected
 	// component concurrently.
 	StrategyParallelSCC = core.StrategyParallelSCC
-	// StrategyPrepass runs the parallel BFS-filter prepass in front of the
-	// sequential TDB++ loop.
-	StrategyPrepass = core.StrategyPrepass
 )
 
 // Renumbering selects a cache-aware vertex renumbering mode, applied once
@@ -207,5 +191,5 @@ func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s)
 func ParseOrder(s string) (Order, error) { return core.ParseOrder(s) }
 
 // ParseStrategy resolves a strategy name ("auto", "sequential",
-// "scc-parallel", "prepass").
+// "scc-parallel").
 func ParseStrategy(s string) (Strategy, error) { return core.ParseStrategy(s) }

@@ -20,8 +20,6 @@ func TestOptionValidation(t *testing.T) {
 		{"weights length mismatch", 5, []Option{WithWeights([]float64{1, 2, 3})}},
 		{"weighted order without weights", 5, []Option{WithOrder(OrderWeighted)}},
 		{"edge cover with parallel strategy", 5, []Option{WithEdgeCover(), WithStrategy(StrategyParallelSCC)}},
-		{"edge cover with prepass strategy", 5, []Option{WithEdgeCover(), WithStrategy(StrategyPrepass)}},
-		{"edge cover with prepass workers", 5, []Option{WithEdgeCover(), WithPrepassWorkers(4)}},
 		{"unknown algorithm", 5, []Option{WithAlgorithm(Algorithm(99))}},
 	}
 	for _, tc := range cases {

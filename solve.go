@@ -16,9 +16,8 @@ import (
 // the SCC condensation and the worker budget and runs the SCC-partitioned
 // parallel solver when the cyclic part splits into several components,
 // the paper's sequential loop otherwise, recording the choice in
-// Stats.Strategy. The TDB++ prepass runs only when pinned
-// (WithPrepassWorkers or WithStrategy(StrategyPrepass)). ctx bounds the run; a done context stops
-// the computation and marks the result TimedOut. A nil ctx is treated as
+// Stats.Strategy. ctx bounds the run; a done context stops the computation
+// and marks the result TimedOut. A nil ctx is treated as
 // context.Background().
 //
 // For repeated solves over one graph use Engine.Solve, which pools all
@@ -65,9 +64,6 @@ func prepareSolve(cfg *solveConfig, g Storage, k int, ctx context.Context) error
 		default:
 			return fmt.Errorf("tdb: WithEdgeCover supports only the sequential strategy, not %v", cfg.strategy)
 		}
-		if cfg.core.PrepassWorkers != 0 {
-			return fmt.Errorf("tdb: WithEdgeCover does not support the BFS-filter prepass")
-		}
 	}
 	return nil
 }
@@ -87,8 +83,8 @@ func solveEdges(g Storage, cfg solveConfig) (*Result, error) {
 }
 
 // Solve is the engine counterpart of the package-level Solve: identical
-// semantics, but sequential and prepass plans borrow the engine's pooled
-// scratch and the planning inspection is cached across calls.
+// semantics, but sequential plans borrow the engine's pooled scratch and
+// the planning inspection is cached across calls.
 func (e *Engine) Solve(ctx context.Context, k int, opts ...Option) (*Result, error) {
 	cfg := newSolveConfig(opts)
 	if cfg.storage != nil && cfg.storage != e.Graph() {

@@ -12,8 +12,7 @@ func multiSCCGraph() *Graph {
 }
 
 // singleSCCGraph is one giant strongly connected component: a directed
-// ring with short back-chords, large enough (beyond two prepass chunks)
-// that a pinned prepass splits it across workers.
+// ring with short back-chords.
 func singleSCCGraph() *Graph {
 	const n = 1200
 	b := NewBuilder(n)
@@ -46,8 +45,6 @@ func TestPlanAutoSelection(t *testing.T) {
 			[]Option{WithWorkers(1)}, "sequential"},
 		{"giant SCC, many workers, BUR+", singleSCCGraph(),
 			[]Option{WithWorkers(4), WithAlgorithm(BURPlus)}, "sequential"},
-		{"giant SCC, prepass disabled", singleSCCGraph(),
-			[]Option{WithWorkers(4), WithPrepassWorkers(0)}, "sequential"},
 		{"acyclic graph", FromEdges(50, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}),
 			[]Option{WithWorkers(4)}, "sequential"},
 	}
@@ -75,8 +72,8 @@ func TestPlanAutoSelection(t *testing.T) {
 	}
 }
 
-// TestPlanPinnedStrategies: WithStrategy and WithPrepassWorkers pin the
-// plan regardless of graph shape, and Stats reports the pin.
+// TestPlanPinnedStrategies: WithStrategy pins the plan regardless of graph
+// shape, and Stats reports the pin.
 func TestPlanPinnedStrategies(t *testing.T) {
 	g := multiSCCGraph() // auto would pick scc-parallel at 4 workers
 	cases := []struct {
@@ -86,8 +83,6 @@ func TestPlanPinnedStrategies(t *testing.T) {
 	}{
 		{"pin sequential", []Option{WithWorkers(4), WithStrategy(StrategySequential)}, "sequential"},
 		{"pin parallel", []Option{WithStrategy(StrategyParallelSCC), WithWorkers(2)}, "scc-parallel"},
-		{"pin prepass", []Option{WithStrategy(StrategyPrepass), WithWorkers(2)}, "prepass"},
-		{"prepass workers pin", []Option{WithWorkers(4), WithPrepassWorkers(2)}, "prepass"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,70 +98,33 @@ func TestPlanPinnedStrategies(t *testing.T) {
 	}
 }
 
-// TestPlanRecordsWhatRuns: Stats must describe the executed path, so
-// degenerate combinations are resolved at plan time — a pinned sequential
-// plan suppresses a leftover prepass request, and a prepass pin demotes to
-// sequential when the algorithm has no prepass or only one worker is
-// available.
+// TestPlanRecordsWhatRuns: Stats must describe the executed path. A
+// pinned sequential plan runs on one worker whatever the budget, a strategy
+// value outside the two that exist is an error rather than a silently
+// relabelled sequential run, and the removed strategy name no longer
+// parses.
 func TestPlanRecordsWhatRuns(t *testing.T) {
 	g := singleSCCGraph()
-
-	// Pinned sequential + prepass request: no prepass may run.
-	r, err := Solve(nil, g, 5, WithStrategy(StrategySequential), WithPrepassWorkers(4))
+	r, err := Solve(nil, g, 5, WithStrategy(StrategySequential), WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.Strategy != "sequential" || r.Stats.PrepassResolved != 0 {
-		t.Fatalf("pinned sequential ran the prepass: strategy=%q resolved=%d",
-			r.Stats.Strategy, r.Stats.PrepassResolved)
+	if r.Stats.Strategy != "sequential" || r.Stats.Workers != 1 || !r.Stats.StrategyPinned {
+		t.Fatalf("pinned sequential recorded strategy=%q workers=%d pinned=%v",
+			r.Stats.Strategy, r.Stats.Workers, r.Stats.StrategyPinned)
 	}
-
-	// Prepass pin with an algorithm that has no prepass: demoted, recorded.
-	r, err = Solve(nil, g, 5, WithAlgorithm(BURPlus), WithPrepassWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	if r.Stats.PrepassResolved != 0 || r.Stats.FilterBatchWidth != 0 || r.Stats.Detector.Batches != 0 {
+		t.Fatalf("TDB++ ran a batched tier: resolved=%d width=%d batches=%d",
+			r.Stats.PrepassResolved, r.Stats.FilterBatchWidth, r.Stats.Detector.Batches)
 	}
-	if r.Stats.Strategy != "sequential" {
-		t.Fatalf("BUR+ with prepass workers recorded %q, want sequential", r.Stats.Strategy)
+	if _, err := Solve(nil, g, 5, WithStrategy(Strategy(3))); err == nil {
+		t.Fatal("unknown strategy value solved without an error")
 	}
-	r, err = Solve(nil, g, 5, WithAlgorithm(BURPlus), WithStrategy(StrategyPrepass), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewEngine(g).Solve(nil, 5, WithStrategy(Strategy(3))); err == nil {
+		t.Fatal("engine: unknown strategy value solved without an error")
 	}
-	if r.Stats.Strategy != "sequential" {
-		t.Fatalf("pinned prepass for BUR+ recorded %q, want sequential", r.Stats.Strategy)
-	}
-
-	// Prepass pin resolving to one worker: demoted (DESIGN §6).
-	r, err = Solve(nil, g, 5, WithStrategy(StrategyPrepass), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.Strategy != "sequential" || r.Stats.PrepassResolved != 0 {
-		t.Fatalf("one-worker prepass pin: strategy=%q resolved=%d",
-			r.Stats.Strategy, r.Stats.PrepassResolved)
-	}
-
-	// Pinned prepass with an explicit (more specific) prepass worker count:
-	// the count wins over the general budget, and one worker demotes.
-	r, err = Solve(nil, g, 5, WithStrategy(StrategyPrepass), WithPrepassWorkers(1), WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.Strategy != "sequential" || r.Stats.PrepassResolved != 0 {
-		t.Fatalf("prepass pin at 1 explicit worker: strategy=%q resolved=%d",
-			r.Stats.Strategy, r.Stats.PrepassResolved)
-	}
-	r, err = Solve(nil, g, 5, WithStrategy(StrategyPrepass), WithPrepassWorkers(2), WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.Strategy != "prepass" || r.Stats.Workers != 2 {
-		t.Fatalf("prepass pin at 2 explicit workers: strategy=%q workers=%d",
-			r.Stats.Strategy, r.Stats.Workers)
-	}
-	if r.Stats.PrepassResolved == 0 {
-		t.Fatal("promised prepass did not run")
+	if _, err := ParseStrategy("prepass"); err == nil {
+		t.Fatal(`ParseStrategy("prepass") succeeded`)
 	}
 }
 
@@ -209,31 +167,36 @@ func TestAutoMatchesPinned(t *testing.T) {
 }
 
 // TestEngineSolveMatchesPackageSolve across repeated runs (recycled
-// scratch), strategies, hop constraints and prepass worker counts. Engine
-// TDB++ solves run the batched in-loop filter (and, with two prepass
-// workers, the batched prefix prepass) while the one-shot package solve
-// keeps the scalar loop, so this pins both batched filters to it.
+// scratch), algorithms, strategies and hop constraints. The engine and the
+// one-shot package solve run the same top-down loop — the engine only pools
+// its scratch — so for the top-down family they must agree not only on the
+// cover but on every per-candidate decision counter, and neither may run a
+// batched filter tier.
 func TestEngineSolveMatchesPackageSolve(t *testing.T) {
 	ctx := context.Background()
-	// The DAG has no cycle at all: under WithSCCPrefilter engine TDB++
-	// configures the batched filter but has no candidate to sweep.
+	// The DAG has no cycle at all: under WithSCCPrefilter TDB++ has no
+	// candidate to check.
 	dag := FromEdges(200, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 199}})
-	for _, g := range []*Graph{multiSCCGraph(), singleSCCGraph(), dag} {
+	// The power-law graph is dense enough (average degree >= 2) to run on
+	// the active-adjacency view, which the engine pools and resets between
+	// runs; the other three run on the vertex mask.
+	dense := GenPowerLaw(300, 1500, 2.2, 0.3, 12)
+	for _, g := range []*Graph{multiSCCGraph(), singleSCCGraph(), dag, dense} {
 		for _, k := range []int{3, 5, 8} {
 			for _, opts := range [][]Option{
 				nil,
 				{WithWorkers(4)},
+				{WithAlgorithm(TDB)},
+				{WithAlgorithm(TDBPlus)},
 				{WithAlgorithm(BURPlus)},
 				{WithWorkers(3), WithStrategy(StrategyParallelSCC)},
 				{WithSCCPrefilter()},
-				{WithPrepassWorkers(1)},
-				{WithPrepassWorkers(2)},
 			} {
 				want, err := Solve(ctx, g, k, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkBatchWidth(t, want.Stats)
+				checkNoBatchTier(t, want.Stats)
 				e := NewEngine(g)
 				for round := 0; round < 3; round++ {
 					got, err := e.Solve(ctx, k, opts...)
@@ -244,56 +207,38 @@ func TestEngineSolveMatchesPackageSolve(t *testing.T) {
 						t.Fatalf("k=%d %v round %d: engine cover %v != package cover %v",
 							k, got.Stats.Strategy, round, got.Cover, want.Cover)
 					}
-					checkBatchWidth(t, got.Stats)
+					checkNoBatchTier(t, got.Stats)
+					switch got.Stats.Algorithm {
+					case "TDB", "TDB+", "TDB++":
+						if gc, wc := countersOf(got.Stats), countersOf(want.Stats); gc != wc {
+							t.Fatalf("k=%d %s %v round %d: engine counters %+v != package counters %+v",
+								k, got.Stats.Algorithm, got.Stats.Strategy, round, gc, wc)
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
-// checkBatchWidth: Stats.FilterBatchWidth reports the 64-lane width exactly
-// when the batched filter swept at least one group, and 0 otherwise.
-func checkBatchWidth(t *testing.T, st Stats) {
-	t.Helper()
-	want := 0
-	if st.Detector.Batches > 0 {
-		want = 64
-	}
-	if st.FilterBatchWidth != want {
-		t.Fatalf("%v: FilterBatchWidth = %d with %d batches, want %d",
-			st.Strategy, st.FilterBatchWidth, st.Detector.Batches, want)
-	}
+// loopCounters are the counters that record what the top-down loop
+// decided and how: candidates checked, filter prunes, detector queries and
+// the edges those queries scanned.
+type loopCounters struct {
+	Checked, FilterPruned, Queries, EdgeScans int64
 }
 
-// TestPrepassAutoDisabledAtOneWorker: a prepass request resolving to one
-// effective worker must skip the prepass (it is strictly slower than the
-// sequential loop it fronts) while producing the identical cover.
-func TestPrepassAutoDisabledAtOneWorker(t *testing.T) {
-	g := singleSCCGraph()
-	seq, err := Solve(nil, g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Solve(nil, g, 5, WithPrepassWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Stats.PrepassResolved != 0 {
-		t.Fatalf("single-worker prepass ran anyway (resolved %d)", one.Stats.PrepassResolved)
-	}
-	if !slices.Equal(seq.Cover, one.Cover) {
-		t.Fatalf("covers differ: %v vs %v", seq.Cover, one.Cover)
-	}
-	// With real parallelism the prepass engages and still matches.
-	two, err := Solve(nil, g, 5, WithPrepassWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if two.Stats.PrepassResolved == 0 {
-		t.Fatal("two-worker prepass resolved nothing on the ring workload")
-	}
-	if !slices.Equal(seq.Cover, two.Cover) {
-		t.Fatalf("prepass cover %v != sequential %v", two.Cover, seq.Cover)
+func countersOf(st Stats) loopCounters {
+	return loopCounters{st.Checked, st.FilterPruned, st.Detector.Queries, st.Detector.EdgeScans}
+}
+
+// checkNoBatchTier: no solve sweeps a batched filter word, so the batch
+// counters stay at zero.
+func checkNoBatchTier(t *testing.T, st Stats) {
+	t.Helper()
+	if st.Detector.Batches != 0 || st.FilterBatchWidth != 0 {
+		t.Fatalf("%s %v: Detector.Batches = %d, FilterBatchWidth = %d, want 0 and 0",
+			st.Algorithm, st.Strategy, st.Detector.Batches, st.FilterBatchWidth)
 	}
 }
 
@@ -348,7 +293,6 @@ func TestSolveContextCancellation(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithStrategy(StrategySequential)},
 		{WithStrategy(StrategyParallelSCC), WithWorkers(2)},
-		{WithStrategy(StrategyPrepass), WithWorkers(2)},
 		{WithEdgeCover()},
 	} {
 		r, err := Solve(ctx, multiSCCGraph(), 5, opts...)

@@ -44,7 +44,6 @@ func TestMappedCoversBitIdentical(t *testing.T) {
 		{"auto", StrategyAuto},
 		{"sequential", StrategySequential},
 		{"parallel-scc", StrategyParallelSCC},
-		{"prepass", StrategyPrepass},
 	}
 	ctx := context.Background()
 	for _, tg := range graphs {

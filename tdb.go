@@ -35,8 +35,7 @@
 // Options select algorithms and variants — WithAlgorithm(BURPlus) when
 // cover size matters most, WithEdgeCover for the edge-transversal problem,
 // WithUnconstrained to drop the hop bound, WithWeights for cost-aware
-// covers — and pin execution when needed (WithStrategy, WithWorkers,
-// WithPrepassWorkers).
+// covers — and pin execution when needed (WithStrategy, WithWorkers).
 //
 // # Serving repeated traffic
 //
