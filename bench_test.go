@@ -188,11 +188,10 @@ func BenchmarkPlainDetector(b *testing.B) {
 	}
 }
 
-// filterBenchGraphs are the two shapes the scalar-vs-batch filter contrast
-// is about: the mid-size benchmark workload (reciprocal-edge heavy, queries
-// hit fast — the scalar filter's best case) and a low-reciprocity power-law
-// graph (queries search deep through shared hubs — the batch's best case;
-// ~3x on the reference box).
+// filterBenchGraphs are two shapes for the scalar filter: the mid-size
+// benchmark workload (reciprocal-edge heavy, queries hit fast) and a
+// low-reciprocity power-law graph (queries search deep through shared
+// hubs).
 func filterBenchGraphs() map[string]*Graph {
 	return map[string]*Graph{
 		"WKV":      benchGraph(),
@@ -216,16 +215,27 @@ func BenchmarkBFSFilterScalar(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSFilterBatch is the same full sweep answered by the
-// bit-parallel batched filter, 64 sources per word — directly comparable
-// ns/op with BenchmarkBFSFilterScalar.
-func BenchmarkBFSFilterBatch(b *testing.B) {
-	for name, g := range filterBenchGraphs() {
-		b.Run(name, func(b *testing.B) {
-			f := cycle.NewBatchBFSFilter(g, 5, nil)
+// BenchmarkHasHopConstrainedCycle measures the whole-graph check at k=5,
+// one-shot and on an engine, on the benchmark workload (cyclic: the first
+// queries find a cycle) and on its acyclic half, the edges u -> v with
+// u < v (every vertex is queried and peeled).
+func BenchmarkHasHopConstrainedCycle(b *testing.B) {
+	g := benchGraph()
+	for _, in := range []struct {
+		name string
+		g    *Graph
+	}{{"WKV", g}, {"WKV-acyclic", forwardHalf(g)}} {
+		b.Run(in.name+"/OneShot", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				HasHopConstrainedCycle(in.g, 5)
+			}
+		})
+		b.Run(in.name+"/Engine", func(b *testing.B) {
+			e := NewEngine(in.g)
+			e.HasHopConstrainedCycle(5) // builds the cached condensation
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.VisitUnpruned(g.NumVertices(), func(VID) bool { return true })
+				e.HasHopConstrainedCycle(5)
 			}
 		})
 	}
@@ -452,8 +462,8 @@ func BenchmarkMaintainerInsert(b *testing.B) {
 }
 
 // BenchmarkMaintainerInsertBatch is the same stream applied through
-// ApplyBatch in 256-update batches: deferred queries answered by 64-lane
-// bit-parallel BFS sweeps. One op is one batch.
+// ApplyBatch in 256-update batches, each batch's deferred queries run in
+// order after its edge changes. One op is one batch.
 func BenchmarkMaintainerInsertBatch(b *testing.B) {
 	const batch = 256
 	stream := maintainerStream()

@@ -31,11 +31,10 @@ type benchEntry struct {
 
 // benchReport is the BENCH_*.json document.
 type benchReport struct {
-	Generated        string                `json:"generated"`
-	GoVersion        string                `json:"go_version"`
-	GOMAXPROCS       int                   `json:"gomaxprocs"`
-	FilterBatchWidth int                   `json:"filter_batch_width"`
-	Benchmarks       map[string]benchEntry `json:"benchmarks"`
+	Generated  string                `json:"generated"`
+	GoVersion  string                `json:"go_version"`
+	GOMAXPROCS int                   `json:"gomaxprocs"`
+	Benchmarks map[string]benchEntry `json:"benchmarks"`
 }
 
 // measure runs fn repeatedly for at least budget (after one warm-up call)
@@ -94,7 +93,6 @@ func runBenchSuite(dir string, budget time.Duration) (string, error) {
 	eng := tdb.NewEngine(g)
 	mappedEng := tdb.NewStorageEngine(mg)
 	scalar := cycle.NewBFSFilter(plaw, 5, nil)
-	batch := cycle.NewBatchBFSFilter(plaw, 5, nil)
 	plawEdges := plaw.Edges()
 	plawUpdates := make([]tdb.Update, len(plawEdges))
 	for i, e := range plawEdges {
@@ -124,9 +122,6 @@ func runBenchSuite(dir string, budget time.Duration) (string, error) {
 			for v := 0; v < plaw.NumVertices(); v++ {
 				scalar.CanPrune(tdb.VID(v))
 			}
-		}},
-		{"BFSFilterBatch/powerlaw", func() {
-			batch.VisitUnpruned(plaw.NumVertices(), func(tdb.VID) bool { return true })
 		}},
 		{"HasHopConstrainedCycle/WKV", func() {
 			tdb.HasHopConstrainedCycle(g, 5)
@@ -163,11 +158,10 @@ func runBenchSuite(dir string, budget time.Duration) (string, error) {
 	}
 
 	rep := benchReport{
-		Generated:        time.Now().UTC().Format(time.RFC3339),
-		GoVersion:        runtime.Version(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		FilterBatchWidth: cycle.BatchWidth,
-		Benchmarks:       make(map[string]benchEntry, len(suite)),
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchmarks: make(map[string]benchEntry, len(suite)),
 	}
 	for _, b := range suite {
 		rep.Benchmarks[b.name] = measure(budget, b.fn)

@@ -25,6 +25,10 @@ import (
 	"tdb/internal/exp"
 )
 
+// runExperiment runs one experiment; tests replace it to inspect the
+// configuration the flags produce.
+var runExperiment = exp.Run
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "tdbbench:", err)
@@ -84,12 +88,25 @@ func run(args []string) error {
 	if *quick {
 		cfg = exp.QuickConfig()
 	}
-	cfg.Scale = *scale
-	cfg.SweepScale = *sweepScale
-	cfg.LargeEdges = *largeEdges
-	cfg.K = *k
-	cfg.KMin, cfg.KMax = *kmin, *kmax
-	cfg.Timeout = *timeout
+	// Only the flags the user set override the chosen base configuration.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			cfg.Scale = *scale
+		case "sweep-scale":
+			cfg.SweepScale = *sweepScale
+		case "large-edges":
+			cfg.LargeEdges = *largeEdges
+		case "k":
+			cfg.K = *k
+		case "kmin":
+			cfg.KMin = *kmin
+		case "kmax":
+			cfg.KMax = *kmax
+		case "timeout":
+			cfg.Timeout = *timeout
+		}
+	})
 	cfg.Verify = *doVerify
 	cfg.Out = os.Stdout
 	order, err := core.ParseOrder(*orderName)
@@ -103,7 +120,7 @@ func run(args []string) error {
 	cfg.Order = order
 
 	start := time.Now()
-	if _, err := exp.Run(*expID, cfg); err != nil {
+	if _, err := runExperiment(*expID, cfg); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "total experiment time: %v\n", time.Since(start).Round(time.Second))

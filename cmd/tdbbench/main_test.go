@@ -6,8 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"tdb/internal/cycle"
+	"tdb/internal/exp"
 )
 
 // TestBenchMode runs the micro-benchmark suite with a tiny time budget and
@@ -29,10 +30,7 @@ func TestBenchMode(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if rep.FilterBatchWidth != cycle.BatchWidth {
-		t.Fatalf("filter_batch_width = %d, want %d", rep.FilterBatchWidth, cycle.BatchWidth)
-	}
-	for _, name := range []string{"CoverRepeated/Engine", "BFSFilterBatch/powerlaw"} {
+	for _, name := range []string{"CoverRepeated/Engine", "HasHopConstrainedCycle/WKV"} {
 		e, ok := rep.Benchmarks[name]
 		if !ok {
 			t.Fatalf("report is missing benchmark %q", name)
@@ -128,5 +126,34 @@ func TestQuickNohop(t *testing.T) {
 	// The smallest real experiment end to end through the CLI layer.
 	if err := run([]string{"-exp", "nohop", "-quick", "-order", "natural"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickConfig: -quick starts from QuickConfig, and only the flags the
+// user set override it.
+func TestQuickConfig(t *testing.T) {
+	var got exp.Config
+	runExperiment = func(_ string, cfg exp.Config) ([]*exp.Table, error) {
+		got = cfg
+		return nil, nil
+	}
+	t.Cleanup(func() { runExperiment = exp.Run })
+
+	quick := exp.QuickConfig()
+	if err := run([]string{"-exp", "nohop", "-quick"}); err != nil {
+		t.Fatal(err)
+	}
+	if got.Scale != quick.Scale || got.SweepScale != quick.SweepScale ||
+		got.LargeEdges != quick.LargeEdges || got.KMax != quick.KMax || got.Timeout != quick.Timeout {
+		t.Fatalf("-quick ran scale=%v sweep-scale=%v large-edges=%d kmax=%d timeout=%v, want QuickConfig's %v %v %d %d %v",
+			got.Scale, got.SweepScale, got.LargeEdges, got.KMax, got.Timeout,
+			quick.Scale, quick.SweepScale, quick.LargeEdges, quick.KMax, quick.Timeout)
+	}
+	if err := run([]string{"-exp", "nohop", "-quick", "-kmax", "4", "-timeout", "2s"}); err != nil {
+		t.Fatal(err)
+	}
+	if got.KMax != 4 || got.Timeout != 2*time.Second || got.Scale != quick.Scale {
+		t.Fatalf("-quick -kmax 4 -timeout 2s ran kmax=%d timeout=%v scale=%v, want 4 2s %v",
+			got.KMax, got.Timeout, got.Scale, quick.Scale)
 	}
 }

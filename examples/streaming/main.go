@@ -71,8 +71,8 @@ func main() {
 		}
 	}
 	// The second half arrives the way a production ingest does: in bursts.
-	// ApplyBatch defers the cycle checks of each burst and answers them 64
-	// at a time with one bit-parallel BFS sweep.
+	// ApplyBatch applies each burst's edges first and then runs the
+	// deferred cycle checks in order.
 	const burst = 512
 	batch := make([]tdb.LabeledUpdate[string], 0, burst)
 	for i := stream / 2; i < stream; i += burst {

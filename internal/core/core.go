@@ -200,8 +200,8 @@ type Stats struct {
 	// proved unnecessary on the exact working graph G0+v (TDB++); the
 	// other checked candidates went to the block detector.
 	FilterPruned int64
-	// FilterBatchWidth is always 0: no solve runs the bit-parallel batched
-	// filter any more. Kept so existing readers of the field still compile.
+	// FilterBatchWidth is always 0. It is kept only because the benchmark
+	// harness (perfbench) reads it.
 	FilterBatchWidth int
 	// PrepassResolved is always 0: TDB++ has no prepass any more. Kept so
 	// existing readers of the field still compile.

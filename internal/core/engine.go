@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"tdb/internal/cycle"
@@ -31,11 +32,12 @@ type Engine struct {
 	// HasHopConstrainedCycle).
 	cycPool *cycle.ScratchPool
 	// Strategy planning inspects the SCC condensation; the graph is fixed,
-	// so the engine computes the decomposition and its non-trivial
-	// component count once.
+	// so the engine computes the decomposition, its non-trivial component
+	// count and its cycle-candidate mask once.
 	planOnce   sync.Once
 	comps      *scc.Result
 	nontrivial int
+	candidates []bool
 	// The partitioned solver covers each non-trivial component on its own
 	// subgraph; the engine carves them all once, on the first solve that
 	// needs them, instead of once per component on every solve.
@@ -79,6 +81,7 @@ func (e *Engine) condensation() *scc.Result {
 	e.planOnce.Do(func() {
 		e.comps = scc.Compute(e.g)
 		e.nontrivial = countNontrivial(e.comps)
+		e.candidates = e.comps.CycleCandidates()
 	})
 	return e.comps
 }
@@ -104,16 +107,14 @@ func (e *Engine) FindCycle(k, minLen int, s VID) []VID {
 }
 
 // HasHopConstrainedCycle reports whether the engine's graph contains any
-// cycle of length in [minLen, k], with pooled scratch shared between the
-// batched BFS-filter (64 pruning queries per sweep) and the detector run on
-// the survivors.
+// cycle of length in [minLen, k], with pooled detector scratch. Only the
+// vertices of the cached condensation's non-trivial components are
+// queried: no other vertex lies on a cycle.
 func (e *Engine) HasHopConstrainedCycle(k, minLen int) bool {
+	e.condensation()
+	active := slices.Clone(e.candidates)
 	sc := e.cycPool.Get()
-	det := cycle.NewBlockDetectorWith(e.g, k, minLen, nil, sc)
-	filter := cycle.NewBatchBFSFilterWith(e.g, k, nil, sc)
-	found := !filter.VisitUnpruned(e.g.NumVertices(), func(v VID) bool {
-		return !det.HasCycleThrough(v) // a found cycle stops the sweep
-	})
+	found := cycle.HasHopConstrainedCycle(e.g, k, minLen, active, sc)
 	// Non-deferred Put: a panicking query quarantines its scratch (see
 	// Compute) rather than pooling possibly-poisoned marks.
 	e.cycPool.Put(sc)

@@ -105,6 +105,28 @@ func (d *BlockDetector) HasCycleThrough(s VID) bool {
 	return d.query(s)
 }
 
+// HasHopConstrainedCycle reports whether any cycle of length in [minLen, k]
+// lies among the vertices that active marks, borrowing the DFS buffers from s
+// (nil allocates). It queries the active vertices in ID order and clears
+// each one whose query answers "no" before the next query, so later queries
+// search a smaller graph. The peel is exact: when the smallest-numbered
+// vertex of a constrained cycle C is queried, only smaller vertices have
+// been cleared, so all of C is still active and the query finds a cycle.
+// active is modified.
+func HasHopConstrainedCycle(g digraph.Adjacency, k, minLen int, active []bool, s *Scratch) bool {
+	det := NewBlockDetectorWith(g, k, minLen, active, s)
+	for v, live := range active {
+		if !live {
+			continue
+		}
+		if det.HasCycleThrough(VID(v)) {
+			return true
+		}
+		active[v] = false
+	}
+	return false
+}
+
 // query runs the detector, leaving a found cycle in d.s.path.
 func (d *BlockDetector) query(s VID) bool {
 	d.Stats.Queries++

@@ -10,11 +10,9 @@
 //   - BFSFilter: the paper's BFS-filter (Alg. 11), a linear-time test that
 //     soundly proves the absence of any constrained cycle through a vertex;
 //     TDB++ runs it on every candidate before the block detector.
-//   - BatchBFSFilter: the bit-parallel batched form of the BFS-filter — up
-//     to 64 sources packed into one uint64 lane word, answered by a single
-//     level-synchronous sweep. It serves the whole-graph sweeps that know
-//     all their sources up front: the streaming maintainer's ApplyBatch and
-//     HasHopConstrainedCycle.
+//   - HasHopConstrainedCycle: the whole-graph check, block-detector queries
+//     in vertex order over an active mask that peels every vertex whose
+//     query answered "no".
 //   - Enumerator: a bounded enumeration of all constrained cycles, used as a
 //     test oracle and by the DARC baseline.
 //
@@ -54,14 +52,16 @@ const DefaultMinLen = 3
 // post-Wait fold). Never share one Stats value between concurrently
 // querying instances.
 type Stats struct {
-	Queries     int64 // detector invocations (per lane, for batched filters)
+	Queries     int64 // detector invocations
 	Pushes      int64 // DFS stack pushes
 	EdgeScans   int64 // adjacency entries examined
 	Unblocks    int64 // Unblock propagation steps (block detector only)
 	CyclesFound int64 // queries that found a constrained cycle
-	BFSVisited  int64 // vertices settled by the BFS filter (per lane)
-	BFSPruned   int64 // queries the BFS filter pruned (per lane)
-	Batches     int64 // word-wide sweeps of the batched BFS filters
+	BFSVisited  int64 // vertices settled by the BFS filter
+	BFSPruned   int64 // queries the BFS filter pruned
+	// Batches is always 0. It is kept only because the benchmark
+	// harness (perfbench) reads it.
+	Batches int64
 }
 
 // Add accumulates o into s.
@@ -73,7 +73,6 @@ func (s *Stats) Add(o Stats) {
 	s.CyclesFound += o.CyclesFound
 	s.BFSVisited += o.BFSVisited
 	s.BFSPruned += o.BFSPruned
-	s.Batches += o.Batches
 }
 
 func validate(g digraph.Adjacency, k, minLen int, active []bool) {

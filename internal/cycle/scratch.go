@@ -3,8 +3,6 @@ package cycle
 import (
 	"fmt"
 	"sync"
-
-	"tdb/internal/digraph"
 )
 
 // Scratch owns the O(n) working state the detection primitives need: the
@@ -13,22 +11,18 @@ import (
 // repeated queries (and repeated whole covers over the same graph)
 // allocation-free; ScratchPool makes that reuse safe across goroutines.
 //
-// The buffers split into three independent groups:
+// The buffers split into two independent groups:
 //
 //   - the DFS group (onPath, blocked, stamp, path, plus seedQ, the queue of
 //     BlockDetector's backward distance seed), used by PlainDetector,
 //     BlockDetector and Enumerator;
-//   - the BFS group (visited, inNbr, queue, nextQ), used by BFSFilter;
-//   - the lane group (settlement maps plus cur/next frontiers per
-//     direction), used by BatchBFSFilter; allocated lazily on first use, so
-//     scalar-only workloads never pay for it.
+//   - the BFS group (visited, inNbr, queue, nextQ), used by BFSFilter.
 //
 // One Scratch may therefore back at most ONE component of each group at a
 // time — e.g. a BlockDetector plus a BFSFilter, the pair the top-down cover
-// interleaves, or a BlockDetector plus a BatchBFSFilter, the pair
-// HasHopConstrainedCycle interleaves — but never two detectors, or a detector and
-// an enumerator, concurrently. Scratch is not safe for concurrent use; give
-// each worker its own (see ScratchPool).
+// interleaves — but never two detectors, or a detector and an enumerator,
+// concurrently. Scratch is not safe for concurrent use; give each worker
+// its own (see ScratchPool).
 type Scratch struct {
 	n int
 
@@ -45,35 +39,6 @@ type Scratch struct {
 	inNbr   epochMark
 	queue   []VID
 	nextQ   []VID
-
-	// Lane group (lazy).
-	lanes   *laneState
-	touched []VID // vertices with non-zero reached words
-}
-
-// laneState is the lane buffer set of the batched filters: the two
-// settlement maps of the bidirectional BFS plus a cur/next frontier pair per
-// direction. The slabs are handed over zeroed and must come back zeroed
-// (the filters clear exactly the entries they touched).
-type laneState struct {
-	reachedF  *digraph.LaneBits        // forward-settled lanes
-	reachedB  *digraph.LaneBits        // backward-settled lanes
-	frontiers [4]*digraph.LaneFrontier // cur/next per direction
-}
-
-// laneState returns the lane buffers, allocating them on first use.
-func (s *Scratch) laneState() *laneState {
-	if s.lanes == nil {
-		st := &laneState{
-			reachedF: digraph.NewLaneBits(s.n),
-			reachedB: digraph.NewLaneBits(s.n),
-		}
-		for i := range st.frontiers {
-			st.frontiers[i] = digraph.NewLaneFrontier(s.n)
-		}
-		s.lanes = st
-	}
-	return s.lanes
 }
 
 // NewScratch allocates scratch state for graphs with n vertices.

@@ -10,7 +10,7 @@ import (
 // the cost of a traversal is shaped by which vertices share cache lines:
 // with arbitrary input numbering, following an edge is a random jump
 // across the adjacency slab and a random bit/byte in every per-vertex
-// array (marks, lane words, masks). A locality permutation renames
+// array (marks, masks). A locality permutation renames
 // vertices so that the IDs an algorithm touches together lie together:
 //
 //   - RenumberDegree packs the high-degree core at the low end. Hot rows

@@ -3,18 +3,15 @@ package dynamic
 import (
 	"fmt"
 
-	"tdb/internal/cycle"
 	"tdb/internal/digraph"
 	"tdb/internal/fault"
 )
 
 // The batched update path. A batch applies all structural changes first
 // and defers the cycle-existence queries of insertions between uncovered
-// endpoints to the end; the deferred queries are then answered up to
-// cycle.BatchWidth (64) at a time by ONE bit-parallel bidirectional BFS
-// sweep (cycle.BatchBFSFilter, lane per edge, covered vertices as the
-// mask), with the few lanes the filter cannot prune re-checked by the exact scalar search
-// — the same two-tier pattern the top-down solver uses.
+// endpoints to the end; the deferred queries then run in order, each one
+// the exact scalar search of a single insertion, skipping edges an earlier
+// query's cover addition already resolved.
 //
 // Deferral is sound because the cover only grows during resolution: a
 // query answered "no cycle" under an earlier (smaller) cover stays "no
@@ -45,21 +42,6 @@ func InsertOp(u, v VID) Update { return Update{Op: OpInsert, U: u, V: v} }
 
 // DeleteOp returns a deletion Update.
 func DeleteOp(u, v VID) Update { return Update{Op: OpDelete, U: u, V: v} }
-
-// The bit-parallel sweep needs flat CSR arrays, so it costs one delta
-// compaction up front. Per query the sweep is ~3x cheaper than a scalar
-// BFS (shared word-wide edge expansions), but an O(m) rebuild bought for
-// one batch rarely amortizes: the batch goes bit-parallel only when it
-// has at least batchScalarCutoff deferred queries and either a compaction
-// is due anyway under the standard delta policy (the sweep then rides a
-// rebuild already paid for) or the burst is large relative to the base
-// (one query per batchSweepEdgesPerQuery base edges). Otherwise scalar
-// resolution on the hybrid adjacency wins — the same measure-then-commit
-// discipline as the solver's adaptive filter tiers.
-const (
-	batchScalarCutoff       = 16
-	batchSweepEdgesPerQuery = 32
-)
 
 // ValidateUpdates checks a batch against the maintainer without applying
 // anything: every update must name an op the maintainer knows and vertices
@@ -144,76 +126,15 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 		}
 		live = append(live, e)
 	}
-	pending = live
-	if len(pending) == 0 {
-		m.maybeCompact()
-		return nil
-	}
-
+	m.maybeCompact()
 	var added []VID
-	sweep := len(pending) >= batchScalarCutoff &&
-		(m.compactionDue() || len(pending)*batchSweepEdgesPerQuery >= m.base.NumEdges())
-	if !sweep {
-		m.maybeCompact()
-		for _, e := range pending {
-			if m.covered[e.U] || m.covered[e.V] {
-				continue // an earlier addition resolved this edge
-			}
-			m.cycleChecks++
-			if m.edgeCreatesCycle(e.U, e.V) {
-				added = append(added, m.coverEndpoint(e.U, e.V))
-			}
+	for _, e := range live {
+		if m.covered[e.U] || m.covered[e.V] {
+			continue // an earlier addition resolved this edge
 		}
-		return added
-	}
-
-	// Bit-parallel path: compact so both the lane sweep and the scalar
-	// re-checks run on flat CSR arrays.
-	g := m.compact()
-	n := g.NumVertices()
-	active := m.remActiveBuf(n)
-	for v := 0; v < n; v++ {
-		active[v] = !m.covered[v]
-	}
-	bf := cycle.NewBatchBFSFilterWith(g, m.k, active, m.remScratchFor(n))
-	var (
-		word   [cycle.BatchWidth]digraph.Edge
-		srcs   [cycle.BatchWidth]VID
-		pruned [cycle.BatchWidth]bool
-	)
-	for len(pending) > 0 {
-		// Fill one 64-lane word, skipping edges an earlier word resolved.
-		// Lane i asks about e.U: every cycle through the edge passes
-		// through it, so "no closed walk <= k through e.U" retires the
-		// query.
-		w := 0
-		for w < cycle.BatchWidth && len(pending) > 0 {
-			e := pending[0]
-			pending = pending[1:]
-			if m.covered[e.U] || m.covered[e.V] {
-				continue
-			}
-			word[w] = e
-			srcs[w] = e.U
-			w++
-		}
-		if w == 0 {
-			break
-		}
-		m.cycleChecks += int64(w)
-		bf.CanPruneBatch(srcs[:w], pruned[:w])
-		for i := 0; i < w; i++ {
-			e := word[i]
-			if pruned[i] || m.covered[e.U] || m.covered[e.V] {
-				continue
-			}
-			// The lane answer is conservative (the short closed walk may be
-			// non-simple or below minLen); the scalar search is exact.
-			if m.edgeCreatesCycle(e.U, e.V) {
-				pick := m.coverEndpoint(e.U, e.V)
-				active[pick] = false // tighten later words' mask
-				added = append(added, pick)
-			}
+		m.cycleChecks++
+		if m.edgeCreatesCycle(e.U, e.V) {
+			added = append(added, m.coverEndpoint(e.U, e.V))
 		}
 	}
 	return added

@@ -134,9 +134,8 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// A batch wide enough to exercise multiple 64-lane filter words and the
-// scalar re-check of every miss: 200 disjoint triangles closed in one
-// ApplyBatch must yield exactly one cover vertex per triangle.
+// A wide batch: 200 disjoint triangles closed in one ApplyBatch must yield
+// exactly one cover vertex per triangle.
 func TestApplyBatchManyTriangles(t *testing.T) {
 	const tris = 200
 	m := New(3*tris, 5, 3)

@@ -18,9 +18,9 @@
 //     cover vertices may become redundant; Reminimize runs the paper's
 //     minimal pruning pass (Alg. 7) on demand, restricted to the cover
 //     vertices a deletion (or cover growth) can actually have affected.
-//   - ApplyBatch: the batched form, which defers the cycle-existence
-//     queries of a whole batch and answers them 64 at a time with one
-//     bit-parallel BFS sweep (cycle.BatchBFSFilter).
+//   - ApplyBatch: the batched form, which applies a whole batch's edge
+//     changes first and then runs the deferred cycle-existence queries in
+//     order.
 //
 // Storage is a CSR base + delta-buffer hybrid: a compacted immutable
 // digraph.Graph carries the bulk of the edges, per-vertex sorted slices

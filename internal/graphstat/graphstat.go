@@ -149,7 +149,7 @@ func (p *Profile) Fprint(w io.Writer) {
 // layout — the quantities cache-aware renumbering (digraph.RenumberPerm)
 // tries to shrink. Per directed edge (u, v) the numbering distance is
 // |u - v|: following the edge jumps that far across every VID-indexed
-// array (adjacency rows, marks, lane-group slabs), so small distances
+// array (adjacency rows, marks, masks), so small distances
 // keep traversals inside cached lines. Bandwidth is the worst such jump —
 // the classical adjacency-matrix bandwidth Cuthill-McKee minimizes.
 type Locality struct {

@@ -261,9 +261,8 @@ type LabeledUpdate[K comparable] struct {
 // an insertion, ignoring deletions of unknown labels — and returns the
 // labels added to the cover, in the order they were added. Cycle-existence
 // queries for insertions between uncovered endpoints are deferred to the
-// end of the batch; large bursts of them are answered by bit-parallel
-// 64-lane BFS sweeps, small batches by the same bounded search as
-// InsertEdge (see Maintainer.ApplyBatch for the exact policy).
+// end of the batch and answered in order by the same bounded search as
+// InsertEdge (see Maintainer.ApplyBatch).
 func (lm *LabeledMaintainer[K]) ApplyBatch(updates []LabeledUpdate[K]) []K {
 	dense := make([]Update, 0, len(updates))
 	for _, up := range updates {

@@ -24,7 +24,9 @@ import (
 //     candidate and differ only in how they detect cycles;
 //   - the same input renumbered at ingest solves to a cover that, mapped
 //     back, is valid and (where promised) minimal. Renumbering changes the
-//     candidate order, so the cover itself may differ.
+//     candidate order, so the cover itself may differ;
+//   - at MinLen 3, HasHopConstrainedCycle, one-shot and on an engine,
+//     reports a cycle exactly when the enumerator found one.
 func FuzzSolveDifferential(f *testing.F) {
 	// Byte 0 picks n, byte 1 MinLen, byte 2 k, byte 3 the random-order
 	// seed; the rest is an edge list of (u, v) byte pairs taken mod n.
@@ -50,6 +52,17 @@ func FuzzSolveDifferential(f *testing.F) {
 		}
 		g := b.Build()
 		cycles := cycle.NewEnumerator(g, k, minLen, nil).All()
+		if minLen == cycle.DefaultMinLen {
+			want := len(cycles) > 0
+			if got := HasHopConstrainedCycle(g, k); got != want {
+				t.Fatalf("HasHopConstrainedCycle(k=%d) = %v, enumerator found %d cycles; edges=%v",
+					k, got, len(cycles), g.Edges())
+			}
+			if got := NewEngine(g).HasHopConstrainedCycle(k); got != want {
+				t.Fatalf("Engine.HasHopConstrainedCycle(k=%d) = %v, enumerator found %d cycles; edges=%v",
+					k, got, len(cycles), g.Edges())
+			}
+		}
 		perm := RenumberPerm(g, RenumberDegree)
 		rg := g.Renumber(perm)
 		inv := InversePerm(perm)

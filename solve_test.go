@@ -7,21 +7,41 @@ import (
 )
 
 // multiSCCGraph has many small non-trivial SCCs (the condensation splits).
+// At ~1.44 edges per vertex it runs on the vertex-mask working graph.
 func multiSCCGraph() *Graph {
 	return GenPlantedCycles(400, 20, 3, 5, 500, 17).Graph
 }
 
-// singleSCCGraph is one giant strongly connected component: a directed
-// ring with short back-chords.
-func singleSCCGraph() *Graph {
-	const n = 1200
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		b.AddEdge(VID(v), VID((v+1)%n))
-		if v%17 == 0 {
-			b.AddEdge(VID((v+3)%n), VID(v)) // closes 4-cycles
+// chordRing adds a directed ring over vertices base..base+n-1 with one
+// back-chord (v+3) -> v per vertex, each closing a 4-cycle. The ring has 2n
+// edges: dense enough for the active-adjacency working graph.
+func chordRing(b *Builder, base, n int) {
+	for i := 0; i < n; i++ {
+		b.AddEdge(VID(base+i), VID(base+(i+1)%n))
+		b.AddEdge(VID(base+(i+3)%n), VID(base+i))
+	}
+}
+
+// denseMultiSCCGraph is multiSCCGraph's split condensation above the
+// view's density cutoff: ten 40-vertex chord rings, each linked forward to
+// the next, so the whole graph and every component run on the view.
+func denseMultiSCCGraph() *Graph {
+	const parts, size = 10, 40
+	b := NewBuilder(parts * size)
+	for p := 0; p < parts; p++ {
+		chordRing(b, p*size, size)
+		if p > 0 {
+			b.AddEdge(VID(p*size-1), VID(p*size))
 		}
 	}
+	return b.Build()
+}
+
+// singleSCCGraph is one giant strongly connected component: a 1200-vertex
+// chord ring, which runs on the active-adjacency view.
+func singleSCCGraph() *Graph {
+	b := NewBuilder(1200)
+	chordRing(b, 0, 1200)
 	return b.Build()
 }
 
@@ -38,6 +58,10 @@ func TestPlanAutoSelection(t *testing.T) {
 		{"split condensation, many workers", multiSCCGraph(),
 			[]Option{WithWorkers(4)}, "scc-parallel"},
 		{"split condensation, one worker", multiSCCGraph(),
+			[]Option{WithWorkers(1)}, "sequential"},
+		{"dense split condensation, many workers", denseMultiSCCGraph(),
+			[]Option{WithWorkers(4)}, "scc-parallel"},
+		{"dense split condensation, one worker", denseMultiSCCGraph(),
 			[]Option{WithWorkers(1)}, "sequential"},
 		{"giant SCC, many workers, TDB++", singleSCCGraph(),
 			[]Option{WithWorkers(4)}, "sequential"},
@@ -75,7 +99,8 @@ func TestPlanAutoSelection(t *testing.T) {
 // TestPlanPinnedStrategies: WithStrategy pins the plan regardless of graph
 // shape, and Stats reports the pin.
 func TestPlanPinnedStrategies(t *testing.T) {
-	g := multiSCCGraph() // auto would pick scc-parallel at 4 workers
+	// Auto would pick scc-parallel at 4 workers on both graphs.
+	graphs := []*Graph{multiSCCGraph(), denseMultiSCCGraph()}
 	cases := []struct {
 		name string
 		opts []Option
@@ -86,13 +111,15 @@ func TestPlanPinnedStrategies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := Solve(nil, g, 5, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Stats.Strategy != tc.want || !r.Stats.StrategyPinned {
-				t.Fatalf("plan = %q (pinned=%v), want pinned %q",
-					r.Stats.Strategy, r.Stats.StrategyPinned, tc.want)
+			for _, g := range graphs {
+				r, err := Solve(nil, g, 5, tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Stats.Strategy != tc.want || !r.Stats.StrategyPinned {
+					t.Fatalf("plan = %q (pinned=%v), want pinned %q",
+						r.Stats.Strategy, r.Stats.StrategyPinned, tc.want)
+				}
 			}
 		})
 	}
@@ -141,6 +168,7 @@ func TestAutoMatchesPinned(t *testing.T) {
 		{"multi-scc", multiSCCGraph(), 4},
 		{"single-scc", singleSCCGraph(), 4},
 		{"multi-scc single worker", multiSCCGraph(), 1},
+		{"dense multi-scc", denseMultiSCCGraph(), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			auto, err := Solve(ctx, tc.g, 5, WithWorkers(tc.workers), WithOrder(OrderDegreeAsc))
@@ -177,11 +205,12 @@ func TestEngineSolveMatchesPackageSolve(t *testing.T) {
 	// The DAG has no cycle at all: under WithSCCPrefilter TDB++ has no
 	// candidate to check.
 	dag := FromEdges(200, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 199}})
-	// The power-law graph is dense enough (average degree >= 2) to run on
-	// the active-adjacency view, which the engine pools and resets between
-	// runs; the other three run on the vertex mask.
+	// The power-law graph, the chord rings and their split condensation are
+	// dense enough (average degree >= 2) to run on the active-adjacency
+	// view, which the engine pools and resets between runs; multiSCCGraph
+	// and the DAG run on the vertex mask.
 	dense := GenPowerLaw(300, 1500, 2.2, 0.3, 12)
-	for _, g := range []*Graph{multiSCCGraph(), singleSCCGraph(), dag, dense} {
+	for _, g := range []*Graph{multiSCCGraph(), denseMultiSCCGraph(), singleSCCGraph(), dag, dense} {
 		for _, k := range []int{3, 5, 8} {
 			for _, opts := range [][]Option{
 				nil,
@@ -232,8 +261,7 @@ func countersOf(st Stats) loopCounters {
 	return loopCounters{st.Checked, st.FilterPruned, st.Detector.Queries, st.Detector.EdgeScans}
 }
 
-// checkNoBatchTier: no solve sweeps a batched filter word, so the batch
-// counters stay at zero.
+// checkNoBatchTier: the batch counters are always zero.
 func checkNoBatchTier(t *testing.T, st Stats) {
 	t.Helper()
 	if st.Detector.Batches != 0 || st.FilterBatchWidth != 0 {

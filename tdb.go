@@ -68,6 +68,8 @@
 package tdb
 
 import (
+	"slices"
+
 	"tdb/internal/core"
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
@@ -243,17 +245,12 @@ func FindCycle(g Storage, k int, s VID) []VID {
 }
 
 // HasHopConstrainedCycle reports whether g contains any cycle of length in
-// [3, k]. It prunes vertices with the bit-parallel batched BFS-filter (64
-// sources per sweep) and falls through to the paper's block-based detector
-// only for the survivors. For repeated queries use
-// Engine.HasHopConstrainedCycle.
+// [3, k]. It runs the paper's block-based detector from every vertex in ID
+// order and drops each vertex whose query answered "no" from the later
+// queries' graph. For repeated queries use Engine.HasHopConstrainedCycle.
 func HasHopConstrainedCycle(g Storage, k int) bool {
-	sc := cycle.NewScratch(g.NumVertices()) // detector + filter share one scratch
-	det := cycle.NewBlockDetectorWith(g, k, cycle.DefaultMinLen, nil, sc)
-	filter := cycle.NewBatchBFSFilterWith(g, k, nil, sc)
-	return !filter.VisitUnpruned(g.NumVertices(), func(v VID) bool {
-		return !det.HasCycleThrough(v) // a found cycle stops the sweep
-	})
+	active := slices.Repeat([]bool{true}, g.NumVertices())
+	return cycle.HasHopConstrainedCycle(g, k, cycle.DefaultMinLen, active, nil)
 }
 
 // EnumerateCycles lists every cycle of length in [3, k], each once, calling

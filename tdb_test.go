@@ -118,12 +118,81 @@ func oracleGraph(n, ringLen, extra int, tailRing bool, seed uint64) *Graph {
 	return b.Build()
 }
 
+// tailCycleGraph has exactly one constrained cycle under hop bound k: a
+// k-ring on the k highest-numbered vertices. Below it sit a (k+1)-ring on
+// vertices 0..k, too long to count, and a random forward DAG that the long
+// ring feeds and that feeds the short ring. Every query before the tail
+// answers "no", so the tail is found on a fully peeled graph.
+func tailCycleGraph(n, k int, seed uint64) *Graph {
+	rng := rand.New(rand.NewPCG(seed, uint64(n*k)))
+	b := NewBuilder(n)
+	for i := 0; i <= k; i++ {
+		b.AddEdge(VID(i), VID((i+1)%(k+1)))
+	}
+	tail := n - k
+	for i := 0; i < k; i++ {
+		b.AddEdge(VID(tail+i), VID(tail+(i+1)%k))
+	}
+	for i := 0; i < 4*n; i++ {
+		u, v := rng.IntN(tail), k+1+rng.IntN(n-k-1)
+		if u < v {
+			b.AddEdge(VID(u), VID(v))
+		}
+	}
+	return b.Build()
+}
+
+// forwardHalf keeps the edges u -> v with u < v: an acyclic graph.
+func forwardHalf(g *Graph) *Graph {
+	var edges []Edge
+	for _, e := range g.Edges() {
+		if e.U < e.V {
+			edges = append(edges, e)
+		}
+	}
+	return FromEdges(g.NumVertices(), edges)
+}
+
+// checkHasCycleOracle asserts that the one-shot and engine
+// HasHopConstrainedCycle, on memory and on mapped storage, agree with the
+// exhaustive enumeration oracle, and returns the oracle's answer.
+func checkHasCycleOracle(t *testing.T, g *Graph, k int) bool {
+	t.Helper()
+	want := cycle.NewEnumerator(g, k, cycle.DefaultMinLen, nil).HasAny()
+	mg := openMappedCopy(t, g)
+	for _, st := range []struct {
+		name string
+		g    Storage
+	}{{"memory", g}, {"mapped", mg}} {
+		if got := HasHopConstrainedCycle(st.g, k); got != want {
+			t.Fatalf("%s: HasHopConstrainedCycle = %v, enumerator %v", st.name, got, want)
+		}
+		e := NewStorageEngine(st.g)
+		for round := 0; round < 2; round++ { // round 2 reuses pooled scratch
+			if got := e.HasHopConstrainedCycle(k); got != want {
+				t.Fatalf("%s round %d: Engine.HasHopConstrainedCycle = %v, enumerator %v",
+					st.name, round, got, want)
+			}
+		}
+	}
+	return want
+}
+
 // TestHasHopConstrainedCycleMatchesEnumerator: the one-shot and engine
-// HasHopConstrainedCycle (batched BFS filter in 64-vertex groups, block
-// detector on the survivors) must agree with the exhaustive enumeration
-// oracle on graphs whose size is not a multiple of the group width.
+// HasHopConstrainedCycle (block-detector queries in ID order, each "no"
+// peeling its vertex) must agree with the exhaustive enumeration oracle,
+// on memory and mapped storage, on random graphs, on their acyclic halves,
+// and on graphs whose only constrained cycle runs through the
+// highest-numbered vertices.
 func TestHasHopConstrainedCycleMatchesEnumerator(t *testing.T) {
 	var yes, no int
+	count := func(found bool) {
+		if found {
+			yes++
+		} else {
+			no++
+		}
+	}
 	for _, n := range []int{65, 200, 700} {
 		for _, k := range []int{3, 5, 8} {
 			for seed := uint64(1); seed <= 6; seed++ {
@@ -134,23 +203,19 @@ func TestHasHopConstrainedCycleMatchesEnumerator(t *testing.T) {
 				}
 				g := oracleGraph(n, ringLen, extra, seed >= 5, seed)
 				t.Run(fmt.Sprintf("n=%d/k=%d/seed=%d", n, k, seed), func(t *testing.T) {
-					want := cycle.NewEnumerator(g, k, cycle.DefaultMinLen, nil).HasAny()
-					if got := HasHopConstrainedCycle(g, k); got != want {
-						t.Fatalf("HasHopConstrainedCycle = %v, enumerator %v", got, want)
-					}
-					e := NewEngine(g)
-					for round := 0; round < 2; round++ { // round 2 reuses pooled scratch
-						if got := e.HasHopConstrainedCycle(k); got != want {
-							t.Fatalf("round %d: Engine.HasHopConstrainedCycle = %v, enumerator %v", round, got, want)
-						}
-					}
-					if want {
-						yes++
-					} else {
-						no++
+					count(checkHasCycleOracle(t, g, k))
+				})
+				t.Run(fmt.Sprintf("acyclic/n=%d/k=%d/seed=%d", n, k, seed), func(t *testing.T) {
+					if checkHasCycleOracle(t, forwardHalf(g), k) {
+						t.Fatal("the forward half of a graph has a cycle")
 					}
 				})
 			}
+			t.Run(fmt.Sprintf("tail-cycle/n=%d/k=%d", n, k), func(t *testing.T) {
+				if !checkHasCycleOracle(t, tailCycleGraph(n, k, uint64(n+k)), k) {
+					t.Fatal("tail cycle not found by the enumerator")
+				}
+			})
 		}
 	}
 	if yes == 0 || no == 0 {
