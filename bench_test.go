@@ -168,14 +168,26 @@ func BenchmarkActiveTraversal(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockDetector measures the paper's O(km) NodeNecessary query.
+// BenchmarkBlockDetector measures the paper's O(km) NodeNecessary query:
+// /plain one query per op, /filtered one op per sweep over every vertex
+// with the BFS filter (Alg. 11) on, as TDB++ queries.
 func BenchmarkBlockDetector(b *testing.B) {
 	g := benchGraph()
-	det := cycle.NewBlockDetector(g, 5, 3, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det.HasCycleThrough(VID(i % g.NumVertices()))
-	}
+	b.Run("plain", func(b *testing.B) {
+		det := cycle.NewBlockDetector(g, 5, 3, nil)
+		for i := 0; i < b.N; i++ {
+			det.HasCycleThrough(VID(i % g.NumVertices()))
+		}
+	})
+	b.Run("filtered", func(b *testing.B) {
+		det := cycle.NewBlockDetector(g, 5, 3, nil)
+		det.Filter = true
+		for i := 0; i < b.N; i++ {
+			for v := 0; v < g.NumVertices(); v++ {
+				det.HasCycleThrough(VID(v))
+			}
+		}
+	})
 }
 
 // BenchmarkPlainDetector measures the unbounded-worst-case DFS detector.
@@ -185,33 +197,6 @@ func BenchmarkPlainDetector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.HasCycleThrough(VID(i % g.NumVertices()))
-	}
-}
-
-// filterBenchGraphs are two shapes for the scalar filter: the mid-size
-// benchmark workload (reciprocal-edge heavy, queries hit fast) and a
-// low-reciprocity power-law graph (queries search deep through shared
-// hubs).
-func filterBenchGraphs() map[string]*Graph {
-	return map[string]*Graph{
-		"WKV":      benchGraph(),
-		"powerlaw": gen.PowerLaw(5000, 30000, 2.0, 0.05, 9),
-	}
-}
-
-// BenchmarkBFSFilterScalar sweeps the scalar pruning filter over every
-// vertex; one op = one full n-query sweep.
-func BenchmarkBFSFilterScalar(b *testing.B) {
-	for name, g := range filterBenchGraphs() {
-		b.Run(name, func(b *testing.B) {
-			f := cycle.NewBFSFilter(g, 5, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for v := 0; v < g.NumVertices(); v++ {
-					f.CanPrune(VID(v))
-				}
-			}
-		})
 	}
 }
 

@@ -92,7 +92,8 @@ func runBenchSuite(dir string, budget time.Duration) (string, error) {
 	seq := tdb.WithStrategy(tdb.StrategySequential)
 	eng := tdb.NewEngine(g)
 	mappedEng := tdb.NewStorageEngine(mg)
-	scalar := cycle.NewBFSFilter(plaw, 5, nil)
+	filtered := cycle.NewBlockDetector(plaw, 5, cycle.DefaultMinLen, nil)
+	filtered.Filter = true
 	plawEdges := plaw.Edges()
 	plawUpdates := make([]tdb.Update, len(plawEdges))
 	for i, e := range plawEdges {
@@ -118,9 +119,9 @@ func runBenchSuite(dir string, budget time.Duration) (string, error) {
 				panic(err)
 			}
 		}},
-		{"BFSFilterScalar/powerlaw", func() {
+		{"BlockDetectorFiltered/powerlaw", func() {
 			for v := 0; v < plaw.NumVertices(); v++ {
-				scalar.CanPrune(tdb.VID(v))
+				filtered.HasCycleThrough(tdb.VID(v))
 			}
 		}},
 		{"HasHopConstrainedCycle/WKV", func() {

@@ -11,7 +11,7 @@ import (
 //
 //  1. every *Scratch from ScratchPool.Get must reach ScratchPool.Put on
 //     every non-panicking path (or escape into an owning struct); passing
-//     scratch to a detector/filter constructor is a borrow, not a
+//     scratch to a detector constructor is a borrow, not a
 //     discharge, so the getter still owes the Put;
 //  2. Put must never execute on a panic path — a scratch abandoned
 //     mid-traversal may hold poisoned epoch marks, and repooling it hands

@@ -196,9 +196,11 @@ type Stats struct {
 	Checked int64
 	// SCCSkipped counts candidates exempted by the SCC prefilter.
 	SCCSkipped int64
-	// FilterPruned counts candidates the scalar BFS-filter (Alg. 11)
-	// proved unnecessary on the exact working graph G0+v (TDB++); the
-	// other checked candidates went to the block detector.
+	// FilterPruned counts candidates the BFS-filter (Alg. 11) proved
+	// unnecessary on the exact working graph G0+v (TDB++); the other
+	// checked candidates went on to the block detector's DFS. The filter
+	// runs inside the detector's query, so Detector.Queries counts every
+	// checked candidate once.
 	FilterPruned int64
 	// FilterBatchWidth is always 0. It is kept only because the benchmark
 	// harness (perfbench) reads it.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tdb/internal/cycle"
@@ -558,6 +559,61 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if st.Detector.Queries == 0 {
 		t.Fatalf("detector stats missing: %+v", st)
+	}
+}
+
+// throughOracle reports whether the Enumerator lists a cycle of length in
+// [minLen, k] through s among the active vertices.
+func throughOracle(gr *digraph.Graph, k, minLen int, active []bool, s VID) bool {
+	found := false
+	cycle.NewEnumerator(gr, k, minLen, active).Visit(func(c []VID) bool {
+		for _, v := range c {
+			found = found || v == s
+		}
+		return !found
+	})
+	return found
+}
+
+// TestFilterPrunedMatchesReplay replays TDB++'s natural-order loop with the
+// enumeration oracle: each vertex joins the working graph, counts as
+// pruned when no cycle of length in [2, k] passes through it (the BFS
+// filter is exact at that length), and otherwise stays in the cover when a
+// cycle of length in [MinLen, k] does. Stats.FilterPruned, Checked and the
+// cover must equal the replay.
+func TestFilterPrunedMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 83))
+	for iter := 0; iter < 40; iter++ {
+		n := 3 + rng.IntN(20)
+		gr := randomGraph(n, rng.IntN(3*n+1), uint64(iter))
+		for _, k := range []int{2, 3, 4, 5, 8} {
+			for _, minLen := range []int{2, 3} {
+				if k < minLen {
+					continue
+				}
+				active := make([]bool, n)
+				var cover []VID
+				pruned := int64(0)
+				for v := VID(0); int(v) < n; v++ {
+					active[v] = true
+					switch {
+					case !throughOracle(gr, k, 2, active, v):
+						pruned++
+					case throughOracle(gr, k, minLen, active, v):
+						cover = append(cover, v)
+						active[v] = false
+					}
+				}
+				r := mustCompute(t, gr, TDBPlusPlus, Options{K: k, MinLen: minLen})
+				if r.Stats.FilterPruned != pruned || r.Stats.Checked != int64(n) {
+					t.Fatalf("iter=%d k=%d minLen=%d: FilterPruned=%d Checked=%d, replay %d of %d\ngraph=%v",
+						iter, k, minLen, r.Stats.FilterPruned, r.Stats.Checked, pruned, n, gr.Edges())
+				}
+				if !slices.Equal(r.Cover, cover) {
+					t.Fatalf("iter=%d k=%d minLen=%d: cover %v, replay %v", iter, k, minLen, r.Cover, cover)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"tdb/internal/cycle"
@@ -11,9 +10,9 @@ import (
 )
 
 // Engine computes covers over one fixed graph while pooling all working
-// state — the detectors' epoch-mark/stamp tables, the BFS-filter queues,
-// the active-adjacency working graph (and its mask fallback), the
-// candidate-order buffer — across runs.
+// state — the detectors' epoch-mark/stamp tables and seed queue, the
+// active-adjacency working graph (and its mask fallback), the
+// candidate-order buffer, the whole-graph check's peel mask — across runs.
 // A one-shot Compute allocates that state afresh every call; under repeated
 // traffic over the same graph (the service setting, not the paper's
 // one-shot experiments) the engine brings steady-state allocations per
@@ -112,9 +111,8 @@ func (e *Engine) FindCycle(k, minLen int, s VID) []VID {
 // queried: no other vertex lies on a cycle.
 func (e *Engine) HasHopConstrainedCycle(k, minLen int) bool {
 	e.condensation()
-	active := slices.Clone(e.candidates)
 	sc := e.cycPool.Get()
-	found := cycle.HasHopConstrainedCycle(e.g, k, minLen, active, sc)
+	found := cycle.HasHopConstrainedCycle(e.g, k, minLen, e.candidates, sc)
 	// Non-deferred Put: a panicking query quarantines its scratch (see
 	// Compute) rather than pooling possibly-poisoned marks.
 	e.cycPool.Put(sc)
@@ -137,7 +135,7 @@ func (e *Engine) sccParts() []sccPart {
 // borrowing algorithm (mask fill, counter clear), not at release time, so a
 // pooled scratch carries no information between runs.
 type runScratch struct {
-	cyc    *cycle.Scratch      // detector + filter buffers (disjoint groups)
+	cyc    *cycle.Scratch      // detector buffers
 	active *digraph.VertexMask // working-graph overlay (mask fallback; lazy)
 	// view is the compacted active-adjacency working graph (lazy; pooled
 	// across runs so steady-state engine covers stay allocation-free).

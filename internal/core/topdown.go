@@ -26,7 +26,7 @@ type working interface {
 //
 //	TDB   — plain bounded-DFS detector;
 //	TDB+  — block-based detector (Alg. 9-10);
-//	TDB++ — block-based detector behind the BFS-filter (Alg. 11).
+//	TDB++ — block-based detector with its BFS filter on (Alg. 11).
 //
 // The cover starts conceptually as all of V and the working graph G0 as
 // empty. Each candidate v is activated (all its edges join G0); if no
@@ -63,15 +63,8 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 		} else {
 			blockDet = cycle.NewBlockDetectorWith(g, opts.K, opts.MinLen, rs.active.Raw(), rs.cyc)
 		}
+		blockDet.Filter = algo == TDBPlusPlus
 		det = blockDet
-	}
-	var filter *cycle.BFSFilter
-	if algo == TDBPlusPlus {
-		if view != nil {
-			filter = cycle.NewBFSFilterView(view, opts.K, rs.cyc)
-		} else {
-			filter = cycle.NewBFSFilterWith(g, opts.K, rs.active.Raw(), rs.cyc)
-		}
 	}
 
 	for _, v := range vertexOrderBuf(g, opts, rs.ids) {
@@ -90,19 +83,12 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 			continue // provably on no cycle: never in the cover
 		}
 		r.Stats.Checked++
-		necessary := false
-		if filter != nil && filter.CanPrune(v) {
-			// Proven on the exact working graph: no constrained cycle
-			// through v in G0. Not necessary.
-			r.Stats.FilterPruned++
-		} else {
-			necessary = det.HasCycleThrough(v)
-			if plainDet != nil && plainDet.WasAborted() {
-				// Inconclusive: keep v in the cover (always safe) and flag
-				// the timeout.
-				necessary = true
-				r.Stats.TimedOut = true
-			}
+		necessary := det.HasCycleThrough(v)
+		if plainDet != nil && plainDet.WasAborted() {
+			// Inconclusive: keep v in the cover (always safe) and flag the
+			// timeout.
+			necessary = true
+			r.Stats.TimedOut = true
 		}
 		if necessary {
 			r.Cover = append(r.Cover, v)
@@ -114,9 +100,7 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 		r.Stats.Detector.Add(plainDet.Stats)
 	} else {
 		r.Stats.Detector.Add(blockDet.Stats)
-	}
-	if filter != nil {
-		r.Stats.Detector.Add(filter.Stats)
+		r.Stats.FilterPruned = blockDet.Stats.BFSPruned
 	}
 	if r.Stats.TimedOut && opts.PartialOnDeadline {
 		// The stop path above completed the cover conservatively (every

@@ -3,7 +3,7 @@ package cycle
 import "tdb/internal/digraph"
 
 // adjacency is the edge-source layer shared by the detection primitives,
-// embedded by PlainDetector, BlockDetector and BFSFilter. It selects one of
+// embedded by PlainDetector and BlockDetector. It selects one of
 // the two working-graph representations (DESIGN.md §7):
 //
 //   - mask: the immutable CSR rows, which the traversal loops filter
@@ -11,8 +11,9 @@ import "tdb/internal/digraph"
 //   - view: a digraph.ActiveAdjacency whose slices hold exactly the live
 //     neighbors, so no per-entry filtering happens at all.
 //
-// Keeping the selection here, in one place, pins the three detectors'
-// activation semantics together.
+// Keeping the selection here, in one place, pins the detectors' activation
+// semantics together: the DFS, the seed, the BFS filter and the Unblock
+// propagation all see the same live subgraph.
 type adjacency struct {
 	g      digraph.Adjacency
 	active []bool
@@ -47,8 +48,8 @@ func (a *adjacency) out(u VID) []VID {
 	return a.g.Out(u)
 }
 
-// in is the backward counterpart of out, used by Unblock propagation and
-// in-neighbor marking.
+// in is the backward counterpart of out, used by the distance seed and
+// Unblock propagation.
 func (a *adjacency) in(u VID) []VID {
 	if a.view != nil {
 		return a.view.ActiveIn(u)

@@ -3,22 +3,22 @@ package cycle
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tdb/internal/digraph"
 )
 
 // The whole-graph check and the streaming maintainer's ApplyBatch answer a
-// batch of sources with one block-detector query each, in order, where they
-// once ran a batched BFS sweep that skipped the sources it could rule out.
-// With minLen = 2 the BFS filter is exact: the shortest closed walk through
-// s is a simple cycle through s, so "no cycle of length <= k through s" is
-// exactly CanPrune(s). The tests below hold the detector's answer for every
-// source of a batch to the scalar filter's, on both working-graph backends,
-// at batch sizes below, at and past one 64-bit word (the old sweep's
-// width), and with the detector, the filter and the peel sharing a Scratch.
-// They keep the names of the batched filter's tests, whose cases they
-// inherit.
+// batch of sources with one block-detector query each, in order, and TDB++
+// runs every query with the BFS filter on. The tests below hold, for every
+// source of a batch, the detector's answer at minLen 2 and the filtered
+// detector's prune to the enumeration oracle (cycleVertices), on both
+// working-graph backends, at batch sizes below, at and past one 64-bit word
+// (the width of the batched sweep these tests once checked), and with the
+// detectors and the peel sharing a Scratch query by query. The two tests
+// named after the batched BFS filter keep the names, and the subtests, of
+// the tests whose cases they inherit.
 
 // bfRandomGraph builds a random digraph with n vertices and ~m edges.
 func bfRandomGraph(n, m int, seed uint64) *digraph.Graph {
@@ -35,8 +35,8 @@ func bfRandomGraph(n, m int, seed uint64) *digraph.Graph {
 }
 
 // bfSelfLoopGraph is bfRandomGraph with KeepSelfLoops set and ~n/4 planted
-// self-loops: neither the scalar filter nor the detector at minLen 2 counts
-// a self-loop as a cycle, and they must agree.
+// self-loops: neither the filter nor the detector at minLen 2 may count a
+// self-loop as a cycle.
 func bfSelfLoopGraph(n, m int, seed uint64) *digraph.Graph {
 	rng := rand.New(rand.NewPCG(seed, seed^0xc2b2ae35))
 	b := digraph.NewBuilder(n)
@@ -60,8 +60,8 @@ func batchSources(rng *rand.Rand, n, size int) []VID {
 	return src
 }
 
-// exactMinLen is the shortest cycle length at which the BFS filter's
-// closed-walk test is exact.
+// exactMinLen is the shortest cycle length at which a detector's answer is
+// exactly the oracle's.
 const exactMinLen = 2
 
 // activeView returns an active-adjacency view with exactly the vertices
@@ -77,10 +77,10 @@ func activeView(g *digraph.Graph, active []bool) *digraph.ActiveAdjacency {
 }
 
 // TestBatchBFSFilterMatchesScalar: across random graphs, hop constraints,
-// batch sizes and both working-graph backends, a block detector answering a
-// batch of sources one query at a time reports, for every source, exactly
-// the negation of the scalar filter's CanPrune, with the two sharing one
-// Scratch as the top-down cover pairs them.
+// batch sizes and both working-graph backends, a block detector at minLen 2
+// answering a batch of sources one query at a time finds a cycle exactly
+// where the oracle lists one, and a filtered detector on the same Scratch
+// prunes exactly the live sources the oracle puts on no cycle.
 func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -93,7 +93,7 @@ func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 	}
 	for _, tc := range graphs {
 		n := tc.g.NumVertices()
-		for _, k := range []int{3, 5, 8} {
+		for _, k := range filterKs {
 			for _, backend := range []string{"mask", "view"} {
 				for _, size := range []int{1, 7, 64, 200} {
 					t.Run(fmt.Sprintf("%s/k=%d/%s/batch=%d", tc.name, k, backend, size), func(t *testing.T) {
@@ -104,30 +104,33 @@ func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 						for v := range active {
 							active[v] = rng.IntN(5) > 0
 						}
+						onCycle := cycleVertices(tc.g, k, active)
 						sc := NewScratch(n)
-						var scalar *BFSFilter
-						var det *BlockDetector
+						var det, fil *BlockDetector
 						switch backend {
 						case "mask":
-							scalar = NewBFSFilterWith(tc.g, k, active, sc)
 							det = NewBlockDetectorWith(tc.g, k, exactMinLen, active, sc)
+							fil = NewBlockDetectorWith(tc.g, k, filterMinLen(k), active, sc)
 						case "view":
 							view := activeView(tc.g, active)
-							scalar = NewBFSFilterView(view, k, sc)
 							det = NewBlockDetectorView(view, k, exactMinLen, sc)
+							fil = NewBlockDetectorView(view, k, filterMinLen(k), sc)
 						}
+						fil.Filter = true
 						found := 0
 						for round := 0; round < 3; round++ {
-							for i, s := range batchSources(rng, n, size) {
+							src := batchSources(rng, n, size)
+							for i, s := range src {
 								got := det.HasCycleThrough(s)
-								if want := !scalar.CanPrune(s); got != want {
-									t.Fatalf("round %d source %d (position %d): detector found=%v, scalar unpruned=%v",
+								if want := active[s] && onCycle[s]; got != want {
+									t.Fatalf("round %d source %d (position %d): detector found=%v, oracle %v",
 										round, s, i, got, want)
 								}
 								if got {
 									found++
 								}
 							}
+							checkFilterPrunes(t, fil, src, active, onCycle)
 						}
 						if det.Stats.Queries != int64(3*size) {
 							t.Fatalf("detector counted %d queries, want %d", det.Stats.Queries, 3*size)
@@ -142,9 +145,10 @@ func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchFilterScratchReuse runs whole-graph and masked detectors back to
-// back on one shared scratch, batch after batch, to catch contamination of
-// the DFS group between queries of different detectors.
+// TestBatchFilterScratchReuse runs whole-graph and masked detectors, plain
+// and filtered, back to back on one shared scratch, batch after batch, to
+// catch contamination of the scratch between queries of different
+// detectors.
 func TestBatchFilterScratchReuse(t *testing.T) {
 	g := bfRandomGraph(120, 500, 9)
 	n := g.NumVertices()
@@ -153,27 +157,33 @@ func TestBatchFilterScratchReuse(t *testing.T) {
 	for v := range active {
 		active[v] = v%4 != 0
 	}
-	scalar := NewBFSFilter(g, 5, nil)
+	onCycle := cycleVertices(g, 5, nil)
+	onCycleMasked := cycleVertices(g, 5, active)
 	det := NewBlockDetectorWith(g, 5, exactMinLen, nil, sc)
-	scalarMasked := NewBFSFilter(g, 5, active)
+	fil := NewBlockDetectorWith(g, 5, DefaultMinLen, nil, sc)
+	fil.Filter = true
 	detMasked := NewBlockDetectorWith(g, 5, exactMinLen, active, sc)
+	filMasked := NewBlockDetectorWith(g, 5, DefaultMinLen, active, sc)
+	filMasked.Filter = true
 
 	for round := 0; round < 3; round++ {
 		for v := 0; v < n; v++ {
-			if got, want := det.HasCycleThrough(VID(v)), !scalar.CanPrune(VID(v)); got != want {
-				t.Fatalf("round %d full-graph source %d: detector=%v scalar unpruned=%v", round, v, got, want)
+			if got := det.HasCycleThrough(VID(v)); got != onCycle[v] {
+				t.Fatalf("round %d full-graph source %d: detector=%v oracle %v", round, v, got, onCycle[v])
 			}
+			checkFilterPrunes(t, fil, []VID{VID(v)}, nil, onCycle)
 		}
 		for v := 0; v < n; v++ {
-			if got, want := detMasked.HasCycleThrough(VID(v)), !scalarMasked.CanPrune(VID(v)); got != want {
-				t.Fatalf("round %d masked source %d: detector=%v scalar unpruned=%v", round, v, got, want)
+			if got, want := detMasked.HasCycleThrough(VID(v)), active[v] && onCycleMasked[v]; got != want {
+				t.Fatalf("round %d masked source %d: detector=%v oracle %v", round, v, got, want)
 			}
+			checkFilterPrunes(t, filMasked, []VID{VID(v)}, active, onCycleMasked)
 		}
 	}
 }
 
-// TestBatchFilterViewTracksActivation: the view-backed detector must see
-// Activate/Deactivate changes between batches, like the scalar filter.
+// TestBatchFilterViewTracksActivation: the view-backed detector, plain and
+// filtered, must see Activate/Deactivate changes between batches.
 func TestBatchFilterViewTracksActivation(t *testing.T) {
 	// Triangle 0->1->2->0 plus a chord vertex 3 on a 4-cycle 0->1->2->3->0.
 	b := digraph.NewBuilder(4)
@@ -185,12 +195,15 @@ func TestBatchFilterViewTracksActivation(t *testing.T) {
 	g := b.Build()
 	view := digraph.NewActiveAdjacency(g, true)
 	det := NewBlockDetectorView(view, 5, exactMinLen, nil)
+	fil := NewBlockDetectorView(view, 5, DefaultMinLen, nil)
+	fil.Filter = true
 	src := []VID{0, 1, 2, 3}
 	for _, s := range src {
 		if !det.HasCycleThrough(s) {
 			t.Fatalf("all-active: source %d found no cycle, want one", s)
 		}
 	}
+	checkFilterPrunes(t, fil, src, nil, cycleVertices(g, 5, nil))
 	// Every cycle runs over 0->1, so deactivating 1 leaves none.
 	view.Deactivate(1)
 	for _, s := range src {
@@ -198,12 +211,15 @@ func TestBatchFilterViewTracksActivation(t *testing.T) {
 			t.Fatalf("after deactivate: source %d found a cycle, want none", s)
 		}
 	}
+	without1 := []bool{true, false, true, true}
+	checkFilterPrunes(t, fil, src, without1, cycleVertices(g, 5, without1))
 	view.Activate(1)
 	for _, s := range src {
 		if !det.HasCycleThrough(s) {
 			t.Fatalf("re-activated: source %d found no cycle, want one", s)
 		}
 	}
+	checkFilterPrunes(t, fil, src, nil, cycleVertices(g, 5, nil))
 }
 
 // sweepWidths are the batch widths W (sources per batch) of the sweep
@@ -212,11 +228,11 @@ func TestBatchFilterViewTracksActivation(t *testing.T) {
 // ragged tail (600 = 9*64 + 24).
 var sweepWidths = []int{1, 63, 64, 65, 256, 512, 600}
 
-// firstUnpruned returns the smallest active vertex the scalar filter does
-// not prune, or -1 when it prunes every active vertex.
-func firstUnpruned(f *BFSFilter, active []bool) int {
+// firstOnCycle returns the smallest active vertex the oracle puts on a
+// cycle, or -1 when there is none.
+func firstOnCycle(onCycle, active []bool) int {
 	for v, live := range active {
-		if live && !f.CanPrune(VID(v)) {
+		if live && onCycle[v] {
 			return v
 		}
 	}
@@ -224,12 +240,12 @@ func firstUnpruned(f *BFSFilter, active []bool) int {
 }
 
 // TestBatchBFSFilterWidthSweep checks batches of every width W: per source,
-// the detector matches the scalar filter on both backends (the view
-// detector against the mask filter, across backends). On the mask backend
-// it also runs HasHopConstrainedCycle's peel over the same mask on the same
-// scratch: with minLen 2 a vertex the filter prunes lies on no cycle, so
-// the peel must clear exactly the active vertices below the first unpruned
-// one, stop there with true, and leave the rest of the mask alone.
+// the detector at minLen 2 matches the oracle and the filtered detector
+// prunes exactly the sources off every cycle, on both backends. On the mask
+// backend it also runs HasHopConstrainedCycle's peel over the same
+// candidates on the same scratch: the peel must clear exactly the active
+// vertices below the first one on a cycle, stop there with true, and leave
+// the candidate mask itself alone.
 func TestBatchBFSFilterWidthSweep(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -240,7 +256,7 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 	}
 	for _, tc := range graphs {
 		n := tc.g.NumVertices()
-		for _, k := range []int{3, 5, 8} {
+		for _, k := range filterKs {
 			for _, size := range sweepWidths {
 				t.Run(fmt.Sprintf("%s/k=%d/W=%d", tc.name, k, size), func(t *testing.T) {
 					rng := rand.New(rand.NewPCG(uint64(k*size), 99))
@@ -249,36 +265,44 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 						active[v] = rng.IntN(5) > 0
 					}
 					src := batchSources(rng, n, size)
-					scalar := NewBFSFilter(tc.g, k, active)
+					onCycle := cycleVertices(tc.g, k, active)
 					for _, backend := range []string{"mask", "view"} {
 						t.Run(backend, func(t *testing.T) {
 							sc := NewScratch(n)
-							var det *BlockDetector
+							var det, fil *BlockDetector
 							if backend == "mask" {
 								det = NewBlockDetectorWith(tc.g, k, exactMinLen, active, sc)
+								fil = NewBlockDetectorWith(tc.g, k, filterMinLen(k), active, sc)
 							} else {
-								det = NewBlockDetectorView(activeView(tc.g, active), k, exactMinLen, sc)
+								view := activeView(tc.g, active)
+								det = NewBlockDetectorView(view, k, exactMinLen, sc)
+								fil = NewBlockDetectorView(view, k, filterMinLen(k), sc)
 							}
+							fil.Filter = true
 							for i, s := range src {
-								if got, want := det.HasCycleThrough(s), !scalar.CanPrune(s); got != want {
-									t.Fatalf("position %d source %d: detector found=%v, scalar unpruned=%v", i, s, got, want)
+								if got, want := det.HasCycleThrough(s), active[s] && onCycle[s]; got != want {
+									t.Fatalf("position %d source %d: detector found=%v, oracle %v", i, s, got, want)
 								}
 							}
 							if det.Stats.Queries != int64(size) {
 								t.Fatalf("Queries = %d, want %d", det.Stats.Queries, size)
 							}
+							checkFilterPrunes(t, fil, src, active, onCycle)
 							if backend != "mask" {
 								return
 							}
-							first := firstUnpruned(scalar, active)
-							peeled := append([]bool(nil), active...)
-							if got := HasHopConstrainedCycle(tc.g, k, exactMinLen, peeled, sc); got != (first >= 0) {
-								t.Fatalf("peel = %v, want %v (first unpruned %d)", got, first >= 0, first)
+							first := firstOnCycle(onCycle, active)
+							candidates := append([]bool(nil), active...)
+							if got := HasHopConstrainedCycle(tc.g, k, exactMinLen, candidates, sc); got != (first >= 0) {
+								t.Fatalf("peel = %v, want %v (first on a cycle %d)", got, first >= 0, first)
 							}
-							for v := range peeled {
+							for v, peeled := range sc.peel {
 								want := active[v] && (first >= 0 && v >= first)
-								if peeled[v] != want {
-									t.Fatalf("after the peel vertex %d active=%v, want %v (first unpruned %d)", v, peeled[v], want, first)
+								if peeled != want {
+									t.Fatalf("after the peel vertex %d live=%v, want %v (first on a cycle %d)", v, peeled, want, first)
+								}
+								if candidates[v] != active[v] {
+									t.Fatalf("the peel wrote candidate %d", v)
 								}
 							}
 						})
@@ -290,10 +314,10 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 }
 
 // TestBatchFilterMixedWidthScratchReuse alternates whole-graph and masked
-// detector batches of mixed widths and whole-graph peels on one shared
-// Scratch — the engine pool's sharing pattern, where a pooled scratch
-// serves HasHopConstrainedCycle over different masks in turn. Each batch
-// must leave the DFS buffers clean for the next user.
+// detector batches of mixed widths, plain and filtered, and peels on one
+// shared Scratch — the engine pool's sharing pattern, where a pooled
+// scratch serves HasHopConstrainedCycle over different candidate sets in
+// turn. Each batch must leave the scratch clean for the next user.
 func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 	g := bfRandomGraph(640, 2600, 14)
 	n := g.NumVertices()
@@ -302,25 +326,36 @@ func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 	for v := range active {
 		active[v] = v%3 != 1
 	}
-	scalar := NewBFSFilter(g, 5, nil)
-	scalarMasked := NewBFSFilter(g, 5, active)
+	onCycle := cycleVertices(g, 5, nil)
+	onCycleMasked := cycleVertices(g, 5, active)
 	det := NewBlockDetectorWith(g, 5, exactMinLen, nil, sc)
+	fil := NewBlockDetectorWith(g, 5, DefaultMinLen, nil, sc)
+	fil.Filter = true
 	detMasked := NewBlockDetectorWith(g, 5, exactMinLen, active, sc)
-	wantPeel := firstUnpruned(scalarMasked, active) >= 0
+	filMasked := NewBlockDetectorWith(g, 5, DefaultMinLen, active, sc)
+	filMasked.Filter = true
+	wantPeel := firstOnCycle(onCycleMasked, active) >= 0
+	wantWholePeel := slices.Contains(onCycle, true)
 	for round, w := range []int{n, 64, 200, n, 65, 1} {
 		lo := (round * 97) % (n - w + 1)
-		for v := VID(lo); v < VID(lo+w); v++ {
-			if got, want := det.HasCycleThrough(v), !scalar.CanPrune(v); got != want {
-				t.Fatalf("round %d (W=%d) whole-graph source %d: detector=%v scalar unpruned=%v", round, w, v, got, want)
+		src := allSources(n)[lo : lo+w]
+		for _, v := range src {
+			if got := det.HasCycleThrough(v); got != onCycle[v] {
+				t.Fatalf("round %d (W=%d) whole-graph source %d: detector=%v oracle %v", round, w, v, got, onCycle[v])
 			}
 		}
-		if got := HasHopConstrainedCycle(g, 5, exactMinLen, append([]bool(nil), active...), sc); got != wantPeel {
+		checkFilterPrunes(t, fil, src, nil, onCycle)
+		if got := HasHopConstrainedCycle(g, 5, exactMinLen, active, sc); got != wantPeel {
 			t.Fatalf("round %d (W=%d) masked peel = %v, want %v", round, w, got, wantPeel)
 		}
-		for v := VID(lo); v < VID(lo+w); v++ {
-			if got, want := detMasked.HasCycleThrough(v), !scalarMasked.CanPrune(v); got != want {
-				t.Fatalf("round %d (W=%d) masked source %d: detector=%v scalar unpruned=%v", round, w, v, got, want)
+		if got := HasHopConstrainedCycle(g, 5, exactMinLen, nil, sc); got != wantWholePeel {
+			t.Fatalf("round %d (W=%d) whole-graph peel = %v, want %v", round, w, got, wantWholePeel)
+		}
+		for _, v := range src {
+			if got, want := detMasked.HasCycleThrough(v), active[v] && onCycleMasked[v]; got != want {
+				t.Fatalf("round %d (W=%d) masked source %d: detector=%v oracle %v", round, w, v, got, want)
 			}
 		}
+		checkFilterPrunes(t, filMasked, src, active, onCycleMasked)
 	}
 }

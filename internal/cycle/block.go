@@ -40,7 +40,13 @@ type BlockDetector struct {
 	minLen int
 	floor  int32 // block of a vertex the seed BFS left unstamped
 
-	s *Scratch // DFS group: onPath, blocked, stamp, epoch, path, seedQ
+	s *Scratch // onPath, blocked, stamp, epoch, path, seedQ
+
+	// Filter, when set, runs the paper's BFS filter (Alg. 11) between the
+	// seed and the DFS: a query answers "no" without searching when no
+	// closed walk of length <= k passes through s (see closesWithin).
+	// Pruned queries count in Stats.BFSPruned.
+	Filter bool
 
 	Stats Stats
 }
@@ -106,23 +112,27 @@ func (d *BlockDetector) HasCycleThrough(s VID) bool {
 }
 
 // HasHopConstrainedCycle reports whether any cycle of length in [minLen, k]
-// lies among the vertices that active marks, borrowing the DFS buffers from s
-// (nil allocates). It queries the active vertices in ID order and clears
-// each one whose query answers "no" before the next query, so later queries
-// search a smaller graph. The peel is exact: when the smallest-numbered
-// vertex of a constrained cycle C is queried, only smaller vertices have
-// been cleared, so all of C is still active and the query finds a cycle.
-// active is modified.
-func HasHopConstrainedCycle(g digraph.Adjacency, k, minLen int, active []bool, s *Scratch) bool {
-	det := NewBlockDetectorWith(g, k, minLen, active, s)
-	for v, live := range active {
-		if !live {
+// lies among the candidate vertices (nil = every vertex), borrowing the
+// detector buffers and the peel mask from s (nil allocates). It queries the
+// candidates in ID order and clears each one whose query answers "no" from
+// the peel mask before the next query, so later queries search a smaller
+// graph. The peel is exact: when the smallest-numbered vertex of a
+// constrained cycle C is queried, only smaller vertices have been cleared,
+// so all of C is still live and the query finds a cycle. candidates is only
+// read.
+func HasHopConstrainedCycle(g digraph.Adjacency, k, minLen int, candidates []bool, s *Scratch) bool {
+	validate(g, k, minLen, candidates)
+	s = checkScratch(s, g.NumVertices())
+	live := s.peelMask(candidates)
+	det := NewBlockDetectorWith(g, k, minLen, live, s)
+	for v, ok := range live {
+		if !ok {
 			continue
 		}
 		if det.HasCycleThrough(VID(v)) {
 			return true
 		}
-		active[v] = false
+		live[v] = false
 	}
 	return false
 }
@@ -133,7 +143,6 @@ func (d *BlockDetector) query(s VID) bool {
 	if !d.startActive(s) {
 		return false
 	}
-	d.s.onPath.nextEpoch()
 	d.s.epoch++
 	if d.s.epoch == 0 { // uint32 wraparound: invalidate all stamps
 		for i := range d.s.stamp {
@@ -141,7 +150,12 @@ func (d *BlockDetector) query(s VID) bool {
 		}
 		d.s.epoch = 1
 	}
-	d.seed(s)
+	ball := d.seed(s)
+	if d.Filter && !d.closesWithin(s, ball) {
+		d.Stats.BFSPruned++
+		return false
+	}
+	d.s.onPath.nextEpoch()
 	d.s.path = d.s.path[:0]
 	d.s.path = append(d.s.path, s)
 	d.s.onPath.set(s)
@@ -154,10 +168,11 @@ func (d *BlockDetector) query(s VID) bool {
 }
 
 // seed stamps block[w] = dist(w -> s) for every vertex within D = (k-1)/2
-// backward hops of s and sets the floor the unstamped vertices read. The
-// queue holds the ball level by level; after each pass q[lo:] is the
-// deepest level reached.
-func (d *BlockDetector) seed(s VID) {
+// backward hops of s, sets the floor the unstamped vertices read, and
+// returns the number of vertices it stamped (s included). The queue holds
+// the ball level by level; after each pass q[lo:] is the deepest level
+// reached.
+func (d *BlockDetector) seed(s VID) int {
 	depth := (d.k - 1) / 2
 	d.setBlock(s, 0)
 	q := append(d.s.seedQ[:0], s)
@@ -182,6 +197,56 @@ func (d *BlockDetector) seed(s VID) {
 		d.floor = int32(depth + 1)
 	}
 	d.s.seedQ = q[:0]
+	return len(q)
+}
+
+// closesWithin is the paper's BFS filter (Alg. 11) read off the seeded
+// ball: it reports whether a closed walk of length <= k passes through s.
+// A forward BFS from s over the live out-edges, to depth k-D, stops at the
+// first vertex the seed stamped; s itself counts as stamped, except through
+// a self-loop. Every meet closes a walk of at most (k-D) + D = k hops. If
+// the shortest closed walk through s has length L <= k, its vertex at
+// position max(L-D, 1) lies in the ball within k-D forward hops, so the
+// test is exact. The shortest closed walk through s is a simple cycle, so
+// a false answer proves no cycle of length <= k passes through s; a true
+// answer may stand for a 2-cycle the search then rejects (the paper's
+// Example 2). The BFS marks its visits in onPath and queues in seedQ.
+func (d *BlockDetector) closesWithin(s VID, ball int) bool {
+	if ball == 1 && d.floor == int32(d.k) {
+		return false // the seed ran out: nothing reaches s
+	}
+	d.s.onPath.nextEpoch()
+	d.s.onPath.set(s)
+	q := append(d.s.seedQ[:0], s)
+	met := false
+	lo := 0
+levels:
+	for dist := 1; dist <= d.k-(d.k-1)/2 && lo < len(q); dist++ {
+		hi := len(q)
+		for _, u := range q[lo:hi] {
+			for _, w := range d.out(u) {
+				d.Stats.EdgeScans++
+				// On the view path every scanned w is live; only the mask
+				// filters.
+				if d.active != nil && !d.active[w] {
+					continue
+				}
+				if d.s.stamp[w] == d.s.epoch && (w != s || u != s) {
+					met = true
+					break levels
+				}
+				if d.s.onPath.get(w) {
+					continue
+				}
+				d.s.onPath.set(w)
+				d.Stats.BFSVisited++
+				q = append(q, w)
+			}
+		}
+		lo = hi
+	}
+	d.s.seedQ = q[:0]
+	return met
 }
 
 func (d *BlockDetector) search(s, u VID, depth int) bool {

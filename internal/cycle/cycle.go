@@ -6,10 +6,11 @@
 //     bottom-up cover and by the unoptimized top-down cover (TDB).
 //   - BlockDetector: the paper's NodeNecessary + Unblock (Alg. 9-10), the
 //     block/barrier-based detector with O(k*m) worst-case time per query,
-//     used by TDB+ and TDB++.
-//   - BFSFilter: the paper's BFS-filter (Alg. 11), a linear-time test that
-//     soundly proves the absence of any constrained cycle through a vertex;
-//     TDB++ runs it on every candidate before the block detector.
+//     used by TDB+ and TDB++. With Filter set it also runs the paper's
+//     BFS filter (Alg. 11) on every query, a linear-time test read off the
+//     detector's own backward distance seed that proves the absence of any
+//     constrained cycle through the vertex before the DFS starts; TDB++,
+//     the cover verifier and the maintainer's Reminimize turn it on.
 //   - HasHopConstrainedCycle: the whole-graph check, block-detector queries
 //     in vertex order over an active mask that peels every vertex whose
 //     query answered "no".
@@ -46,7 +47,7 @@ const DefaultMinLen = 3
 
 // Stats aggregates work counters across detector queries. Counters are
 // plain ints — NOT atomics — under a single-writer discipline: each
-// detector or filter instance is owned by one goroutine and counts into its
+// detector instance is owned by one goroutine and counts into its
 // own Stats, and parallel callers (the SCC-partitioned solver) merge the per-worker values into the run's aggregate with Add
 // under their own synchronization (a mutex around the merge, or a
 // post-Wait fold). Never share one Stats value between concurrently
@@ -57,8 +58,8 @@ type Stats struct {
 	EdgeScans   int64 // adjacency entries examined
 	Unblocks    int64 // Unblock propagation steps (block detector only)
 	CyclesFound int64 // queries that found a constrained cycle
-	BFSVisited  int64 // vertices settled by the BFS filter
-	BFSPruned   int64 // queries the BFS filter pruned
+	BFSVisited  int64 // vertices settled by the BFS filter's forward BFS
+	BFSPruned   int64 // queries the BFS filter pruned (BlockDetector.Filter)
 	// Batches is always 0. It is kept only because the benchmark
 	// harness (perfbench) reads it.
 	Batches int64
@@ -132,7 +133,7 @@ type PlainDetector struct {
 	k      int
 	minLen int
 
-	s *Scratch // DFS group: onPath, path
+	s *Scratch // onPath, path
 
 	// Cancelled, when non-nil, is the detector's stop poll, checked
 	// periodically inside the DFS; a true return aborts the current query

@@ -277,68 +277,6 @@ func TestBlockDetectorStress(t *testing.T) {
 	}
 }
 
-func TestBFSFilterSoundness(t *testing.T) {
-	rng := rand.New(rand.NewPCG(55, 66))
-	for iter := 0; iter < 100; iter++ {
-		n := 2 + rng.IntN(14)
-		gr := randomTestGraph(rng, n, rng.IntN(3*n))
-		var active []bool
-		if iter%2 == 0 {
-			active = make([]bool, n)
-			for i := range active {
-				active[i] = rng.IntN(5) > 0
-			}
-		}
-		for k := 3; k <= 6; k++ {
-			f := NewBFSFilter(gr, k, active)
-			for s := VID(0); int(s) < n; s++ {
-				if f.CanPrune(s) {
-					// Pruning must be sound for BOTH minLen settings.
-					if hasCycleThroughOracle(gr, k, 2, active, s) {
-						t.Fatalf("iter=%d k=%d s=%d: filter pruned a vertex on a cycle\ngraph=%v active=%v",
-							iter, k, s, gr.Edges(), active)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBFSFilterExactWalkLengths(t *testing.T) {
-	// 4-cycle: shortest closed walk through every vertex is 4.
-	gr := g(4, 0, 1, 1, 2, 2, 3, 3, 0)
-	f := NewBFSFilter(gr, 5, nil)
-	for s := VID(0); s < 4; s++ {
-		if got := f.ShortestClosedWalk(s); got != 4 {
-			t.Fatalf("walk through %d = %d, want 4", s, got)
-		}
-	}
-	// k=3 < 4: must prune.
-	f3 := NewBFSFilter(gr, 3, nil)
-	for s := VID(0); s < 4; s++ {
-		if !f3.CanPrune(s) {
-			t.Fatalf("k=3 should prune vertex %d of a 4-cycle", s)
-		}
-	}
-	// 2-cycle gives walk length 2 and therefore never prunes.
-	g2 := g(2, 0, 1, 1, 0)
-	f2 := NewBFSFilter(g2, 4, nil)
-	if got := f2.ShortestClosedWalk(0); got != 2 {
-		t.Fatalf("walk through 2-cycle = %d, want 2", got)
-	}
-	if f2.CanPrune(0) {
-		t.Fatal("2-cycle walk must not prune (inconclusive)")
-	}
-}
-
-func TestBFSFilterNoInNeighbors(t *testing.T) {
-	gr := g(3, 0, 1, 0, 2) // vertex 0 has no in-edges
-	f := NewBFSFilter(gr, 5, nil)
-	if !f.CanPrune(0) {
-		t.Fatal("source vertex must be prunable")
-	}
-}
-
 func TestEnumeratorKnownCounts(t *testing.T) {
 	// Triangle with all 6 edges (complete digraph K3): cycles of length 3
 	// are the two directed triangles; of length 2, three 2-cycles.
@@ -434,11 +372,11 @@ func TestUnconstrainedFindsLongCycles(t *testing.T) {
 func TestValidatePanics(t *testing.T) {
 	gr := g(3, 0, 1)
 	cases := []func(){
-		func() { NewPlainDetector(gr, 2, 3, nil) },          // k < minLen
-		func() { NewPlainDetector(gr, 5, 1, nil) },          // minLen < 2
-		func() { NewPlainDetector(gr, 5, 3, []bool{true}) }, // mask length
-		func() { NewBFSFilter(gr, 1, nil) },                 // k < 2
-		func() { NewBFSFilter(gr, 5, []bool{true}) },        // mask length
+		func() { NewPlainDetector(gr, 2, 3, nil) },                     // k < minLen
+		func() { NewPlainDetector(gr, 5, 1, nil) },                     // minLen < 2
+		func() { NewPlainDetector(gr, 5, 3, []bool{true}) },            // mask length
+		func() { NewBlockDetector(gr, 1, 2, nil) },                     // k < minLen
+		func() { HasHopConstrainedCycle(gr, 5, 3, []bool{true}, nil) }, // candidates length
 	}
 	for i, fn := range cases {
 		func() {

@@ -15,7 +15,7 @@ type Enumerator struct {
 	minLen int
 	active []bool
 
-	s *Scratch // DFS group: onPath, path
+	s *Scratch // onPath, path
 }
 
 // NewEnumerator creates an enumerator for cycles of length in [minLen, k]

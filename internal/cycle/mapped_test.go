@@ -25,9 +25,10 @@ func openMapped(t *testing.T, g *digraph.Graph) *digraph.MappedGraph {
 	return mg
 }
 
-// TestDetectorsOnMappedBackend asserts the block detector and the scalar
-// BFS filter answer identically over the mapped backend and the in-memory
-// CSR, per vertex.
+// TestDetectorsOnMappedBackend asserts the block detector answers
+// identically over the mapped backend and the in-memory CSR, per vertex,
+// and that with its filter on it prunes exactly where the oracle puts a
+// vertex on no cycle — also on a mapped graph that keeps self-loops.
 func TestDetectorsOnMappedBackend(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	const n, k = 200, 5
@@ -40,15 +41,29 @@ func TestDetectorsOnMappedBackend(t *testing.T) {
 
 	memDet := NewBlockDetector(g, k, DefaultMinLen, nil)
 	mapDet := NewBlockDetector(mg, k, DefaultMinLen, nil)
-	memFil := NewBFSFilter(g, k, nil)
-	mapFil := NewBFSFilter(mg, k, nil)
 	for v := 0; v < n; v++ {
 		id := digraph.VID(v)
 		if memDet.HasCycleThrough(id) != mapDet.HasCycleThrough(id) {
 			t.Fatalf("block detector disagrees across backends at %d", v)
 		}
-		if memFil.CanPrune(id) != mapFil.CanPrune(id) {
-			t.Fatalf("BFS filter disagrees across backends at %d", v)
+	}
+
+	loops := bfSelfLoopGraph(120, 400, 43)
+	for name, gr := range map[string]*digraph.Graph{"random": g, "selfloops": loops} {
+		mapped := openMapped(t, gr)
+		if gr.NumEdges() != mapped.NumEdges() {
+			t.Fatalf("%s: mapped graph has %d edges, want %d", name, mapped.NumEdges(), gr.NumEdges())
+		}
+		for _, fk := range filterKs {
+			onCycle := cycleVertices(mapped, fk, nil)
+			memFil := NewBlockDetector(gr, fk, filterMinLen(fk), nil)
+			mapFil := NewBlockDetector(mapped, fk, filterMinLen(fk), nil)
+			memFil.Filter, mapFil.Filter = true, true
+			checkFilterPrunes(t, memFil, allSources(gr.NumVertices()), nil, onCycle)
+			checkFilterPrunes(t, mapFil, allSources(gr.NumVertices()), nil, onCycle)
+			if memFil.Stats != mapFil.Stats {
+				t.Fatalf("%s k=%d: stats differ across backends: memory %+v, mapped %+v", name, fk, memFil.Stats, mapFil.Stats)
+			}
 		}
 	}
 }

@@ -6,39 +6,27 @@ import (
 )
 
 // Scratch owns the O(n) working state the detection primitives need: the
-// epoch-marked path/visited maps, the block/barrier tables and the BFS
-// queues. Allocating it once per graph and lending it to detectors makes
-// repeated queries (and repeated whole covers over the same graph)
-// allocation-free; ScratchPool makes that reuse safe across goroutines.
+// epoch-marked path map, the block/barrier tables, the queue of
+// BlockDetector's distance seed and BFS filter, and the peel mask of
+// HasHopConstrainedCycle. Allocating it once per graph and lending it to
+// detectors makes repeated queries (and repeated whole covers over the
+// same graph) allocation-free; ScratchPool makes that reuse safe across
+// goroutines.
 //
-// The buffers split into two independent groups:
-//
-//   - the DFS group (onPath, blocked, stamp, path, plus seedQ, the queue of
-//     BlockDetector's backward distance seed), used by PlainDetector,
-//     BlockDetector and Enumerator;
-//   - the BFS group (visited, inNbr, queue, nextQ), used by BFSFilter.
-//
-// One Scratch may therefore back at most ONE component of each group at a
-// time — e.g. a BlockDetector plus a BFSFilter, the pair the top-down cover
-// interleaves — but never two detectors, or a detector and an enumerator,
-// concurrently. Scratch is not safe for concurrent use; give each worker
-// its own (see ScratchPool).
+// One Scratch may back ONE detector or enumerator at a time: PlainDetector
+// and Enumerator run on its onPath and path buffers, BlockDetector on
+// those plus blocked, stamp and seedQ. Scratch is not safe for concurrent
+// use; give each worker its own (see ScratchPool).
 type Scratch struct {
 	n int
 
-	// DFS group.
 	onPath  epochMark
 	blocked []int32
 	stamp   []uint32
 	epoch   uint32
 	path    []VID
 	seedQ   []VID
-
-	// BFS group.
-	visited epochMark
-	inNbr   epochMark
-	queue   []VID
-	nextQ   []VID
+	peel    []bool // allocated on first use
 }
 
 // NewScratch allocates scratch state for graphs with n vertices.
@@ -48,9 +36,19 @@ func NewScratch(n int) *Scratch {
 		onPath:  newEpochMark(n),
 		blocked: make([]int32, n),
 		stamp:   make([]uint32, n),
-		visited: newEpochMark(n),
-		inNbr:   newEpochMark(n),
 	}
+}
+
+// peelMask returns the scratch's n-byte peel mask holding a copy of from
+// (nil = every vertex), allocating it on first use.
+func (s *Scratch) peelMask(from []bool) []bool {
+	if s.peel == nil {
+		s.peel = make([]bool, s.n)
+	}
+	for i := range s.peel {
+		s.peel[i] = from == nil || from[i]
+	}
+	return s.peel
 }
 
 // Len returns the number of vertices the scratch is sized for.
@@ -83,8 +81,8 @@ func NewScratchPool(n int) *ScratchPool {
 	return p
 }
 
-// Get borrows a scratch; return it with Put when the borrowing detector or
-// filter is no longer used.
+// Get borrows a scratch; return it with Put when the borrowing detector is
+// no longer used.
 func (p *ScratchPool) Get() *Scratch { return p.pool.Get().(*Scratch) }
 
 // Put returns a scratch to the pool. Scratch of a mismatched size is

@@ -8,8 +8,8 @@ import (
 )
 
 // The view-backed detector paths must agree with the mask paths on every
-// boolean / distance answer: both run on the same active subgraph, only the
-// edge-iteration strategy differs.
+// answer, and the filtered ones with the oracle: both run on the same
+// active subgraph, only the edge-iteration strategy differs.
 func TestViewDetectorsMatchMask(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 29))
 	for trial := 0; trial < 15; trial++ {
@@ -35,8 +35,6 @@ func TestViewDetectorsMatchMask(t *testing.T) {
 			viewPlain := NewPlainDetectorView(view, k, DefaultMinLen, nil)
 			maskBlock := NewBlockDetector(g, k, DefaultMinLen, active)
 			viewBlock := NewBlockDetectorView(view, k, DefaultMinLen, nil)
-			maskBFS := NewBFSFilter(g, k, active)
-			viewBFS := NewBFSFilterView(view, k, nil)
 			for v := 0; v < n; v++ {
 				mp := maskPlain.HasCycleThrough(VID(v))
 				if vp := viewPlain.HasCycleThrough(VID(v)); vp != mp {
@@ -50,11 +48,6 @@ func TestViewDetectorsMatchMask(t *testing.T) {
 				if mb := maskBlock.HasCycleThrough(VID(v)); mb != mp {
 					t.Fatalf("k=%d v=%d: block mask=%v plain mask=%v", k, v, mb, mp)
 				}
-				mw := maskBFS.ShortestClosedWalk(VID(v))
-				if vw := viewBFS.ShortestClosedWalk(VID(v)); vw != mw {
-					t.Fatalf("k=%d v=%d: walk view=%d mask=%d\ngraph=%v active=%v",
-						k, v, vw, mw, g.Edges(), active)
-				}
 			}
 			// On the view path a detector never scans a dead edge, so its
 			// scan count cannot exceed the mask path's.
@@ -62,6 +55,17 @@ func TestViewDetectorsMatchMask(t *testing.T) {
 				t.Fatalf("k=%d: view scanned %d edges, mask %d",
 					k, viewBlock.Stats.EdgeScans, maskBlock.Stats.EdgeScans)
 			}
+		}
+
+		// The filtered detectors prune exactly where the oracle puts a
+		// live vertex on no cycle, on both backends.
+		for _, k := range filterKs {
+			onCycle := cycleVertices(g, k, active)
+			maskFil := NewBlockDetector(g, k, filterMinLen(k), active)
+			viewFil := NewBlockDetectorView(view, k, filterMinLen(k), nil)
+			maskFil.Filter, viewFil.Filter = true, true
+			checkFilterPrunes(t, maskFil, allSources(n), active, onCycle)
+			checkFilterPrunes(t, viewFil, allSources(n), active, onCycle)
 		}
 	}
 }

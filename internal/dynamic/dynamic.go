@@ -381,8 +381,8 @@ func (m *Maintainer) compact() digraph.Adjacency {
 // Reminimize runs the paper's minimal pruning pass over the current cover:
 // each candidate vertex is restored and dropped for good when no
 // constrained cycle passes through it in the uncovered graph, decided by
-// the scalar BFS filter (cheap sound prune) and the exact O(k·m)
-// block-based detector on the compacted CSR. After the first full pass
+// the exact O(k·m) block-based detector, with its BFS filter on, on the
+// compacted CSR. After the first full pass
 // only DIRTY candidates are re-tested: cover vertices within k hops of a
 // deleted edge or a vertex covered since — the only vertices whose witness
 // cycle can have been destroyed. It returns the number of vertices
@@ -407,12 +407,12 @@ func (m *Maintainer) Reminimize() int {
 	}
 	scr := m.remScratchFor(n)
 	det := cycle.NewBlockDetectorWith(g, m.k, m.minLen, active, scr)
-	filter := cycle.NewBFSFilterWith(g, m.k, active, scr)
+	det.Filter = true
 	removed := 0
 	for _, v := range candidates {
 		m.cycleChecks++
 		active[v] = true
-		if filter.CanPrune(v) || !det.HasCycleThrough(v) {
+		if !det.HasCycleThrough(v) {
 			m.covered[v] = false
 			m.cover--
 			removed++

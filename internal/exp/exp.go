@@ -7,7 +7,8 @@
 // Absolute numbers differ from the paper (scaled synthetic data, Go vs
 // C++, different hardware); the quantities to compare are the *shapes*:
 // which algorithm wins, by how many orders, and where the INF cutoffs fall.
-// EXPERIMENTS.md records a full paper-vs-measured comparison.
+// No committed record compares the paper's numbers with the measured ones
+// yet; ROADMAP.md's "Commit the paper-reproduction record" item tracks it.
 package exp
 
 import (
@@ -54,7 +55,9 @@ type Config struct {
 	Out io.Writer
 }
 
-// DefaultConfig returns the settings used for EXPERIMENTS.md.
+// DefaultConfig returns the full-size settings of `tdbbench -exp`, the
+// intended basis of the paper-reproduction record (an open ROADMAP.md
+// item).
 func DefaultConfig() Config {
 	return Config{
 		Scale:      0.05,

@@ -49,12 +49,9 @@ func activeWithout(n int, cover []VID) []bool {
 func IsValid(g digraph.Adjacency, k, minLen int, cover []VID) (bool, []VID) {
 	active := activeWithout(g.NumVertices(), cover)
 	det := cycle.NewBlockDetector(g, k, minLen, active)
-	filter := cycle.NewBFSFilter(g, k, active)
+	det.Filter = true
 	for v := 0; v < g.NumVertices(); v++ {
 		if !active[v] {
-			continue
-		}
-		if filter.CanPrune(VID(v)) {
 			continue
 		}
 		if c := det.FindFrom(VID(v)); c != nil {
@@ -108,14 +105,14 @@ func IsValidParallel(g digraph.Adjacency, k, minLen int, cover []VID, workers in
 		go func() {
 			defer wg.Done()
 			det := cycle.NewBlockDetector(g, k, minLen, active)
-			filter := cycle.NewBFSFilter(g, k, active)
+			det.Filter = true
 			for {
 				lo, hi := grab()
 				if lo >= hi || failed() {
 					return
 				}
 				for v := lo; v < hi; v++ {
-					if !active[v] || filter.CanPrune(VID(v)) {
+					if !active[v] {
 						continue
 					}
 					if c := det.FindFrom(VID(v)); c != nil {

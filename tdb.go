@@ -68,8 +68,6 @@
 package tdb
 
 import (
-	"slices"
-
 	"tdb/internal/core"
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
@@ -249,8 +247,7 @@ func FindCycle(g Storage, k int, s VID) []VID {
 // order and drops each vertex whose query answered "no" from the later
 // queries' graph. For repeated queries use Engine.HasHopConstrainedCycle.
 func HasHopConstrainedCycle(g Storage, k int) bool {
-	active := slices.Repeat([]bool{true}, g.NumVertices())
-	return cycle.HasHopConstrainedCycle(g, k, cycle.DefaultMinLen, active, nil)
+	return cycle.HasHopConstrainedCycle(g, k, cycle.DefaultMinLen, nil, nil)
 }
 
 // EnumerateCycles lists every cycle of length in [3, k], each once, calling
