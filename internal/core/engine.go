@@ -154,7 +154,7 @@ func newRunScratch(n int) *runScratch {
 // viewMinAvgDegree gates the active-adjacency view on graph density: below
 // an average degree of 2 the graph is forest/DAG-like, detector queries are
 // already near-free (most vertices have no active in-neighbor to even start
-// a walk from), and the view's O(m) build plus O(deg) activation swaps
+// a walk from), and the view's O(m) build plus O(deg) activation writes
 // cannot be recouped — measured ~1.7x slower on a 30k-vertex planted-cycles
 // graph with davg 1.4, while power-law graphs win with the view from davg 2
 // up (BenchmarkCoverWorkingGraph, DESIGN.md §7).
@@ -163,6 +163,9 @@ const viewMinAvgDegree = 2
 // workingGraph returns the run's working-graph representation reset to the
 // given initial state. The default is the compacted active-adjacency view
 // (first return non-nil): detector scans then touch exactly the live edges.
+// A pooled view is reset to look exactly like a fresh one, so the
+// bottom-up cover, whose results depend on the order the DFS scans live
+// neighbors, gives the same cover on every run.
 // The []bool VertexMask is the fallback for graphs beyond the view's int32
 // edge limit, for near-acyclic graphs below the view's density cutoff, and
 // for the maskWorkingGraph opt-out (equivalence tests, comparison
@@ -178,12 +181,6 @@ func (rs *runScratch) workingGraph(g digraph.Adjacency, opts Options, allActive 
 	}
 	if rs.view == nil || rs.view.Base() != g {
 		rs.view = digraph.NewActiveAdjacency(g, allActive)
-	} else if allActive {
-		// The bottom-up cover's results depend on the order the DFS scans
-		// live neighbors, so a pooled view must look exactly like a fresh
-		// one; the top-down family only asks order-independent questions
-		// and gets the cheap O(n) reset.
-		rs.view.ResetCanonical(allActive)
 	} else {
 		rs.view.Reset(allActive)
 	}

@@ -67,7 +67,7 @@ func TestViewBottomUpValidAndDeterministic(t *testing.T) {
 
 // An engine's pooled view is scrambled by each run; covers must
 // nevertheless match the one-shot path run for run, including the
-// order-sensitive bottom-up family (ResetCanonical).
+// order-sensitive bottom-up family (Reset(true) restores the canonical rows).
 func TestEngineViewStableAcrossRuns(t *testing.T) {
 	gr := gen.PowerLaw(150, 900, 2.2, 0.3, 77)
 	e := NewEngine(gr)

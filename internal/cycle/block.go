@@ -124,7 +124,9 @@ func HasHopConstrainedCycle(g digraph.Adjacency, k, minLen int, candidates []boo
 	validate(g, k, minLen, candidates)
 	s = checkScratch(s, g.NumVertices())
 	live := s.peelMask(candidates)
-	det := NewBlockDetectorWith(g, k, minLen, live, s)
+	// A local value, not NewBlockDetectorWith's pointer: the detector does
+	// not outlive the call, so it stays off the heap.
+	det := BlockDetector{adjacency: maskAdjacency(g, live), k: k, minLen: minLen, s: s}
 	for v, ok := range live {
 		if !ok {
 			continue

@@ -18,24 +18,30 @@ import (
 // Deactivate(v) cost O(deg(v)), and ActiveOut(v)/ActiveIn(v) return a
 // branch-free slice containing exactly the live neighbors.
 //
-// Representation: each vertex's adjacency segment (a mutable copy of the
-// backend's rows) is partitioned by a prefix swap — the first live[u]
-// entries of u's segment are precisely u's active neighbors, in unspecified
-// order. A position index keyed by original CSR slot locates any edge's
-// current position in O(1), so moving a vertex into or out of a neighbor's
-// active prefix is a single swap. Cross-reference arrays link the out- and
-// in-copy of each edge, letting Activate(v) reach v's entry in every
-// neighbor list without searching.
+// Representation: each vertex's adjacency segment in a mutable copy of
+// the backend's rows holds, in its first live[u] entries, exactly u's
+// active neighbors. Activate(v) appends v to the live prefix of every
+// neighbor's row — one write per edge, no lookup; a row never overflows
+// because its live prefix holds at most the row's own neighbors. Entries
+// past the prefix are stale and never read. Deactivate(v) shrinks each
+// neighbor's prefix by one, finds v in it by a scan from the end, and moves
+// the prefix's last entry into the hole. Both top-down undos (deactivating
+// the vertex just activated) and bottom-up minimality passes find v at the
+// end in O(1); an arbitrary deactivation pays its distance from the end.
+// Prefix order is thus a pure function of the operation sequence since the
+// last Reset, which is what the order-sensitive bottom-up family needs.
 //
 // The view layers over any Adjacency: CSR-backed backends (Graph,
 // MappedGraph) hand it their index and adjacency arrays zero-copy, while a
-// generic backend has its rows materialized once at construction. Note that
+// generic backend has its rows materialized once at construction. The
+// append rule relies on the in-rows being exactly the transpose of the
+// out-rows (every backend guarantees it; OpenMapped checks it). Note that
 // building a view over a MappedGraph pages the whole adjacency in and
 // copies it to heap — the view is a working-graph representation, not an
 // out-of-core one; beyond-RAM graphs run on the VertexMask fallback.
 //
-// The view costs 32 bytes per edge plus 12 bytes per vertex on top of the
-// backend, and positions are int32, so it supports graphs with at most
+// The view costs 8 bytes per edge plus 9 bytes per vertex on top of the
+// backend. Its live counts are int32, so it supports graphs with at most
 // MaxInt32 edges (FitsActiveAdjacency); callers fall back to a VertexMask
 // beyond that.
 //
@@ -60,30 +66,28 @@ type ActiveAdjacency struct {
 	in  halfAdj
 }
 
-// halfAdj is one direction (out or in) of the partitioned adjacency;
-// segment boundaries come from the view's index arrays.
+// halfAdj is one direction (out or in) of the working graph; segment
+// boundaries come from the view's index arrays.
 type halfAdj struct {
-	adj   []VID   // mutable copy of the canonical adjacency, permuted per segment
-	slot  []int32 // slot[p]: original CSR slot of the edge now at position p
-	pos   []int32 // pos[i]: current position of the edge at original slot i
-	live  []int32 // live[v]: length of v's active prefix
-	cross []int32 // cross[i]: slot of the same edge in the other direction
+	adj  []VID   // adj[idx[v]:idx[v]+live[v]]: v's live neighbors
+	live []int32 // live[v]: length of v's live prefix
 }
 
-// swap exchanges the entries at positions p and q of one segment, keeping
-// the slot/pos index consistent.
-func (h *halfAdj) swap(p, q int64) {
-	if p == q {
-		return
+// remove deletes w from v's live prefix, whose segment starts at s, moving
+// the prefix's last entry into w's place.
+func (h *halfAdj) remove(s int64, v, w VID) {
+	h.live[v]--
+	row := h.adj[s : s+int64(h.live[v])+1]
+	last := len(row) - 1
+	i := last
+	for row[i] != w {
+		i--
 	}
-	h.adj[p], h.adj[q] = h.adj[q], h.adj[p]
-	ip, iq := h.slot[p], h.slot[q]
-	h.slot[p], h.slot[q] = iq, ip
-	h.pos[ip], h.pos[iq] = int32(q), int32(p)
+	row[i] = row[last]
 }
 
 // FitsActiveAdjacency reports whether a is small enough for the view's
-// int32 position index.
+// int32 live counts.
 func FitsActiveAdjacency(a Adjacency) bool {
 	return a.NumEdges() <= math.MaxInt32
 }
@@ -121,35 +125,10 @@ func NewActiveAdjacency(base Adjacency, allActive bool) *ActiveAdjacency {
 		base:   base,
 		n:      n,
 		active: make([]bool, n),
-		out: halfAdj{
-			adj: make([]VID, m), slot: make([]int32, m),
-			pos: make([]int32, m), live: make([]int32, n), cross: make([]int32, m),
-		},
-		in: halfAdj{
-			adj: make([]VID, m), slot: make([]int32, m),
-			pos: make([]int32, m), live: make([]int32, n), cross: make([]int32, m),
-		},
+		out:    halfAdj{adj: make([]VID, m), live: make([]int32, n)},
+		in:     halfAdj{adj: make([]VID, m), live: make([]int32, n)},
 	}
 	a.outIdx, a.outRef, a.inIdx, a.inRef = refArrays(base)
-	copy(a.out.adj, a.outRef)
-	copy(a.in.adj, a.inRef)
-	for i := 0; i < m; i++ {
-		a.out.slot[i], a.out.pos[i] = int32(i), int32(i)
-		a.in.slot[i], a.in.pos[i] = int32(i), int32(i)
-	}
-	// Cross-link the two copies of every edge by replaying the counting pass
-	// that built the in-CSR: scanning edges in (U, V) order fills each
-	// in-list front to back.
-	fill := make([]int64, n)
-	copy(fill, a.inIdx[:n])
-	for u := 0; u < n; u++ {
-		for i := a.outIdx[u]; i < a.outIdx[u+1]; i++ {
-			j := fill[a.outRef[i]]
-			fill[a.outRef[i]]++
-			a.out.cross[i] = int32(j)
-			a.in.cross[j] = int32(i)
-		}
-	}
 	a.Reset(allActive)
 	return a
 }
@@ -185,9 +164,9 @@ func (a *ActiveAdjacency) Active(v VID) bool { return a.active[v] }
 // NumActive returns the number of active vertices.
 func (a *ActiveAdjacency) NumActive() int { return a.count }
 
-// ActiveOut returns the active out-neighbors of v in unspecified order. The
-// slice aliases internal storage and is invalidated by the next
-// Activate/Deactivate/Reset; it must not be modified.
+// ActiveOut returns the active out-neighbors of v, in the order the type
+// comment defines. The slice aliases internal storage and is invalidated by
+// the next Activate/Deactivate/Reset; it must not be modified.
 func (a *ActiveAdjacency) ActiveOut(v VID) []VID {
 	s := a.outIdx[v]
 	return a.out.adj[s : s+int64(a.out.live[v])]
@@ -206,79 +185,54 @@ func (a *ActiveAdjacency) ActiveOutDegree(v VID) int { return int(a.out.live[v])
 // ActiveInDegree returns the number of active in-neighbors of v.
 func (a *ActiveAdjacency) ActiveInDegree(v VID) int { return int(a.in.live[v]) }
 
-// Activate makes v active, moving it into the active prefix of each
-// neighbor's list in O(deg(v)). It reports whether the state changed.
+// Activate makes v active, appending it to the live prefix of each
+// neighbor's row in O(deg(v)). It reports whether the state changed.
 func (a *ActiveAdjacency) Activate(v VID) bool {
 	if a.active[v] {
 		return false
 	}
 	a.active[v] = true
 	a.count++
-	// v enters the active prefix of every in-neighbor's out-list...
-	for j := a.inIdx[v]; j < a.inIdx[v+1]; j++ {
-		u := a.inRef[j]
-		i := a.in.cross[j] // out-slot of the edge (u, v)
-		a.out.swap(int64(a.out.pos[i]), a.outIdx[u]+int64(a.out.live[u]))
+	// v joins the live prefix of every in-neighbor's out-row...
+	for _, u := range a.inRef[a.inIdx[v]:a.inIdx[v+1]] {
+		a.out.adj[a.outIdx[u]+int64(a.out.live[u])] = v
 		a.out.live[u]++
 	}
-	// ...and the active prefix of every out-neighbor's in-list.
-	for i := a.outIdx[v]; i < a.outIdx[v+1]; i++ {
-		w := a.outRef[i]
-		j := a.out.cross[i] // in-slot of the edge (v, w)
-		a.in.swap(int64(a.in.pos[j]), a.inIdx[w]+int64(a.in.live[w]))
+	// ...and of every out-neighbor's in-row.
+	for _, w := range a.outRef[a.outIdx[v]:a.outIdx[v+1]] {
+		a.in.adj[a.inIdx[w]+int64(a.in.live[w])] = v
 		a.in.live[w]++
 	}
 	return true
 }
 
-// Deactivate makes v inactive, removing it from the active prefix of each
-// neighbor's list in O(deg(v)). It reports whether the state changed.
+// Deactivate makes v inactive, removing it from the live prefix of each
+// neighbor's row in O(deg(v)) plus, per row, v's distance from the prefix's
+// end. It reports whether the state changed.
 func (a *ActiveAdjacency) Deactivate(v VID) bool {
 	if !a.active[v] {
 		return false
 	}
 	a.active[v] = false
 	a.count--
-	for j := a.inIdx[v]; j < a.inIdx[v+1]; j++ {
-		u := a.inRef[j]
-		i := a.in.cross[j]
-		a.out.live[u]--
-		a.out.swap(int64(a.out.pos[i]), a.outIdx[u]+int64(a.out.live[u]))
+	for _, u := range a.inRef[a.inIdx[v]:a.inIdx[v+1]] {
+		a.out.remove(a.outIdx[u], u, v)
 	}
-	for i := a.outIdx[v]; i < a.outIdx[v+1]; i++ {
-		w := a.outRef[i]
-		j := a.out.cross[i]
-		a.in.live[w]--
-		a.in.swap(int64(a.in.pos[j]), a.inIdx[w]+int64(a.in.live[w]))
+	for _, w := range a.outRef[a.outIdx[v]:a.outIdx[v+1]] {
+		a.in.remove(a.inIdx[w], w, v)
 	}
 	return true
 }
 
-// ResetCanonical is Reset restoring, in addition, the canonical (sorted)
-// adjacency permutation in O(n + m), still allocation-free. A plain Reset
-// leaves each segment in whatever order earlier swaps produced, which is
-// invisible to order-independent queries (existence, shortest walk — the
-// whole top-down family) but changes which cycle a DFS materializes first.
-// Callers whose results depend on iteration order (the bottom-up cover)
-// reset canonically so a pooled view behaves exactly like a fresh one.
-func (a *ActiveAdjacency) ResetCanonical(allActive bool) {
-	copy(a.out.adj, a.outRef)
-	copy(a.in.adj, a.inRef)
-	for i := range a.out.slot {
-		a.out.slot[i], a.out.pos[i] = int32(i), int32(i)
-		a.in.slot[i], a.in.pos[i] = int32(i), int32(i)
-	}
-	a.Reset(allActive)
-}
-
-// Reset sets every vertex to the given state in O(n), without touching the
-// per-edge arrays: an all-active prefix is the whole segment and an
-// all-inactive prefix is empty under ANY internal permutation, so only the
-// live counters and flags need rewriting. A pooled view is thereby reusable
-// across cover runs without reallocation. See ResetCanonical when iteration
-// order must match a freshly built view.
+// Reset sets every vertex to the given state, leaving the view exactly as
+// a freshly built one: Reset(true) copies the canonical (sorted) rows back
+// in O(n + m), and Reset(false) only clears the live counts and flags in
+// O(n), since an empty prefix has no order. Neither allocates, so a pooled
+// view is reusable across cover runs.
 func (a *ActiveAdjacency) Reset(allActive bool) {
 	if allActive {
+		copy(a.out.adj, a.outRef)
+		copy(a.in.adj, a.inRef)
 		for v := 0; v < a.n; v++ {
 			a.out.live[v] = int32(a.outIdx[v+1] - a.outIdx[v])
 			a.in.live[v] = int32(a.inIdx[v+1] - a.inIdx[v])

@@ -95,31 +95,39 @@ func TestActiveAdjacencyRandomized(t *testing.T) {
 	}
 }
 
+// checkEqualsFresh asserts that a lists every row exactly as a freshly
+// built all-active view does: identical slices, order included.
+func checkEqualsFresh(t *testing.T, a *ActiveAdjacency, g *Graph) {
+	t.Helper()
+	fresh := NewActiveAdjacency(g, true)
+	for v := 0; v < g.NumVertices(); v++ {
+		if !slices.Equal(a.ActiveOut(VID(v)), fresh.ActiveOut(VID(v))) ||
+			!slices.Equal(a.ActiveIn(VID(v)), fresh.ActiveIn(VID(v))) {
+			t.Fatalf("Reset(true): vertex %d differs from a fresh view", v)
+		}
+	}
+	if a.NumActive() != fresh.NumActive() {
+		t.Fatalf("Reset(true): NumActive = %d, want %d", a.NumActive(), fresh.NumActive())
+	}
+}
+
 func TestActiveAdjacencyReset(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	g := randomGraph(rng, 30, 150)
 	a := NewActiveAdjacency(g, false)
 	ref := &refView{g: g, active: make([]bool, 30)}
-	// Scramble the internal permutation, then reset both ways.
+	// Scramble the rows, then reset both ways.
 	for i := 0; i < 60; i++ {
 		v := VID(rng.IntN(30))
 		if rng.IntN(2) == 0 {
 			a.Activate(v)
-			ref.active[v] = true
 		} else {
 			a.Deactivate(v)
-			ref.active[v] = false
 		}
 	}
 	a.Reset(true)
-	for i := range ref.active {
-		ref.active[i] = true
-	}
-	checkAgainstRef(t, a, ref)
+	checkEqualsFresh(t, a, g)
 	a.Reset(false)
-	for i := range ref.active {
-		ref.active[i] = false
-	}
 	checkAgainstRef(t, a, ref)
 	// The view must remain fully functional after resets.
 	for i := 0; i < 60; i++ {
@@ -128,14 +136,115 @@ func TestActiveAdjacencyReset(t *testing.T) {
 		ref.active[v] = true
 	}
 	checkAgainstRef(t, a, ref)
-	// A canonical reset must behave exactly like a freshly built view:
-	// identical slices (including order), not just identical sets.
-	a.ResetCanonical(true)
-	fresh := NewActiveAdjacency(g, true)
-	for v := 0; v < g.NumVertices(); v++ {
-		if !slices.Equal(a.ActiveOut(VID(v)), fresh.ActiveOut(VID(v))) ||
-			!slices.Equal(a.ActiveIn(VID(v)), fresh.ActiveIn(VID(v))) {
-			t.Fatalf("ResetCanonical: vertex %d differs from a fresh view", v)
+	for i := 0; i < 20; i++ {
+		a.Deactivate(VID(rng.IntN(30)))
+	}
+	a.Reset(true)
+	checkEqualsFresh(t, a, g)
+}
+
+// orderModel is the slice-based reference for the view's row order:
+// Activate appends to each neighbor's row, Deactivate moves the row's last
+// entry into the hole, Reset(true) restores the canonical rows.
+type orderModel struct {
+	g       *Graph
+	active  []bool
+	out, in [][]VID
+}
+
+func (m *orderModel) reset(allActive bool) {
+	for v := range m.active {
+		m.active[v] = allActive
+		m.out[v], m.in[v] = m.out[v][:0], m.in[v][:0]
+		if allActive {
+			m.out[v] = append(m.out[v], m.g.Out(VID(v))...)
+			m.in[v] = append(m.in[v], m.g.In(VID(v))...)
+		}
+	}
+}
+
+func (m *orderModel) activate(v VID) {
+	if m.active[v] {
+		return
+	}
+	m.active[v] = true
+	for _, u := range m.g.In(v) {
+		m.out[u] = append(m.out[u], v)
+	}
+	for _, w := range m.g.Out(v) {
+		m.in[w] = append(m.in[w], v)
+	}
+}
+
+func removeMovingLast(row []VID, v VID) []VID {
+	i := slices.Index(row, v)
+	last := len(row) - 1
+	row[i] = row[last]
+	return row[:last]
+}
+
+func (m *orderModel) deactivate(v VID) {
+	if !m.active[v] {
+		return
+	}
+	m.active[v] = false
+	for _, u := range m.g.In(v) {
+		m.out[u] = removeMovingLast(m.out[u], v)
+	}
+	for _, w := range m.g.Out(v) {
+		m.in[w] = removeMovingLast(m.in[w], v)
+	}
+}
+
+// The bottom-up covers depend on the exact order of every live row, so the
+// view must follow the model entry for entry, not just as a set: random
+// sequences mixing top-down undos, arbitrary deactivations and both resets,
+// on graphs with self-loops.
+func TestActiveAdjacencyRowOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 5))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.IntN(40)
+		b := NewBuilder(n)
+		b.KeepSelfLoops = true
+		for i := rng.IntN(6 * n); i > 0; i-- {
+			b.AddEdge(VID(rng.IntN(n)), VID(rng.IntN(n)))
+		}
+		g := b.Build()
+		startFull := trial%2 == 0
+		a := NewActiveAdjacency(g, startFull)
+		m := &orderModel{g: g, active: make([]bool, n), out: make([][]VID, n), in: make([][]VID, n)}
+		m.reset(startFull)
+		for step := 0; step < 200; step++ {
+			v := VID(rng.IntN(n))
+			switch r := rng.IntN(20); {
+			case r == 0:
+				a.Reset(true)
+				m.reset(true)
+			case r == 1:
+				a.Reset(false)
+				m.reset(false)
+			case r < 12: // top-down: activate, undo half the time
+				a.Activate(v)
+				m.activate(v)
+				if rng.IntN(2) == 0 {
+					a.Deactivate(v)
+					m.deactivate(v)
+				}
+			default:
+				a.Deactivate(v)
+				m.deactivate(v)
+			}
+			for u := 0; u < n; u++ {
+				if a.Active(VID(u)) != m.active[u] {
+					t.Fatalf("trial %d step %d: Active(%d) = %v, want %v", trial, step, u, a.Active(VID(u)), m.active[u])
+				}
+				if got := a.ActiveOut(VID(u)); !slices.Equal(got, m.out[u]) {
+					t.Fatalf("trial %d step %d: ActiveOut(%d) = %v, want %v", trial, step, u, got, m.out[u])
+				}
+				if got := a.ActiveIn(VID(u)); !slices.Equal(got, m.in[u]) {
+					t.Fatalf("trial %d step %d: ActiveIn(%d) = %v, want %v", trial, step, u, got, m.in[u])
+				}
+			}
 		}
 	}
 }
