@@ -8,6 +8,7 @@ package tdb
 
 import (
 	"context"
+	"io"
 	"math/rand/v2"
 	"path/filepath"
 	"testing"
@@ -498,6 +499,130 @@ func BenchmarkMaintainerChurn(b *testing.B) {
 		}
 		if i%4096 == 4095 {
 			m.Reminimize()
+		}
+	}
+}
+
+// sadStandIn is the Slashdot stand-in at a tenth of its published size
+// (~8.2k vertices, ~95k edges): the graph tdbserve's write benchmark serves.
+func sadStandIn(b *testing.B) *Graph {
+	d, ok := DatasetByName("SAD")
+	if !ok {
+		b.Fatal("no SAD stand-in")
+	}
+	return d.Generate(0.1)
+}
+
+// churnBatches is a seeded write stream over g in 64-update batches: three
+// updates in four insert a random absent edge, the fourth deletes an
+// earlier insert still present (tdbserve's write-benchmark shape).
+func churnBatches(g *Graph, batches int, seed uint64) [][]Update {
+	rng := rand.New(rand.NewPCG(seed, 7))
+	n := g.NumVertices()
+	present := make(map[Edge]bool, g.NumEdges())
+	for _, e := range g.Edges() {
+		present[e] = true
+	}
+	var live []Edge
+	out := make([][]Update, batches)
+	for i := range out {
+		batch := make([]Update, 0, 64)
+		for j := 0; j < 64; j++ {
+			if j%4 == 3 && len(live) > 0 {
+				k := rng.IntN(len(live))
+				e := live[k]
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				delete(present, e)
+				batch = append(batch, DeleteOp(e.U, e.V))
+				continue
+			}
+			for {
+				e := Edge{U: VID(rng.IntN(n)), V: VID(rng.IntN(n))}
+				if e.U != e.V && !present[e] {
+					present[e] = true
+					live = append(live, e)
+					batch = append(batch, InsertOp(e.U, e.V))
+					break
+				}
+			}
+		}
+		out[i] = batch
+	}
+	return out
+}
+
+// BenchmarkMaintainerCompact measures one delta compaction on the SAD
+// stand-in: 240 write batches plus 1920 deletions of base edges (~17k
+// updates) folded into a fresh CSR by merging the sorted base, tombstone
+// and add rows. The cover holds every vertex, so building the
+// deltas runs no cycle search; that setup is untimed.
+func BenchmarkMaintainerCompact(b *testing.B) {
+	g := sadStandIn(b)
+	all := make([]VID, g.NumVertices())
+	for v := range all {
+		all[v] = VID(v)
+	}
+	stream := churnBatches(g, 240, 1)
+	base := g.Edges()
+	rng := rand.New(rand.NewPCG(2, 9))
+	for i := range stream {
+		for j := 0; j < 8; j++ { // tombstones over base edges
+			e := base[rng.IntN(len(base))]
+			stream[i] = append(stream[i], DeleteOp(e.U, e.V))
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := MaintainerFromGraph(g, 5, 3, all)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range stream {
+			m.ApplyBatch(batch)
+		}
+		if m.Compactions() != 0 {
+			b.Fatal("the policy compacted during setup")
+		}
+		b.StartTimer()
+		m.Snapshot()
+	}
+}
+
+// BenchmarkRecoverReplay measures WAL recovery's replay on the SAD
+// stand-in: a recorded tail of 1000 64-update batches with the cover
+// vertices each one added, replayed onto the seed state without cycle
+// searches (ReplayBatch), then serialized as recovery's post-replay
+// checkpoint. One op is the whole tail.
+func BenchmarkRecoverReplay(b *testing.B) {
+	g := sadStandIn(b)
+	res, err := core.Compute(g, core.TDBPlusPlus, core.Options{K: 5, MinLen: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	live, err := MaintainerFromGraph(g, 5, 3, res.Cover)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tail := churnBatches(g, 1000, 1)
+	added := make([][]VID, len(tail))
+	for i, batch := range tail {
+		added[i] = live.ApplyBatch(batch)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := MaintainerFromGraph(g, 5, 3, res.Cover)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, batch := range tail {
+			if err := m.ReplayBatch(batch, added[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := m.WriteState(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

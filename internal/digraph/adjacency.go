@@ -235,23 +235,40 @@ func Materialize(a Adjacency) *Graph {
 	if g, ok := a.(*Graph); ok {
 		return g
 	}
-	n, m := a.NumVertices(), a.NumEdges()
+	return FromSortedRows(a.NumVertices(), a.NumEdges(), func(dst []VID, v VID) []VID {
+		return append(dst, a.Out(v)...)
+	})
+}
+
+// FromSortedRows builds a Graph with n vertices directly from its out-rows:
+// appendRow(dst, v) appends v's out-neighbors to dst, ascending and
+// duplicate-free, and returns the extended slice. The rows are trusted, so
+// the out-CSR fills in row order and the in-CSR in one counting pass over
+// it (in-rows come out sorted by source, as in Build) — O(n+m), no sort and
+// no dedupe. Self-loops are kept as given; m is a capacity hint for the
+// edge count.
+func FromSortedRows(n, m int, appendRow func(dst []VID, v VID) []VID) *Graph {
 	g := &Graph{
 		n:      n,
 		outIdx: make([]int64, n+1),
 		outAdj: make([]VID, 0, m),
 		inIdx:  make([]int64, n+1),
-		inAdj:  make([]VID, m),
 	}
 	for v := 0; v < n; v++ {
-		g.outAdj = append(g.outAdj, a.Out(VID(v))...)
+		g.outAdj = appendRow(g.outAdj, VID(v))
 		g.outIdx[v+1] = int64(len(g.outAdj))
-		g.inIdx[v+1] = g.inIdx[v] + int64(a.InDegree(VID(v)))
 	}
+	for _, w := range g.outAdj {
+		g.inIdx[w+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.inIdx[v+1] += g.inIdx[v]
+	}
+	g.inAdj = make([]VID, len(g.outAdj))
 	fill := make([]int64, n)
 	copy(fill, g.inIdx[:n])
 	for u := 0; u < n; u++ {
-		for _, w := range a.Out(VID(u)) {
+		for _, w := range g.Out(VID(u)) {
 			g.inAdj[fill[w]] = VID(u)
 			fill[w]++
 		}

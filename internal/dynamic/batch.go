@@ -82,27 +82,7 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 	// like a maintenance bug would; tdbserve's writer must contain it
 	// (see internal/fault and the server chaos suite).
 	fault.Inject(fault.SiteDynamicApplyBatch)
-	var pending []digraph.Edge
-	for _, up := range updates {
-		switch up.Op {
-		case OpInsert:
-			u, v := up.U, up.V
-			if u == v || m.HasEdge(u, v) {
-				continue
-			}
-			m.inserts++
-			m.addEdgeRaw(u, v)
-			if !m.covered[u] && !m.covered[v] {
-				pending = append(pending, digraph.Edge{U: u, V: v})
-			}
-		case OpDelete:
-			if !m.HasEdge(up.U, up.V) {
-				continue
-			}
-			m.deletes++
-			m.deleteEdgeRaw(up.U, up.V)
-		}
-	}
+	pending := m.applyEdges(updates)
 
 	// Requalify: an edge deleted later in the same batch carries no cycle
 	// of the final graph, and covered endpoints need no query at all. An
@@ -138,4 +118,73 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 		}
 	}
 	return added
+}
+
+// ReplayBatch re-applies a batch whose cover decisions are already known:
+// added is what ApplyBatch returned for the same updates on the same state.
+// The edge updates take exactly ApplyBatch's structural path — the same raw
+// edits and dirty marks, the same compaction point — and then the logged
+// vertices enter the cover in order, with no cycle search. The result is
+// ApplyBatch's state by construction rather than by re-deciding it, which
+// is what makes WAL replay deterministic and cheap.
+//
+// Input is validated before the first change: updates as ValidateUpdates
+// does, and every added vertex must be in range, uncovered, and named once
+// (ApplyBatch never covers a vertex twice), so a corrupt record is an error
+// with the graph untouched rather than a double-counted cover.
+func (m *Maintainer) ReplayBatch(updates []Update, added []VID) error {
+	if err := m.ValidateUpdates(updates); err != nil {
+		return err
+	}
+	// Duplicates are caught by marking each vertex covered as it passes;
+	// the marks are undone before anything changes for real.
+	for i, v := range added {
+		if uint64(v) >= uint64(m.n) || m.covered[v] {
+			for _, w := range added[:i] {
+				m.covered[w] = false
+			}
+			if uint64(v) >= uint64(m.n) {
+				return fmt.Errorf("dynamic: replayed cover vertex %d out of range (graph has %d vertices)", v, m.n)
+			}
+			return fmt.Errorf("dynamic: replayed cover vertex %d is already covered or named twice", v)
+		}
+		m.covered[v] = true
+	}
+	for _, v := range added {
+		m.covered[v] = false
+	}
+	m.applyEdges(updates)
+	m.maybeCompact()
+	for _, v := range added {
+		m.addCover(v)
+	}
+	return nil
+}
+
+// applyEdges applies a batch's structural changes in order and returns the
+// insertions between then-uncovered endpoints: the candidates for
+// ApplyBatch's deferred queries.
+func (m *Maintainer) applyEdges(updates []Update) []digraph.Edge {
+	var pending []digraph.Edge
+	for _, up := range updates {
+		switch up.Op {
+		case OpInsert:
+			u, v := up.U, up.V
+			if u == v || m.HasEdge(u, v) {
+				continue
+			}
+			m.inserts++
+			m.addEdgeRaw(u, v)
+			if !m.covered[u] && !m.covered[v] {
+				pending = append(pending, digraph.Edge{U: u, V: v})
+			}
+		case OpDelete:
+			if !m.HasEdge(up.U, up.V) {
+				continue
+			}
+			m.deletes++
+			m.deleteEdgeRaw(up.U, up.V)
+		}
+	}
+	return pending
 }

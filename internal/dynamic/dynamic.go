@@ -20,7 +20,8 @@
 //     vertices a deletion (or cover growth) can actually have affected.
 //   - ApplyBatch: the batched form, which applies a whole batch's edge
 //     changes first and then runs the deferred cycle-existence queries in
-//     order.
+//     order. ReplayBatch re-applies a batch with the cover vertices
+//     ApplyBatch returned for it, searching nothing (WAL replay).
 //
 // Storage is a CSR base + delta-buffer hybrid: a compacted immutable
 // digraph.Graph carries the bulk of the edges, per-vertex sorted slices
@@ -54,8 +55,9 @@ type VID = digraph.VID
 
 // Compaction policy: fold the deltas into a fresh CSR once they hold at
 // least compactMinDelta edges AND at least 1/compactFraction of the base.
-// The second condition makes compactions geometrically spaced, so the
-// total compaction work over a stream of N insertions is O(N + n·log N).
+// The second condition makes compactions geometrically spaced: each
+// compaction is an O(n+m) merge, so the total compaction work over a
+// stream of N insertions is O(N + n·log N).
 const (
 	compactMinDelta = 1024
 	compactFraction = 4
@@ -353,29 +355,35 @@ func (m *Maintainer) maybeCompact() {
 // buffers and clears the deltas. With empty deltas (and no Grow since) it
 // returns the base as-is, which is what makes Snapshot cheap on a quiet
 // maintainer.
+//
+// Every source is already sorted — base rows, tombstones and adds — and
+// adds are disjoint from the base (addEdgeRaw cancels a tombstone instead),
+// so each new row is one two-pointer merge of the live base row with the
+// add row: the same rows a Builder sort-and-dedupe of the live edges gives,
+// in O(n+m). Base self-loops (possible when FromGraph adopted a
+// KeepSelfLoops graph) are preserved; they are never cycles (minLen >= 2)
+// and every traversal skips them structurally.
 func (m *Maintainer) compact() digraph.Adjacency {
 	if m.delta == 0 && m.base.NumVertices() == m.n {
 		return m.base
 	}
 	m.compactions++
-	b := digraph.NewBuilder(m.n)
-	// Base self-loops (possible when FromGraph adopted a KeepSelfLoops
-	// graph) are preserved; they are never cycles (minLen >= 2) and every
-	// traversal skips them structurally.
-	b.KeepSelfLoops = true
-	for u := 0; u < m.n; u++ {
-		m.rowBuf = m.outInto(VID(u), m.rowBuf[:0])
-		for _, w := range m.rowBuf {
-			b.AddEdge(VID(u), w)
+	baseN := m.base.NumVertices()
+	g := digraph.FromSortedRows(m.n, m.m, func(dst []VID, u VID) []VID {
+		if int(u) >= baseN {
+			return append(dst, m.addOut[u]...)
 		}
+		return appendMerged(dst, m.base.Out(u), m.delOut[u], m.addOut[u])
+	})
+	for u := 0; u < m.n; u++ {
 		m.addOut[u] = m.addOut[u][:0]
 		m.addIn[u] = m.addIn[u][:0]
 		m.delOut[u] = m.delOut[u][:0]
 		m.delIn[u] = m.delIn[u][:0]
 	}
 	m.delta = 0
-	m.base = b.Build()
-	return m.base
+	m.base = g
+	return g
 }
 
 // Reminimize runs the paper's minimal pruning pass over the current cover:
@@ -525,6 +533,26 @@ func (m *Maintainer) Stats() (inserts, deletes, cycleChecks, coverAdds int64) {
 func (m *Maintainer) Compactions() int64 { return m.compactions }
 
 // sorted-slice primitives for the delta buffers.
+
+// appendMerged appends (row minus dels) merged with adds to buf, ascending.
+// All three lists are sorted and adds is disjoint from row.
+func appendMerged(buf, row, dels, adds []VID) []VID {
+	i, j := 0, 0
+	for _, w := range row {
+		for j < len(dels) && dels[j] < w {
+			j++
+		}
+		if j < len(dels) && dels[j] == w {
+			continue
+		}
+		for i < len(adds) && adds[i] < w {
+			buf = append(buf, adds[i])
+			i++
+		}
+		buf = append(buf, w)
+	}
+	return append(buf, adds[i:]...)
+}
 
 func containsSorted(s []VID, v VID) bool {
 	_, ok := slices.BinarySearch(s, v)

@@ -88,8 +88,9 @@ func (m *Maintainer) WriteState(w io.Writer) error {
 
 // ReadState deserializes a snapshot written by WriteState and rebuilds a
 // Maintainer from it. Every field is validated: parameter bounds, edge
-// endpoints, and cover vertices in range. The error messages name the field
-// so a corrupt checkpoint is diagnosable.
+// endpoints in range and in strictly ascending CSR order (the order
+// WriteState writes), and cover vertices in range. The error messages name
+// the field so a corrupt checkpoint is diagnosable.
 func ReadState(r io.Reader) (*Maintainer, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(snapMagic))
@@ -139,21 +140,29 @@ func ReadState(r io.Reader) (*Maintainer, error) {
 	if n64 > 0 && edges > n64*n64 {
 		return nil, fmt.Errorf("dynamic: snapshot edge count %d exceeds n^2", edges)
 	}
-	b := digraph.NewBuilder(n)
-	b.KeepSelfLoops = true
-	for i := uint64(0); i < edges; i++ {
-		u, err := get32()
-		if err != nil {
-			return nil, fmt.Errorf("dynamic: reading snapshot edge %d: %w", i, err)
+	// WriteState emits the edges in CSR order, strictly ascending in
+	// (u, v), so the graph is filled straight from that order with no sort
+	// and no dedupe; any other order is a corrupt or foreign snapshot. The
+	// section is read in bounded chunks: a corrupt edge count runs out of
+	// bytes before it can size an allocation.
+	keys := make([]uint64, 0, min(edges, 1<<16))
+	chunk := make([]byte, 8*min(edges, 1<<13))
+	for read := uint64(0); read < edges; {
+		c := chunk[:8*min(edges-read, 1<<13)]
+		if _, err := io.ReadFull(br, c); err != nil {
+			return nil, fmt.Errorf("dynamic: reading snapshot edges from %d: %w", read, err)
 		}
-		v, err := get32()
-		if err != nil {
-			return nil, fmt.Errorf("dynamic: reading snapshot edge %d: %w", i, err)
+		for off := 0; off < len(c); off, read = off+8, read+1 {
+			u, v := binary.LittleEndian.Uint32(c[off:]), binary.LittleEndian.Uint32(c[off+4:])
+			if uint64(u) >= n64 || uint64(v) >= n64 {
+				return nil, fmt.Errorf("dynamic: snapshot edge %d (%d -> %d) out of range n=%d", read, u, v, n)
+			}
+			k := uint64(u)<<32 | uint64(v)
+			if len(keys) > 0 && k <= keys[len(keys)-1] {
+				return nil, fmt.Errorf("dynamic: snapshot edge %d (%d -> %d) out of CSR order", read, u, v)
+			}
+			keys = append(keys, k)
 		}
-		if uint64(u) >= n64 || uint64(v) >= n64 {
-			return nil, fmt.Errorf("dynamic: snapshot edge %d (%d -> %d) out of range n=%d", i, u, v, n)
-		}
-		b.AddEdge(digraph.VID(u), digraph.VID(v))
 	}
 	coverLen, err := get64()
 	if err != nil {
@@ -175,7 +184,14 @@ func ReadState(r io.Reader) (*Maintainer, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("dynamic: snapshot has trailing bytes")
 	}
-	m, err := FromGraph(b.Build(), k, minLen, cover)
+	next := 0
+	g := digraph.FromSortedRows(n, len(keys), func(dst []VID, u VID) []VID {
+		for ; next < len(keys) && VID(keys[next]>>32) == u; next++ {
+			dst = append(dst, VID(keys[next]))
+		}
+		return dst
+	})
+	m, err := FromGraph(g, k, minLen, cover)
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: rebuilding from snapshot: %w", err)
 	}

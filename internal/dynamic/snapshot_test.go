@@ -91,6 +91,21 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			}
 			return b
 		}},
+		// The reader fills the CSR straight from the edge order, so any
+		// order WriteState cannot produce must be refused.
+		{"edges out of order", func(b []byte) []byte {
+			off := 8 + 4 + 4 + 8 + 8
+			var first [8]byte
+			copy(first[:], b[off:off+8])
+			copy(b[off:off+8], b[off+8:off+16])
+			copy(b[off+8:off+16], first[:])
+			return b
+		}},
+		{"duplicate edge", func(b []byte) []byte {
+			off := 8 + 4 + 4 + 8 + 8
+			copy(b[off+8:off+16], b[off:off+8])
+			return b
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

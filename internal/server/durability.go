@@ -26,46 +26,67 @@ import (
 // reverse order (log first) would resurrect batches that never made it into
 // memory.
 
-// WAL record payload: one write batch.
+// WAL record payload: one acknowledged write batch and the cover decisions
+// it made.
 //
-//	growTo  u64
+//	growTo  u64        maintainer vertex count at append time
 //	count   u32
 //	count × (op u8, u u32, v u32)
+//	added   u32        cover vertices the batch added
+//	added × u32        in the order ApplyBatch added them
+//
+// Replay re-applies the edges and adopts the logged cover vertices
+// (dynamic.Maintainer.ReplayBatch) instead of re-running the cycle searches,
+// so recovery rebuilds exactly the acknowledged state. A record that ends
+// right after its updates was written before the trailer existed; it is
+// recognised by that exact length and replayed through ApplyBatchChecked.
 const walRecordHeader = 12
 
-func encodeWALRecord(growTo int, ups []dynamic.Update) []byte {
-	buf := make([]byte, walRecordHeader, walRecordHeader+9*len(ups))
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(growTo))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(ups)))
-	var b4 [4]byte
-	for _, u := range ups {
+// walBatch is one acknowledged batch: a WAL record's content, and one entry
+// of the writer's unpublished tail (Server.appliedLog).
+type walBatch struct {
+	growTo  int
+	updates []dynamic.Update
+	added   []VID
+}
+
+func encodeWALRecord(b walBatch) []byte {
+	buf := make([]byte, walRecordHeader, walRecordHeader+9*len(b.updates)+4+4*len(b.added))
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(b.growTo))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(b.updates)))
+	for _, u := range b.updates {
 		buf = append(buf, byte(u.Op))
-		binary.LittleEndian.PutUint32(b4[:], uint32(u.U))
-		buf = append(buf, b4[:]...)
-		binary.LittleEndian.PutUint32(b4[:], uint32(u.V))
-		buf = append(buf, b4[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(u.U))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(u.V))
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.added)))
+	for _, v := range b.added {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
 	return buf
 }
 
-func decodeWALRecord(payload []byte) (growTo int, ups []dynamic.Update, err error) {
+// decodeWALRecord parses a record payload. legacy reports a record without
+// the cover trailer (b.added is then nil and meaningless).
+func decodeWALRecord(payload []byte) (b walBatch, legacy bool, err error) {
 	if len(payload) < walRecordHeader {
-		return 0, nil, fmt.Errorf("record too short (%d bytes)", len(payload))
+		return b, false, fmt.Errorf("record too short (%d bytes)", len(payload))
 	}
 	g := binary.LittleEndian.Uint64(payload[0:8])
 	count := binary.LittleEndian.Uint32(payload[8:12])
 	if g > uint64(1)<<31 {
-		return 0, nil, fmt.Errorf("grow_to %d out of range", g)
+		return b, false, fmt.Errorf("grow_to %d out of range", g)
 	}
-	if uint64(len(payload)-walRecordHeader) != uint64(count)*9 {
-		return 0, nil, fmt.Errorf("record length %d does not match %d updates", len(payload), count)
+	body := uint64(len(payload) - walRecordHeader)
+	if body < uint64(count)*9 {
+		return b, false, fmt.Errorf("record length %d does not match %d updates", len(payload), count)
 	}
-	ups = make([]dynamic.Update, count)
+	ups := make([]dynamic.Update, count)
 	off := walRecordHeader
 	for i := range ups {
 		op := dynamic.Op(payload[off])
 		if op != dynamic.OpInsert && op != dynamic.OpDelete {
-			return 0, nil, fmt.Errorf("update %d: unknown op byte %d", i, payload[off])
+			return b, false, fmt.Errorf("update %d: unknown op byte %d", i, payload[off])
 		}
 		ups[i] = dynamic.Update{
 			Op: op,
@@ -74,8 +95,41 @@ func decodeWALRecord(payload []byte) (growTo int, ups []dynamic.Update, err erro
 		}
 		off += 9
 	}
-	return int(g), ups, nil
+	b = walBatch{growTo: int(g), updates: ups}
+	trailer := payload[off:]
+	if len(trailer) == 0 {
+		return b, true, nil
+	}
+	if len(trailer) < 4 {
+		return walBatch{}, false, fmt.Errorf("cover trailer of %d bytes has no count", len(trailer))
+	}
+	na := binary.LittleEndian.Uint32(trailer)
+	if uint64(len(trailer)-4) != uint64(na)*4 {
+		return walBatch{}, false, fmt.Errorf("cover trailer of %d bytes does not match %d vertices", len(trailer), na)
+	}
+	b.added = make([]VID, na)
+	for i := range b.added {
+		v := binary.LittleEndian.Uint32(trailer[4+4*i:])
+		if uint64(v) >= g {
+			return walBatch{}, false, fmt.Errorf("cover vertex %d out of range (record has %d vertices)", v, g)
+		}
+		b.added[i] = VID(v)
+	}
+	return b, false, nil
 }
+
+// RecoveryStats describes startup recovery from the data dir, phase by
+// phase, so a slow restart shows which layer moved: Load is the directory
+// scan plus decoding the checkpoint, Replay applies the WAL suffix, and
+// Checkpoint serializes the recovered state and makes it durable. All zero
+// without a data dir.
+type RecoveryStats struct {
+	Records                  int64 // WAL records replayed
+	Load, Replay, Checkpoint time.Duration
+}
+
+// Recovery reports how the server's startup recovery went.
+func (s *Server) Recovery() RecoveryStats { return s.recovery }
 
 // openDurable recovers the maintainer from c.DataDir and opens the log for
 // appending. Called by New before the first publish, so the recovered state
@@ -84,6 +138,7 @@ func decodeWALRecord(payload []byte) (growTo int, ups []dynamic.Update, err erro
 // created, preserving the invariant that records on disk always have a
 // checkpoint at or below them to replay from.
 func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
+	t0 := time.Now()
 	rec, err := wal.Recover(c.DataDir)
 	if err != nil {
 		return nil, err
@@ -114,12 +169,13 @@ func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
 	default:
 		m = dynamic.New(c.NumVertices, c.K, c.MinLen)
 	}
+	t1 := time.Now()
 	for _, r := range rec.Records {
 		if err := replayRecord(m, r); err != nil {
 			return nil, err
 		}
 	}
-	s.walRecovered.Store(int64(len(rec.Records)))
+	t2 := time.Now()
 
 	// Durable barrier: checkpoint the recovered state, then start the new
 	// segment, then garbage-collect. A crash between any two steps leaves a
@@ -136,6 +192,8 @@ func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
 	if err := wal.WriteCheckpoint(c.DataDir, rec.LastSeq, state.Bytes()); err != nil {
 		return nil, err
 	}
+	s.recovery = RecoveryStats{Records: int64(len(rec.Records)),
+		Load: t1.Sub(t0), Replay: t2.Sub(t1), Checkpoint: time.Since(t2)}
 	l, err := wal.Create(c.DataDir, rec.LastSeq+1, wal.Options{Fsync: c.Fsync, Interval: c.FsyncInterval})
 	if err != nil {
 		return nil, err
@@ -156,20 +214,29 @@ func replayRecord(m *dynamic.Maintainer, r wal.Record) (err error) {
 		}
 	}()
 	fault.Inject(fault.SiteServerRecoverReplay)
-	growTo, ups, err := decodeWALRecord(r.Payload)
+	b, legacy, err := decodeWALRecord(r.Payload)
+	if err == nil {
+		if legacy {
+			m.Grow(b.growTo)
+			_, err = m.ApplyBatchChecked(b.updates)
+		} else {
+			err = replayBatch(m, b)
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("server: WAL record %d: %w", r.Seq, err)
-	}
-	if growTo > m.NumVertices() {
-		m.Grow(growTo)
-	}
-	if _, err := m.ApplyBatchChecked(ups); err != nil {
 		// Unreachable for records this server wrote (batches are validated
 		// before they are applied or logged), so this is corruption that
 		// happened to pass the CRC — refuse it.
 		return fmt.Errorf("server: WAL record %d does not apply: %w", r.Seq, err)
 	}
 	return nil
+}
+
+// replayBatch grows m to the batch's vertex count and re-applies the batch
+// with its logged cover decisions.
+func replayBatch(m *dynamic.Maintainer, b walBatch) error {
+	m.Grow(b.growTo)
+	return m.ReplayBatch(b.updates, b.added)
 }
 
 // maybeCheckpoint writes a snapshot checkpoint once enough updates have

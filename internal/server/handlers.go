@@ -136,13 +136,18 @@ type StatsResponse struct {
 	Draining        bool   `json:"draining"`
 
 	// Durability counters, present when the server runs with a data dir.
-	WALEnabled         bool   `json:"wal_enabled,omitempty"`
-	WALLastSeq         uint64 `json:"wal_last_seq,omitempty"`
-	WALAppends         int64  `json:"wal_appends,omitempty"`
-	WALFsyncs          int64  `json:"wal_fsyncs,omitempty"`
-	WALRecovered       int64  `json:"wal_recovered,omitempty"`
-	WALCheckpoints     int64  `json:"wal_checkpoints,omitempty"`
-	WALCheckpointFails int64  `json:"wal_checkpoint_failures,omitempty"`
+	// The wal_recover_*_ms fields time startup recovery phase by phase
+	// (RecoveryStats).
+	WALEnabled             bool    `json:"wal_enabled,omitempty"`
+	WALLastSeq             uint64  `json:"wal_last_seq,omitempty"`
+	WALAppends             int64   `json:"wal_appends,omitempty"`
+	WALFsyncs              int64   `json:"wal_fsyncs,omitempty"`
+	WALRecovered           int64   `json:"wal_recovered,omitempty"`
+	WALRecoverLoadMS       float64 `json:"wal_recover_load_ms,omitempty"`
+	WALRecoverReplayMS     float64 `json:"wal_recover_replay_ms,omitempty"`
+	WALRecoverCheckpointMS float64 `json:"wal_recover_checkpoint_ms,omitempty"`
+	WALCheckpoints         int64   `json:"wal_checkpoints,omitempty"`
+	WALCheckpointFails     int64   `json:"wal_checkpoint_failures,omitempty"`
 }
 
 type errorResponse struct {
@@ -258,12 +263,18 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.WALLastSeq = s.wal.LastSeq()
 		resp.WALAppends = s.wal.Appends()
 		resp.WALFsyncs = s.wal.Fsyncs()
-		resp.WALRecovered = s.walRecovered.Load()
+		resp.WALRecovered = s.recovery.Records
+		resp.WALRecoverLoadMS = ms(s.recovery.Load)
+		resp.WALRecoverReplayMS = ms(s.recovery.Replay)
+		resp.WALRecoverCheckpointMS = ms(s.recovery.Checkpoint)
 		resp.WALCheckpoints = s.walCheckpoints.Load()
 		resp.WALCheckpointFails = s.walCheckpointFails.Load()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
+
+// ms converts a duration to fractional milliseconds for JSON.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // solveParams validates and defaults the (k, minLen) pair against the
 // server's constraint and the epoch graph.

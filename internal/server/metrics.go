@@ -99,7 +99,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("tdbserve_wal_appends_total", "Write batches appended to the WAL.", s.wal.Appends())
 		counter("tdbserve_wal_fsyncs_total", "WAL fsyncs issued.", s.wal.Fsyncs())
 		gauge("tdbserve_wal_last_seq", "Sequence number of the last logged batch.", float64(s.wal.LastSeq()))
-		counter("tdbserve_wal_recovery_replayed_total", "WAL records replayed during startup recovery.", s.walRecovered.Load())
+		counter("tdbserve_wal_recovery_replayed_total", "WAL records replayed during startup recovery.", s.recovery.Records)
+		gauge("tdbserve_wal_recovery_load_seconds", "Startup recovery: data dir scan and checkpoint decode.", s.recovery.Load.Seconds())
+		gauge("tdbserve_wal_recovery_replay_seconds", "Startup recovery: WAL record replay.", s.recovery.Replay.Seconds())
+		gauge("tdbserve_wal_recovery_checkpoint_seconds", "Startup recovery: writing the recovered checkpoint.", s.recovery.Checkpoint.Seconds())
 		counter("tdbserve_wal_checkpoints_total", "Snapshot checkpoints written.", s.walCheckpoints.Load())
 		counter("tdbserve_wal_checkpoint_failures_total", "Checkpoint attempts that failed (server kept serving).", s.walCheckpointFails.Load())
 		gauge("tdbserve_wal_last_checkpoint_duration_seconds", "Duration of the last successful checkpoint.", float64(s.walCheckpointNS.Load())/1e9)

@@ -187,9 +187,10 @@ type Server struct {
 	// then by the writer goroutine alone).
 	m            *dynamic.Maintainer
 	sincePublish int
-	// appliedLog records acknowledged batches since the last publish so a
-	// writer panic can rebuild the maintainer without losing them.
-	appliedLog []dynamic.Update
+	// appliedLog records acknowledged batches since the last publish, with
+	// their cover decisions, so a writer panic can rebuild the maintainer
+	// exactly as it was without losing them.
+	appliedLog []walBatch
 
 	// Durability (nil wal when Config.DataDir is empty). The log handle is
 	// written once by New; sinceCheckpoint belongs to the writer goroutine.
@@ -205,10 +206,10 @@ type Server struct {
 	writerPanics   atomic.Int64 // writer batches that panicked
 	writerRestores atomic.Int64 // maintainer rebuilds after writer panics
 
-	walRecovered       atomic.Int64 // WAL records replayed at startup
-	walCheckpoints     atomic.Int64 // checkpoints written since start
-	walCheckpointFails atomic.Int64 // checkpoints that failed (server kept serving)
-	walCheckpointNS    atomic.Int64 // duration of the last successful checkpoint
+	recovery           RecoveryStats // startup recovery, set once by New
+	walCheckpoints     atomic.Int64  // checkpoints written since start
+	walCheckpointFails atomic.Int64  // checkpoints that failed (server kept serving)
+	walCheckpointNS    atomic.Int64  // duration of the last successful checkpoint
 
 	// solves counts completed /v1/solve requests by execution profile
 	// (strategy, filter tier, batch width, storage backend).
@@ -311,17 +312,18 @@ func (s *Server) applyOne(req *writeReq) (resp writeResp) {
 	if err != nil {
 		return writeResp{epoch: s.ring.Current(), err: err}
 	}
+	// The batch carries the maintainer's current vertex count, not the
+	// request's grow_to: growth is monotone, so this makes every record
+	// self-sufficient even when an earlier grow rode a batch that was never
+	// acknowledged (and therefore never logged).
+	b := walBatch{growTo: s.m.NumVertices(), updates: req.updates, added: added}
 	// Durability point: the batch is in memory but not yet acknowledged.
 	// Log it before anything downstream can observe it as committed; if the
 	// log refuses, roll memory back too (epoch + appliedLog rebuild, which
 	// does not yet contain this batch) so the failed batch exists nowhere.
 	var walSeq uint64
 	if s.wal != nil && (len(req.updates) > 0 || req.growTo > 0) {
-		// The record carries the maintainer's current vertex count, not the
-		// request's grow_to: growth is monotone, so this makes every record
-		// self-sufficient even when an earlier grow rode a batch that was
-		// never acknowledged (and therefore never logged).
-		walSeq, err = s.wal.Append(encodeWALRecord(s.m.NumVertices(), req.updates))
+		walSeq, err = s.wal.Append(encodeWALRecord(b))
 		if err != nil {
 			s.restoreMaintainer()
 			return writeResp{epoch: s.ring.Current(), panicked: true,
@@ -329,8 +331,10 @@ func (s *Server) applyOne(req *writeReq) (resp writeResp) {
 		}
 		s.sinceCheckpoint += len(req.updates) + 1
 	}
-	s.appliedLog = append(s.appliedLog, req.updates...)
-	s.sincePublish += len(req.updates)
+	if len(req.updates) > 0 {
+		s.appliedLog = append(s.appliedLog, b)
+		s.sincePublish += len(req.updates)
+	}
 	if req.publish || s.sincePublish >= s.cfg.PublishEvery {
 		s.publish()
 	}
@@ -339,10 +343,12 @@ func (s *Server) applyOne(req *writeReq) (resp writeResp) {
 }
 
 // restoreMaintainer rebuilds the writer's maintainer from the last
-// published epoch and replays the acknowledged batches since. Replay is
-// best-effort: if the log itself panics (it contains whatever poisoned the
-// writer), the maintainer falls back to the bare epoch — still a valid
-// (graph, cover) pair, just missing the unpublished tail.
+// published epoch and replays the acknowledged batches since, one by one
+// with their logged cover decisions — the state the writer had, and the
+// state WAL recovery would rebuild. Replay is best-effort: if a logged batch
+// fails or panics, the batches before it are kept and the rest of the tail
+// is dropped; an empty replay still leaves the bare epoch, a valid (graph,
+// cover) pair.
 func (s *Server) restoreMaintainer() {
 	s.writerRestores.Add(1)
 	e := s.ring.Acquire()
@@ -363,21 +369,22 @@ func (s *Server) restoreMaintainer() {
 	grow := s.m.NumVertices()
 	log := s.appliedLog
 	s.m = m
-	if grow > m.NumVertices() {
-		m.Grow(grow)
-	}
-	s.sincePublish = 0
-	s.appliedLog = nil
-	if len(log) == 0 {
-		return
-	}
+	kept := 0
 	func() {
-		defer func() { recover() }() // drop the log if it re-panics
-		if _, err := m.ApplyBatchChecked(log); err == nil {
-			s.appliedLog = log
-			s.sincePublish = len(log)
+		defer func() { recover() }() // keep the prefix that replayed
+		for _, b := range log {
+			if replayBatch(m, b) != nil {
+				return
+			}
+			kept++
 		}
 	}()
+	m.Grow(grow)
+	s.appliedLog = log[:kept]
+	s.sincePublish = 0
+	for _, b := range s.appliedLog {
+		s.sincePublish += len(b.updates)
+	}
 }
 
 // admit counts the request against shutdown draining and, for reader
