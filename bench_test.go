@@ -17,6 +17,7 @@ import (
 	"tdb/internal/core"
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
+	"tdb/internal/dynamic"
 	"tdb/internal/exp"
 	"tdb/internal/gen"
 )
@@ -593,8 +594,9 @@ func BenchmarkMaintainerCompact(b *testing.B) {
 // BenchmarkRecoverReplay measures WAL recovery's replay on the SAD
 // stand-in: a recorded tail of 1000 64-update batches with the cover
 // vertices each one added, replayed onto the seed state without cycle
-// searches (ReplayBatch), then serialized as recovery's post-replay
-// checkpoint. One op is the whole tail.
+// searches in one ReplayBatches call (one sort and one merge into a fresh
+// CSR), then serialized as recovery's post-replay checkpoint. One op is
+// the whole tail.
 func BenchmarkRecoverReplay(b *testing.B) {
 	g := sadStandIn(b)
 	res, err := core.Compute(g, core.TDBPlusPlus, core.Options{K: 5, MinLen: 3})
@@ -605,10 +607,10 @@ func BenchmarkRecoverReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tail := churnBatches(g, 1000, 1)
-	added := make([][]VID, len(tail))
-	for i, batch := range tail {
-		added[i] = live.ApplyBatch(batch)
+	updates := churnBatches(g, 1000, 1)
+	tail := make([]dynamic.Batch, len(updates))
+	for i, batch := range updates {
+		tail[i] = dynamic.Batch{GrowTo: live.NumVertices(), Updates: batch, Added: live.ApplyBatch(batch)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -616,10 +618,8 @@ func BenchmarkRecoverReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for j, batch := range tail {
-			if err := m.ReplayBatch(batch, added[j]); err != nil {
-				b.Fatal(err)
-			}
+		if applied, err := m.ReplayBatches(tail); err != nil || applied != len(tail) {
+			b.Fatalf("replayed %d of %d batches: %v", applied, len(tail), err)
 		}
 		if err := m.WriteState(io.Discard); err != nil {
 			b.Fatal(err)

@@ -50,13 +50,21 @@ func DeleteOp(u, v VID) Update { return Update{Op: OpDelete, U: u, V: v} }
 // boundary layers decoding untrusted batches (tdbserve) call this — or
 // ApplyBatchChecked — to turn malformed input into an error instead.
 func (m *Maintainer) ValidateUpdates(updates []Update) error {
+	if err := validateUpdates(updates, m.n); err != nil {
+		return fmt.Errorf("dynamic: %w", err)
+	}
+	return nil
+}
+
+// validateUpdates checks updates against a graph of n vertices.
+func validateUpdates(updates []Update, n int) error {
 	for i, up := range updates {
 		if up.Op != OpInsert && up.Op != OpDelete {
-			return fmt.Errorf("dynamic: update %d: unknown op %d", i, up.Op)
+			return fmt.Errorf("update %d: unknown op %d", i, up.Op)
 		}
-		if uint64(up.U) >= uint64(m.n) || uint64(up.V) >= uint64(m.n) {
-			return fmt.Errorf("dynamic: update %d: edge (%d, %d) out of range (graph has %d vertices)",
-				i, up.U, up.V, m.n)
+		if uint64(up.U) >= uint64(n) || uint64(up.V) >= uint64(n) {
+			return fmt.Errorf("update %d: edge (%d, %d) out of range (graph has %d vertices)",
+				i, up.U, up.V, n)
 		}
 	}
 	return nil
@@ -120,47 +128,6 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 	return added
 }
 
-// ReplayBatch re-applies a batch whose cover decisions are already known:
-// added is what ApplyBatch returned for the same updates on the same state.
-// The edge updates take exactly ApplyBatch's structural path — the same raw
-// edits and dirty marks, the same compaction point — and then the logged
-// vertices enter the cover in order, with no cycle search. The result is
-// ApplyBatch's state by construction rather than by re-deciding it, which
-// is what makes WAL replay deterministic and cheap.
-//
-// Input is validated before the first change: updates as ValidateUpdates
-// does, and every added vertex must be in range, uncovered, and named once
-// (ApplyBatch never covers a vertex twice), so a corrupt record is an error
-// with the graph untouched rather than a double-counted cover.
-func (m *Maintainer) ReplayBatch(updates []Update, added []VID) error {
-	if err := m.ValidateUpdates(updates); err != nil {
-		return err
-	}
-	// Duplicates are caught by marking each vertex covered as it passes;
-	// the marks are undone before anything changes for real.
-	for i, v := range added {
-		if uint64(v) >= uint64(m.n) || m.covered[v] {
-			for _, w := range added[:i] {
-				m.covered[w] = false
-			}
-			if uint64(v) >= uint64(m.n) {
-				return fmt.Errorf("dynamic: replayed cover vertex %d out of range (graph has %d vertices)", v, m.n)
-			}
-			return fmt.Errorf("dynamic: replayed cover vertex %d is already covered or named twice", v)
-		}
-		m.covered[v] = true
-	}
-	for _, v := range added {
-		m.covered[v] = false
-	}
-	m.applyEdges(updates)
-	m.maybeCompact()
-	for _, v := range added {
-		m.addCover(v)
-	}
-	return nil
-}
-
 // applyEdges applies a batch's structural changes in order and returns the
 // insertions between then-uncovered endpoints: the candidates for
 // ApplyBatch's deferred queries.
@@ -170,20 +137,25 @@ func (m *Maintainer) applyEdges(updates []Update) []digraph.Edge {
 		switch up.Op {
 		case OpInsert:
 			u, v := up.U, up.V
-			if u == v || m.HasEdge(u, v) {
+			if u == v {
+				continue
+			}
+			loc, pos := m.locate(u, v)
+			if loc.live() {
 				continue
 			}
 			m.inserts++
-			m.addEdgeRaw(u, v)
+			m.addEdgeRaw(u, v, loc, pos)
 			if !m.covered[u] && !m.covered[v] {
 				pending = append(pending, digraph.Edge{U: u, V: v})
 			}
 		case OpDelete:
-			if !m.HasEdge(up.U, up.V) {
+			loc, pos := m.locate(up.U, up.V)
+			if !loc.live() {
 				continue
 			}
 			m.deletes++
-			m.deleteEdgeRaw(up.U, up.V)
+			m.deleteEdgeRaw(up.U, up.V, loc, pos)
 		}
 	}
 	return pending

@@ -20,8 +20,10 @@
 //     vertices a deletion (or cover growth) can actually have affected.
 //   - ApplyBatch: the batched form, which applies a whole batch's edge
 //     changes first and then runs the deferred cycle-existence queries in
-//     order. ReplayBatch re-applies a batch with the cover vertices
-//     ApplyBatch returned for it, searching nothing (WAL replay).
+//     order. ReplayBatches re-applies a logged tail of batches with the
+//     cover vertices ApplyBatch returned for them, searching nothing (WAL
+//     replay): one sort of the tail's updates and one merge into a fresh
+//     CSR, not one delta edit per update.
 //
 // Storage is a CSR base + delta-buffer hybrid: a compacted immutable
 // digraph.Graph carries the bulk of the edges, per-vertex sorted slices
@@ -211,10 +213,38 @@ func (m *Maintainer) Covered(v VID) bool { return m.covered[v] }
 
 // HasEdge reports whether the edge currently exists.
 func (m *Maintainer) HasEdge(u, v VID) bool {
-	if containsSorted(m.addOut[u], v) {
-		return true
+	loc, _ := m.locate(u, v)
+	return loc.live()
+}
+
+// edgeLoc says which storage layer holds an edge.
+type edgeLoc uint8
+
+const (
+	locAbsent     edgeLoc = iota // in neither the base nor addOut
+	locTombstoned                // a base edge with a tombstone in delOut
+	locBase                      // a live base edge
+	locAdded                     // in addOut, absent from the base
+)
+
+func (l edgeLoc) live() bool { return l == locBase || l == locAdded }
+
+// locate finds the edge (u, v) with one search per layer it needs. pos is
+// the edge's index, or its insertion point, in the out-row a raw edit of
+// it changes: addOut[u] for locAbsent and locAdded, delOut[u] for the base
+// locations.
+func (m *Maintainer) locate(u, v VID) (loc edgeLoc, pos int) {
+	pos, ok := slices.BinarySearch(m.addOut[u], v)
+	if ok {
+		return locAdded, pos
 	}
-	return m.inBase(u, v) && !containsSorted(m.delOut[u], v)
+	if !m.inBase(u, v) {
+		return locAbsent, pos
+	}
+	if pos, ok = slices.BinarySearch(m.delOut[u], v); ok {
+		return locTombstoned, pos
+	}
+	return locBase, pos
 }
 
 // inBase reports whether the edge exists in the compacted base (live or
@@ -228,11 +258,15 @@ func (m *Maintainer) inBase(u, v VID) bool {
 // cover, or -1 when none was needed. Self-loops and duplicates are ignored
 // (returning -1). Both endpoints must be < NumVertices (see Grow).
 func (m *Maintainer) InsertEdge(u, v VID) int {
-	if u == v || m.HasEdge(u, v) {
+	if u == v {
+		return -1
+	}
+	loc, pos := m.locate(u, v)
+	if loc.live() {
 		return -1
 	}
 	m.inserts++
-	m.addEdgeRaw(u, v)
+	m.addEdgeRaw(u, v, loc, pos)
 	m.maybeCompact()
 
 	// Every cycle created by this insertion passes through (u, v). If an
@@ -251,40 +285,42 @@ func (m *Maintainer) InsertEdge(u, v VID) int {
 // existed. The cover stays valid; call Reminimize to shed vertices that the
 // deletion made redundant.
 func (m *Maintainer) DeleteEdge(u, v VID) bool {
-	if !m.HasEdge(u, v) {
+	loc, pos := m.locate(u, v)
+	if !loc.live() {
 		return false
 	}
 	m.deletes++
-	m.deleteEdgeRaw(u, v)
+	m.deleteEdgeRaw(u, v, loc, pos)
 	m.maybeCompact()
 	return true
 }
 
-// addEdgeRaw records the absent edge (u, v) in the delta layer: either by
-// cancelling a base tombstone or by growing the add buffers.
-func (m *Maintainer) addEdgeRaw(u, v VID) {
-	if m.inBase(u, v) {
-		m.delOut[u] = removeSorted(m.delOut[u], v)
+// addEdgeRaw records the absent edge (u, v), found at (loc, pos) by
+// locate, in the delta layer: either by cancelling a base tombstone or by
+// growing the add buffers.
+func (m *Maintainer) addEdgeRaw(u, v VID, loc edgeLoc, pos int) {
+	if loc == locTombstoned {
+		m.delOut[u] = slices.Delete(m.delOut[u], pos, pos+1)
 		m.delIn[v] = removeSorted(m.delIn[v], u)
 		m.delta--
 	} else {
-		m.addOut[u] = insertSorted(m.addOut[u], v)
+		m.addOut[u] = slices.Insert(m.addOut[u], pos, v)
 		m.addIn[v] = insertSorted(m.addIn[v], u)
 		m.delta++
 	}
 	m.m++
 }
 
-// deleteEdgeRaw removes the present edge (u, v): either by shrinking the
-// add buffers or by tombstoning a base edge. The endpoints become dirty
-// sites for the next Reminimize.
-func (m *Maintainer) deleteEdgeRaw(u, v VID) {
-	if containsSorted(m.addOut[u], v) {
-		m.addOut[u] = removeSorted(m.addOut[u], v)
+// deleteEdgeRaw removes the present edge (u, v), found at (loc, pos) by
+// locate: either by shrinking the add buffers or by tombstoning a base
+// edge. The endpoints become dirty sites for the next Reminimize.
+func (m *Maintainer) deleteEdgeRaw(u, v VID, loc edgeLoc, pos int) {
+	if loc == locAdded {
+		m.addOut[u] = slices.Delete(m.addOut[u], pos, pos+1)
 		m.addIn[v] = removeSorted(m.addIn[v], u)
 		m.delta--
 	} else {
-		m.delOut[u] = insertSorted(m.delOut[u], v)
+		m.delOut[u] = slices.Insert(m.delOut[u], pos, v)
 		m.delIn[v] = insertSorted(m.delIn[v], u)
 		m.delta++
 	}
@@ -370,11 +406,27 @@ func (m *Maintainer) compact() digraph.Adjacency {
 	m.compactions++
 	baseN := m.base.NumVertices()
 	g := digraph.FromSortedRows(m.n, m.m, func(dst []VID, u VID) []VID {
-		if int(u) >= baseN {
-			return append(dst, m.addOut[u]...)
-		}
-		return appendMerged(dst, m.base.Out(u), m.delOut[u], m.addOut[u])
+		return m.appendLiveRow(dst, u, baseN)
 	})
+	m.clearDeltas()
+	m.base = g
+	return g
+}
+
+// appendLiveRow appends u's live out-row to dst, ascending; baseN is the
+// base's vertex count. Rows past m.n (a Grow not yet applied) are empty.
+func (m *Maintainer) appendLiveRow(dst []VID, u VID, baseN int) []VID {
+	switch {
+	case int(u) < baseN:
+		return appendMerged(dst, m.base.Out(u), m.delOut[u], m.addOut[u])
+	case int(u) < m.n:
+		return append(dst, m.addOut[u]...)
+	}
+	return dst
+}
+
+// clearDeltas empties the delta rows, keeping their capacity.
+func (m *Maintainer) clearDeltas() {
 	for u := 0; u < m.n; u++ {
 		m.addOut[u] = m.addOut[u][:0]
 		m.addIn[u] = m.addIn[u][:0]
@@ -382,8 +434,6 @@ func (m *Maintainer) compact() digraph.Adjacency {
 		m.delIn[u] = m.delIn[u][:0]
 	}
 	m.delta = 0
-	m.base = g
-	return g
 }
 
 // Reminimize runs the paper's minimal pruning pass over the current cover:
@@ -552,11 +602,6 @@ func appendMerged(buf, row, dels, adds []VID) []VID {
 		buf = append(buf, w)
 	}
 	return append(buf, adds[i:]...)
-}
-
-func containsSorted(s []VID, v VID) bool {
-	_, ok := slices.BinarySearch(s, v)
-	return ok
 }
 
 func insertSorted(s []VID, v VID) []VID {

@@ -2,9 +2,11 @@ package dynamic
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"tdb/internal/core"
@@ -128,18 +130,15 @@ func compactStream(t *testing.T, seed uint64, mapped bool) {
 	}
 }
 
-// recordedBatch is one ApplyBatch call and its cover decisions.
-type recordedBatch struct {
-	growTo  int
-	updates []Update
-	added   []VID
-}
-
-// churnBatches drives m with random batches of inserts, deletes of live
-// edges and insert-delete-insert toggles (with an occasional Grow) and
-// returns what each batch did.
-func churnBatches(rng *rand.Rand, m *Maintainer, batches, size int) []recordedBatch {
-	out := make([]recordedBatch, 0, batches)
+// churnBatches drives m with random batches (each after an occasional
+// Grow) and returns them as logged: inserts of random pairs, inserts
+// duplicating a live edge, deletes of random (mostly absent) pairs and of
+// live edges (base self-loops included), insert-delete-insert toggles,
+// and re-inserts of edges an earlier batch deleted, which cancel base
+// tombstones.
+func churnBatches(rng *rand.Rand, m *Maintainer, batches, size int) []Batch {
+	out := make([]Batch, 0, batches)
+	var deleted []digraph.Edge
 	for b := 0; b < batches; b++ {
 		if rng.IntN(10) == 0 {
 			m.Grow(m.NumVertices() + 1 + rng.IntN(4))
@@ -148,20 +147,27 @@ func churnBatches(rng *rand.Rand, m *Maintainer, batches, size int) []recordedBa
 		ups := make([]Update, 0, size)
 		for len(ups) < size {
 			u, v := VID(rng.IntN(n)), VID(rng.IntN(n))
-			switch rng.IntN(8) {
-			case 0, 1:
+			row := m.outInto(u, nil)
+			switch r := rng.IntN(10); {
+			case r == 0:
 				ups = append(ups, DeleteOp(u, v))
-				if row := m.outInto(u, nil); len(row) > 0 {
-					ups = append(ups, DeleteOp(u, row[rng.IntN(len(row))]))
-				}
-			case 2:
+			case r <= 2 && len(row) > 0:
+				w := row[rng.IntN(len(row))]
+				ups = append(ups, DeleteOp(u, w))
+				deleted = append(deleted, digraph.Edge{U: u, V: w})
+			case r == 3:
 				ups = append(ups, InsertOp(u, v), DeleteOp(u, v), InsertOp(u, v))
+			case r == 4 && len(deleted) > 0:
+				e := deleted[rng.IntN(len(deleted))]
+				ups = append(ups, InsertOp(e.U, e.V))
+			case r == 5 && len(row) > 0:
+				ups = append(ups, InsertOp(u, row[rng.IntN(len(row))]))
 			default:
 				ups = append(ups, InsertOp(u, v))
 			}
 		}
 		added := m.ApplyBatch(ups)
-		out = append(out, recordedBatch{growTo: m.NumVertices(), updates: ups, added: added})
+		out = append(out, Batch{GrowTo: m.NumVertices(), Updates: ups, Added: added})
 	}
 	return out
 }
@@ -175,12 +181,34 @@ func writeState(t *testing.T, m *Maintainer) []byte {
 	return buf.Bytes()
 }
 
-// TestReplayBatchMatchesApplyBatch: replaying each batch with the cover
-// vertices ApplyBatch logged for it must rebuild the live maintainer's
-// state byte for byte, across natural compactions and at checkpoints taken
-// mid-stream (which compact both sides at the same point, as a server
-// checkpoint does).
-func TestReplayBatchMatchesApplyBatch(t *testing.T) {
+// sameReplayState fails unless got and want serialize to the same bytes,
+// count the same inserts, deletes and cover additions, and hold the same
+// Reminimize work: needFull and the dirty multiset. Cycle-check counts
+// differ by design: replay searches nothing.
+func sameReplayState(t *testing.T, what string, got, want *Maintainer) {
+	t.Helper()
+	if !bytes.Equal(writeState(t, got), writeState(t, want)) {
+		t.Fatalf("%s: state differs (n=%d m=%d cover %d, want n=%d m=%d cover %d)", what,
+			got.NumVertices(), got.NumEdges(), got.CoverSize(), want.NumVertices(), want.NumEdges(), want.CoverSize())
+	}
+	gi, gd, _, ga := got.Stats()
+	wi, wd, _, wa := want.Stats()
+	if gi != wi || gd != wd || ga != wa {
+		t.Fatalf("%s: inserts/deletes/cover adds %d/%d/%d, want %d/%d/%d", what, gi, gd, ga, wi, wd, wa)
+	}
+	gDirty, wDirty := slices.Sorted(slices.Values(got.dirty)), slices.Sorted(slices.Values(want.dirty))
+	if got.needFull != want.needFull || !slices.Equal(gDirty, wDirty) {
+		t.Fatalf("%s: needFull %v dirty %v, want needFull %v dirty %v", what, got.needFull, gDirty, want.needFull, wDirty)
+	}
+}
+
+// TestReplayBatchesMatchesApplyBatch: replaying a logged tail in one call
+// must rebuild exactly the state ApplyBatch left on the live maintainer,
+// for tails long enough to cross natural compactions and Grow calls and
+// short enough to keep the dirty set under the vertex count, from a base
+// with self-loops. Afterwards both sides must decide new batches alike.
+func TestReplayBatchesMatchesApplyBatch(t *testing.T) {
+	sawDirty, sawOverflow := false, false
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 7))
 		g := selfLoopBase(rng, 120, 420)
@@ -196,34 +224,91 @@ func TestReplayBatchMatchesApplyBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const steps = 4
-		for step := 0; step < steps; step++ {
-			for i, b := range churnBatches(rng, live, 100, 32) {
-				replica.Grow(b.growTo)
-				if err := replica.ReplayBatch(b.updates, b.added); err != nil {
-					t.Fatalf("seed %d step %d batch %d: %v", seed, step, i, err)
+		compactedMidTail := false
+		for step, size := range []int{100, 1, 3, 40, 2, 200} {
+			if step%2 == 1 {
+				// A reminimized pair tracks dirty sites instead of needFull.
+				if a, b := live.Reminimize(), replica.Reminimize(); a != b {
+					t.Fatalf("seed %d step %d: Reminimize removed %d live, %d replayed", seed, step, a, b)
 				}
 			}
-			if !bytes.Equal(writeState(t, replica), writeState(t, live)) {
-				t.Fatalf("seed %d step %d: replayed state differs from the live maintainer", seed, step)
+			before := live.Compactions()
+			tail := churnBatches(rng, live, size, 32)
+			compactedMidTail = compactedMidTail || live.Compactions() > before
+			if applied, err := replica.ReplayBatches(tail); err != nil || applied != len(tail) {
+				t.Fatalf("seed %d step %d: applied %d of %d: %v", seed, step, applied, len(tail), err)
+			}
+			sameReplayState(t, fmt.Sprintf("seed %d step %d", seed, step), replica, live)
+			sawDirty = sawDirty || (!live.needFull && len(live.dirty) > 0)
+			sawOverflow = sawOverflow || (step%2 == 1 && live.needFull)
+		}
+		if !compactedMidTail {
+			t.Fatalf("seed %d: no tail crossed a compaction", seed)
+		}
+		for i := 0; i < 20; i++ {
+			ups := make([]Update, 0, 16)
+			n := live.NumVertices()
+			for len(ups) < cap(ups) {
+				ups = append(ups, InsertOp(VID(rng.IntN(n)), VID(rng.IntN(n))))
+			}
+			if a, b := live.ApplyBatch(ups), replica.ApplyBatch(ups); !slices.Equal(a, b) {
+				t.Fatalf("seed %d: after replay, batch %d added %v live, %v replayed", seed, i, a, b)
 			}
 		}
-		// Each checkpoint compacts once; the policy must have fired too.
-		if live.Compactions() <= steps || replica.Compactions() != live.Compactions() {
-			t.Fatalf("seed %d: compactions live %d replica %d, want equal and > %d",
-				seed, live.Compactions(), replica.Compactions(), steps)
-		}
+		sameReplayState(t, fmt.Sprintf("seed %d after further batches", seed), replica, live)
+	}
+	if !sawDirty || !sawOverflow {
+		t.Fatalf("dirty tracking not exercised: dirty sites seen %v, overflow to needFull seen %v", sawDirty, sawOverflow)
 	}
 }
 
-// TestReplayBatchRefusesCorruptAdds: a logged cover vertex out of range,
-// already covered, or named twice is an error that leaves the maintainer
-// untouched — never a double-counted cover.
-func TestReplayBatchRefusesCorruptAdds(t *testing.T) {
-	m, err := FromGraph(digraph.FromEdges(4, []digraph.Edge{{U: 0, V: 1}}), 5, 3, []VID{1})
-	if err != nil {
-		t.Fatal(err)
+// TestReplayBatchesDirtyOverflowBeforeGrowth: applied one at a time, a
+// batch whose dirty sites outgrow the vertex count collapses the set into
+// needFull, even when a later batch grows the graph past that count. Bulk
+// replay must collapse at the same point, not judge by the final count.
+func TestReplayBatchesDirtyOverflowBeforeGrowth(t *testing.T) {
+	ring := make([]digraph.Edge, 6)
+	for i := range ring {
+		ring[i] = digraph.Edge{U: VID(i), V: VID((i + 1) % 6)}
 	}
+	var sides [2]*Maintainer
+	for i := range sides {
+		m, err := FromGraph(digraph.FromEdges(6, ring), 5, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reminimize() // track dirty sites from here on
+		sides[i] = m
+	}
+	live, replica := sides[0], sides[1]
+	deletes := []Update{DeleteOp(0, 1), DeleteOp(1, 2), DeleteOp(2, 3), DeleteOp(3, 4)}
+	tail := []Batch{{GrowTo: 6, Updates: deletes, Added: live.ApplyBatch(deletes)}}
+	live.Grow(64)
+	grow := []Update{InsertOp(10, 11)}
+	tail = append(tail, Batch{GrowTo: 64, Updates: grow, Added: live.ApplyBatch(grow)})
+	if !live.needFull {
+		t.Fatal("eight dirty sites on six vertices did not collapse the live set")
+	}
+	if applied, err := replica.ReplayBatches(tail); err != nil || applied != len(tail) {
+		t.Fatalf("applied %d of %d: %v", applied, len(tail), err)
+	}
+	sameReplayState(t, "overflow before growth", replica, live)
+}
+
+// TestReplayBatchesRefusesCorruptAdds: a logged cover vertex out of range,
+// already covered, or named twice, within one batch or across the tail,
+// and an update out of range of its batch's vertex count, stop the replay
+// at that batch: the batches before it are applied and nothing else
+// changes — never a double-counted cover.
+func TestReplayBatchesRefusesCorruptAdds(t *testing.T) {
+	fresh := func() *Maintainer {
+		m, err := FromGraph(digraph.FromEdges(4, []digraph.Edge{{U: 0, V: 1}}), 5, 3, []VID{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := fresh()
 	before := writeState(t, m)
 	ups := []Update{InsertOp(1, 2), DeleteOp(0, 1)}
 	for _, added := range [][]VID{
@@ -231,8 +316,8 @@ func TestReplayBatchRefusesCorruptAdds(t *testing.T) {
 		{2, 1},    // already covered
 		{0, 3, 0}, // named twice
 	} {
-		if err := m.ReplayBatch(ups, added); err == nil {
-			t.Fatalf("ReplayBatch accepted cover delta %v", added)
+		if applied, err := m.ReplayBatches([]Batch{{Updates: ups, Added: added}}); err == nil || applied != 0 {
+			t.Fatalf("ReplayBatches applied %d with cover delta %v (err %v)", applied, added, err)
 		}
 		if got := writeState(t, m); !bytes.Equal(got, before) {
 			t.Fatalf("refused cover delta %v changed the state", added)
@@ -241,14 +326,110 @@ func TestReplayBatchRefusesCorruptAdds(t *testing.T) {
 			t.Fatalf("refused cover delta %v left cover %v", added, m.Cover())
 		}
 	}
-	if err := m.ReplayBatch([]Update{InsertOp(0, 9)}, nil); err == nil {
-		t.Fatal("ReplayBatch accepted an out-of-range update")
+
+	tail := []Batch{
+		{Updates: ups, Added: []VID{3}},
+		{GrowTo: 6, Updates: []Update{InsertOp(4, 5), InsertOp(5, 0)}},
 	}
-	if err := m.ReplayBatch(ups, []VID{3, 0}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		bad     Batch
+		applied int
+	}{
+		{"vertex named again", Batch{Updates: []Update{InsertOp(2, 3)}, Added: []VID{3}}, 2},
+		{"update out of range", Batch{Updates: []Update{InsertOp(2, 6)}}, 2},
+		{"update before its grow", Batch{Updates: []Update{InsertOp(0, 5)}}, 0},
+	} {
+		full := slices.Insert(slices.Clone(tail), tc.applied, tc.bad)
+		m := fresh()
+		applied, err := m.ReplayBatches(full)
+		if err == nil || applied != tc.applied || !strings.Contains(err.Error(), fmt.Sprintf("batch %d:", tc.applied)) {
+			t.Fatalf("%s: applied %d (err %v), want %d and an error naming batch %d", tc.name, applied, err, tc.applied, tc.applied)
+		}
+		ref := fresh()
+		if _, err := ref.ReplayBatches(full[:tc.applied]); err != nil {
+			t.Fatal(err)
+		}
+		sameReplayState(t, tc.name, m, ref)
 	}
-	if m.CoverSize() != 3 || !slices.Equal(m.Cover(), []VID{0, 1, 3}) || m.HasEdge(0, 1) || !m.HasEdge(1, 2) {
-		t.Fatalf("valid replay: cover %v (size %d), edges 0->1 %v 1->2 %v",
-			m.Cover(), m.CoverSize(), m.HasEdge(0, 1), m.HasEdge(1, 2))
+
+	m = fresh()
+	if applied, err := m.ReplayBatches(tail); err != nil || applied != 2 {
+		t.Fatalf("valid tail: applied %d: %v", applied, err)
 	}
+	if m.NumVertices() != 6 || !slices.Equal(m.Cover(), []VID{1, 3}) || m.HasEdge(0, 1) ||
+		!m.HasEdge(1, 2) || !m.HasEdge(4, 5) || !m.HasEdge(5, 0) {
+		t.Fatalf("valid tail: n=%d cover %v, edges 0->1 %v 1->2 %v 4->5 %v 5->0 %v", m.NumVertices(), m.Cover(),
+			m.HasEdge(0, 1), m.HasEdge(1, 2), m.HasEdge(4, 5), m.HasEdge(5, 0))
+	}
+}
+
+// FuzzReplayBatches checks bulk replay against live ApplyBatch on small
+// graphs. The first bytes build a base (self-loops kept); the rest decode
+// to batches of inserts and deletes separated by batch breaks that may
+// grow the graph. Replaying what ApplyBatch logged must rebuild its state
+// exactly, and both sides must then decide a further batch alike.
+func FuzzReplayBatches(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 0, 3, 3, 0, 0, 1, 0, 7, 1, 0, 5, 0, 1, 0, 0, 1})
+	f.Add([]byte{1, 2, 2, 3, 3, 1, 4, 4, 5, 2, 3, 6, 3, 1, 7, 0, 0, 0, 3, 1, 7, 3, 0, 5, 3, 1})
+	f.Add([]byte{0, 5, 5, 6, 6, 0, 6, 5, 0, 7, 1, 1, 6, 0, 5, 0, 5, 0, 5, 6, 7, 0, 0, 0, 5, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n0, k, baseBytes = 8, 4, 16
+		if len(data) < 2 {
+			return
+		}
+		build := func() *Maintainer {
+			b := digraph.NewBuilder(n0)
+			b.KeepSelfLoops = true
+			for i := 1; i+1 < min(len(data), baseBytes); i += 2 {
+				b.AddEdge(VID(data[i]%n0), VID(data[i+1]%n0))
+			}
+			g := b.Build()
+			res, err := core.Compute(g, core.TDBPlusPlus, core.Options{K: k, MinLen: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := FromGraph(g, k, 3, res.Cover)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data[0]&1 == 1 {
+				m.Reminimize()
+			}
+			return m
+		}
+		live, replica := build(), build()
+		var tail []Batch
+		var ups []Update
+		cut := func() {
+			tail = append(tail, Batch{GrowTo: live.NumVertices(), Updates: ups, Added: live.ApplyBatch(ups)})
+			ups = nil
+		}
+		for i := baseBytes; i+2 < len(data); i += 3 {
+			n := live.NumVertices()
+			u, v := VID(int(data[i+1])%n), VID(int(data[i+2])%n)
+			switch data[i] % 8 {
+			case 7:
+				cut()
+				if data[i+1]&1 == 1 && n < 4*n0 {
+					live.Grow(n + 1 + int(data[i+2]%3))
+				}
+			case 5, 6:
+				ups = append(ups, DeleteOp(u, v))
+			default:
+				ups = append(ups, InsertOp(u, v))
+			}
+		}
+		cut()
+		if applied, err := replica.ReplayBatches(tail); err != nil || applied != len(tail) {
+			t.Fatalf("applied %d of %d: %v", applied, len(tail), err)
+		}
+		sameReplayState(t, "replayed tail", replica, live)
+		n := live.NumVertices()
+		more := []Update{InsertOp(0, VID(n-1)), InsertOp(VID(n-1), 1), InsertOp(1, 0), DeleteOp(VID(n/2), 0)}
+		if a, b := live.ApplyBatch(more), replica.ApplyBatch(more); !slices.Equal(a, b) {
+			t.Fatalf("after replay a batch added %v live, %v replayed", a, b)
+		}
+		sameReplayState(t, "after a further batch", replica, live)
+	})
 }

@@ -30,60 +30,68 @@ import (
 //	cover × u32        cover vertices, ascending
 const snapMagic = "TDBSNAP1"
 
+// stateChunk is the size of the buffer WriteState encodes into and writes
+// w from, and of the edge-section chunks ReadState reads.
+const stateChunk = 1 << 16
+
+// StateSize returns the exact number of bytes WriteState writes: the
+// header, 8 per live edge, and 4 per cover vertex.
+func (m *Maintainer) StateSize() int {
+	return len(snapMagic) + 4 + 4 + 8 + 8 + 8*m.m + 8 + 4*m.cover
+}
+
 // WriteState serializes the maintainer's full logical state to w. It compacts
 // first (Snapshot), so the written graph is the delta-free CSR — the same
 // compaction the live maintainer keeps, which keeps a restored replica's
-// compaction schedule aligned with the original's.
+// compaction schedule aligned with the original's. Fields are encoded in
+// place into one stateChunk buffer, which goes to w whenever it fills.
 func (m *Maintainer) WriteState(w io.Writer) error {
 	g := m.Snapshot()
-	cover := m.Cover()
-
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(snapMagic); err != nil {
+	buf := make([]byte, stateChunk)
+	off := copy(buf, snapMagic)
+	binary.LittleEndian.PutUint32(buf[off:], uint32(m.k))
+	binary.LittleEndian.PutUint32(buf[off+4:], uint32(m.minLen))
+	binary.LittleEndian.PutUint64(buf[off+8:], uint64(m.n))
+	binary.LittleEndian.PutUint64(buf[off+16:], uint64(g.NumEdges()))
+	off += 24
+	flush := func() error {
+		_, err := w.Write(buf[:off])
+		off = 0
 		return err
 	}
-	var b8 [8]byte
-	put32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		_, err := bw.Write(b8[:4])
-		return err
-	}
-	put64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		_, err := bw.Write(b8[:])
-		return err
-	}
-	if err := put32(uint32(m.k)); err != nil {
-		return err
-	}
-	if err := put32(uint32(m.minLen)); err != nil {
-		return err
-	}
-	if err := put64(uint64(m.n)); err != nil {
-		return err
-	}
-	if err := put64(uint64(g.NumEdges())); err != nil {
-		return err
+	// room makes room for k more bytes, flushing a full buffer.
+	room := func(k int) error {
+		if off+k > len(buf) {
+			return flush()
+		}
+		return nil
 	}
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Out(digraph.VID(v)) {
-			if err := put32(uint32(v)); err != nil {
+		for _, x := range g.Out(digraph.VID(v)) {
+			if err := room(8); err != nil {
 				return err
 			}
-			if err := put32(uint32(w)); err != nil {
-				return err
-			}
+			binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+			binary.LittleEndian.PutUint32(buf[off+4:], uint32(x))
+			off += 8
 		}
 	}
-	if err := put64(uint64(len(cover))); err != nil {
+	if err := room(8); err != nil {
 		return err
 	}
-	for _, v := range cover {
-		if err := put32(uint32(v)); err != nil {
+	binary.LittleEndian.PutUint64(buf[off:], uint64(m.cover))
+	off += 8
+	for v, c := range m.covered {
+		if !c {
+			continue
+		}
+		if err := room(4); err != nil {
 			return err
 		}
+		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+		off += 4
 	}
-	return bw.Flush()
+	return flush()
 }
 
 // ReadState deserializes a snapshot written by WriteState and rebuilds a
@@ -146,9 +154,9 @@ func ReadState(r io.Reader) (*Maintainer, error) {
 	// section is read in bounded chunks: a corrupt edge count runs out of
 	// bytes before it can size an allocation.
 	keys := make([]uint64, 0, min(edges, 1<<16))
-	chunk := make([]byte, 8*min(edges, 1<<13))
+	chunk := make([]byte, 8*min(edges, stateChunk/8))
 	for read := uint64(0); read < edges; {
-		c := chunk[:8*min(edges-read, 1<<13)]
+		c := chunk[:8*min(edges-read, stateChunk/8)]
 		if _, err := io.ReadFull(br, c); err != nil {
 			return nil, fmt.Errorf("dynamic: reading snapshot edges from %d: %w", read, err)
 		}

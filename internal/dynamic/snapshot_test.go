@@ -2,6 +2,8 @@ package dynamic
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -147,5 +149,67 @@ func TestStateFingerprintSensitivity(t *testing.T) {
 	m3 := New(8, 5, 2)
 	if m3.Fingerprint() == m2.Fingerprint() {
 		t.Fatal("k change did not change fingerprint")
+	}
+}
+
+// goldenStateMaintainer is a fixed maintainer built without a random
+// generator: an arithmetic base graph with self-loops, a seeded cover, and
+// two batches that tombstone base edges, add edges past the base and grow
+// the vertex set. Its edge section (~12k edges) spans
+// more than one 64 KiB encoder chunk.
+func goldenStateMaintainer(t *testing.T) *Maintainer {
+	t.Helper()
+	const n = 3000
+	b := digraph.NewBuilder(n)
+	b.KeepSelfLoops = true
+	for u := 0; u < n; u++ {
+		b.AddEdge(digraph.VID(u), digraph.VID((u*7+3)%n))
+		b.AddEdge(digraph.VID(u), digraph.VID((u*u+1)%n))
+		b.AddEdge(digraph.VID(u), digraph.VID((u+1)%n))
+		b.AddEdge(digraph.VID(u), digraph.VID((u*5+17)%n))
+		if u%97 == 0 {
+			b.AddEdge(digraph.VID(u), digraph.VID(u))
+		}
+	}
+	var cover []digraph.VID
+	for v := 0; v < n; v += 5 {
+		cover = append(cover, digraph.VID(v))
+	}
+	m, err := FromGraph(b.Build(), 5, 3, cover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ups []Update
+	for u := 0; u < n; u += 3 {
+		ups = append(ups, DeleteOp(digraph.VID(u), digraph.VID((u+1)%n)))
+		ups = append(ups, InsertOp(digraph.VID(u), digraph.VID((u*13+11)%n)))
+	}
+	m.ApplyBatch(ups)
+	m.Grow(n + 40)
+	ups = ups[:0]
+	for u := 0; u < 40; u++ {
+		ups = append(ups, InsertOp(digraph.VID(n+u), digraph.VID(u*31)), InsertOp(digraph.VID(u*29), digraph.VID(n+u)))
+	}
+	m.ApplyBatch(ups)
+	return m
+}
+
+// TestWriteStateGolden pins WriteState's bytes on a fixed maintainer: the
+// encoder may change how it buffers, never what it writes. StateSize must
+// predict the length before the write compacts.
+func TestWriteStateGolden(t *testing.T) {
+	m := goldenStateMaintainer(t)
+	size := m.StateSize()
+	var buf bytes.Buffer
+	if err := m.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSum = 99288, "e564aa1d5b8bdaaadec06a0de545249dc20024528b44f902783c167ccdb76b7f"
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); buf.Len() != wantLen || got != wantSum {
+		t.Fatalf("WriteState wrote %d bytes, sha256 %s; want %d bytes, sha256 %s", buf.Len(), got, wantLen, wantSum)
+	}
+	if size != wantLen {
+		t.Fatalf("StateSize = %d, want %d", size, wantLen)
 	}
 }

@@ -49,9 +49,9 @@ const (
 	SiteWALCheckpoint Site = "wal/checkpoint"
 
 	// SiteServerRecoverReplay fires once per WAL record replayed during
-	// tdbserve startup recovery, before the record is applied; a panic
-	// here simulates a crash mid-recovery, which must stay restartable
-	// (server/durability.go).
+	// tdbserve startup recovery, as the record is decoded and before any
+	// record is applied; a panic here simulates a crash mid-recovery,
+	// which must stay restartable (server/durability.go).
 	SiteServerRecoverReplay Site = "server/recover-replay"
 )
 

@@ -35,11 +35,14 @@ import (
 //	added   u32        cover vertices the batch added
 //	added × u32        in the order ApplyBatch added them
 //
-// Replay re-applies the edges and adopts the logged cover vertices
-// (dynamic.Maintainer.ReplayBatch) instead of re-running the cycle searches,
-// so recovery rebuilds exactly the acknowledged state. A record that ends
-// right after its updates was written before the trailer existed; it is
-// recognised by that exact length and replayed through ApplyBatchChecked.
+// Replay re-applies the edges and adopts the logged cover vertices instead
+// of re-running the cycle searches, so recovery rebuilds exactly the
+// acknowledged state. A run of such records replays in one
+// dynamic.Maintainer.ReplayBatches call: one sort of the run's updates and
+// one merge into a fresh CSR, which the post-recovery checkpoint then
+// serializes without compacting again. A record that ends right after its
+// updates was written before the trailer existed; it is recognised by that
+// exact length and replayed through ApplyBatchChecked.
 const walRecordHeader = 12
 
 // walBatch is one acknowledged batch: a WAL record's content, and one entry
@@ -170,10 +173,8 @@ func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
 		m = dynamic.New(c.NumVertices, c.K, c.MinLen)
 	}
 	t1 := time.Now()
-	for _, r := range rec.Records {
-		if err := replayRecord(m, r); err != nil {
-			return nil, err
-		}
+	if err := replayRecords(m, rec.Records); err != nil {
+		return nil, err
 	}
 	t2 := time.Now()
 
@@ -185,8 +186,8 @@ func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
 	if err := os.MkdirAll(c.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: creating data dir: %w", err)
 	}
-	var state bytes.Buffer
-	if err := m.WriteState(&state); err != nil {
+	state := bytes.NewBuffer(make([]byte, 0, m.StateSize()))
+	if err := m.WriteState(state); err != nil {
 		return nil, fmt.Errorf("server: serializing recovered state: %w", err)
 	}
 	if err := wal.WriteCheckpoint(c.DataDir, rec.LastSeq, state.Bytes()); err != nil {
@@ -203,40 +204,73 @@ func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
 	return m, nil
 }
 
-// replayRecord applies one recovered WAL record. A panic out of the
-// maintenance code (or the chaos probe) is converted into an error so a
-// poisoned record fails startup diagnosably instead of crashing it — the
-// directory is untouched and a fixed binary can retry.
-func replayRecord(m *dynamic.Maintainer, r wal.Record) (err error) {
+// replayRecords applies the recovered WAL records in order. Every record is
+// decoded first, with the chaos probe firing once per record. Each run of
+// consecutive records that carry a cover trailer then replays through one
+// dynamic.Maintainer.ReplayBatches call; a legacy record ends the run and
+// re-runs its batch through ApplyBatchChecked. A panic out of the
+// maintenance code (or the probe) is converted into an error naming the
+// records in flight, so a poisoned record fails startup diagnosably
+// instead of crashing it — the directory is untouched and a fixed binary
+// can retry.
+func replayRecords(m *dynamic.Maintainer, recs []wal.Record) (err error) {
+	var lo, hi int // the records in flight
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("server: replaying WAL record %d: panic: %v", r.Seq, p)
+			span := fmt.Sprintf("record %d", recs[lo].Seq)
+			if hi > lo {
+				span = fmt.Sprintf("records %d-%d", recs[lo].Seq, recs[hi].Seq)
+			}
+			err = fmt.Errorf("server: replaying WAL %s: panic: %v", span, p)
 		}
 	}()
-	fault.Inject(fault.SiteServerRecoverReplay)
-	b, legacy, err := decodeWALRecord(r.Payload)
-	if err == nil {
-		if legacy {
-			m.Grow(b.growTo)
-			_, err = m.ApplyBatchChecked(b.updates)
-		} else {
-			err = replayBatch(m, b)
+	batches := make([]walBatch, len(recs))
+	legacy := make([]bool, len(recs))
+	for i, r := range recs {
+		lo, hi = i, i
+		fault.Inject(fault.SiteServerRecoverReplay)
+		if batches[i], legacy[i], err = decodeWALRecord(r.Payload); err != nil {
+			return notApplying(r, err)
 		}
 	}
-	if err != nil {
-		// Unreachable for records this server wrote (batches are validated
-		// before they are applied or logged), so this is corruption that
-		// happened to pass the CRC — refuse it.
-		return fmt.Errorf("server: WAL record %d does not apply: %w", r.Seq, err)
+	run := 0 // first record of the current run of trailer records
+	for i := 0; i <= len(recs); i++ {
+		if i < len(recs) && !legacy[i] {
+			continue
+		}
+		if run < i {
+			lo, hi = run, i-1
+			if applied, err := m.ReplayBatches(replayBatches(batches[run:i])); err != nil {
+				return notApplying(recs[run+applied], err)
+			}
+		}
+		if i < len(recs) {
+			lo, hi = i, i
+			m.Grow(batches[i].growTo)
+			if _, err := m.ApplyBatchChecked(batches[i].updates); err != nil {
+				return notApplying(recs[i], err)
+			}
+		}
+		run = i + 1
 	}
 	return nil
 }
 
-// replayBatch grows m to the batch's vertex count and re-applies the batch
-// with its logged cover decisions.
-func replayBatch(m *dynamic.Maintainer, b walBatch) error {
-	m.Grow(b.growTo)
-	return m.ReplayBatch(b.updates, b.added)
+// notApplying reports a record that cannot be replayed. That is
+// unreachable for records this server wrote (batches are validated before
+// they are applied or logged), so it is corruption that happened to pass
+// the CRC — refuse it.
+func notApplying(r wal.Record, err error) error {
+	return fmt.Errorf("server: WAL record %d does not apply: %w", r.Seq, err)
+}
+
+// replayBatches converts logged batches to ReplayBatches' input.
+func replayBatches(log []walBatch) []dynamic.Batch {
+	out := make([]dynamic.Batch, len(log))
+	for i, b := range log {
+		out[i] = dynamic.Batch{GrowTo: b.growTo, Updates: b.updates, Added: b.added}
+	}
+	return out
 }
 
 // maybeCheckpoint writes a snapshot checkpoint once enough updates have
@@ -261,8 +295,8 @@ func (s *Server) checkpoint() {
 		}
 	}()
 	start := time.Now()
-	var buf bytes.Buffer
-	if err := s.m.WriteState(&buf); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, s.m.StateSize()))
+	if err := s.m.WriteState(buf); err != nil {
 		s.walCheckpointFails.Add(1)
 		return
 	}

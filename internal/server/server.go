@@ -343,12 +343,13 @@ func (s *Server) applyOne(req *writeReq) (resp writeResp) {
 }
 
 // restoreMaintainer rebuilds the writer's maintainer from the last
-// published epoch and replays the acknowledged batches since, one by one
-// with their logged cover decisions — the state the writer had, and the
-// state WAL recovery would rebuild. Replay is best-effort: if a logged batch
-// fails or panics, the batches before it are kept and the rest of the tail
-// is dropped; an empty replay still leaves the bare epoch, a valid (graph,
-// cover) pair.
+// published epoch and replays the acknowledged batches since, in one
+// ReplayBatches call with their logged cover decisions — the state the
+// writer had, and the state WAL recovery would rebuild. Replay is
+// best-effort: if a logged batch fails validation, the batches before it
+// are kept and the rest of the tail is dropped; if the replay panics,
+// nothing is kept. Either way the maintainer holds a valid (graph, cover)
+// pair, at worst the bare epoch.
 func (s *Server) restoreMaintainer() {
 	s.writerRestores.Add(1)
 	e := s.ring.Acquire()
@@ -371,13 +372,8 @@ func (s *Server) restoreMaintainer() {
 	s.m = m
 	kept := 0
 	func() {
-		defer func() { recover() }() // keep the prefix that replayed
-		for _, b := range log {
-			if replayBatch(m, b) != nil {
-				return
-			}
-			kept++
-		}
+		defer func() { recover() }() // a panic leaves m as it was
+		kept, _ = m.ReplayBatches(replayBatches(log))
 	}()
 	m.Grow(grow)
 	s.appliedLog = log[:kept]

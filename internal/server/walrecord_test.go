@@ -147,6 +147,70 @@ func TestRecoverLegacyRecord(t *testing.T) {
 	}
 }
 
+// TestRecoverMixedRecords: a legacy record between trailer records splits
+// the tail into runs, each replayed in one call, and recovery still
+// rebuilds what applying every batch in order gives. A trailer that names
+// a vertex an earlier record of its run covered is refused as that
+// record, not as the run's first.
+func TestRecoverMixedRecords(t *testing.T) {
+	legacyUps := []dynamic.Update{dynamic.InsertOp(3, 4), dynamic.DeleteOp(1, 2), dynamic.InsertOp(4, 3)}
+	cycle567 := []dynamic.Update{dynamic.InsertOp(5, 6), dynamic.InsertOp(6, 7), dynamic.InsertOp(7, 5), dynamic.DeleteOp(4, 3)}
+	tail := []dynamic.Update{dynamic.InsertOp(2, 5), dynamic.InsertOp(1, 2)}
+	for _, corrupt := range []bool{false, true} {
+		dir := t.TempDir()
+		cfg := durableConfig(dir)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := post(t, s, "/v1/update", updateBody(0, triangle), nil); code != 200 {
+			t.Fatalf("triangle write: code %d", code)
+		}
+		shutdownServer(t, s)
+
+		ref := dynamic.New(soakBaseN, soakK, soakMinLen)
+		for _, ups := range [][]dynamic.Update{triangle, legacyUps} {
+			if _, err := ref.ApplyBatchChecked(ups); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycleAdded := ref.ApplyBatch(cycle567)
+		tailAdded := ref.ApplyBatch(tail)
+		if len(cycleAdded) != 1 {
+			t.Fatalf("cycle567 added %v, want one vertex", cycleAdded)
+		}
+		if corrupt {
+			tailAdded = append(tailAdded, cycleAdded[0])
+		}
+		seg := newestSegment(t, dir)
+		appendFile(t, seg, soakRecord(2, legacyWALRecord(soakBaseN, legacyUps)))
+		appendFile(t, seg, soakRecord(3, encodeWALRecord(walBatch{growTo: soakBaseN, updates: cycle567, added: cycleAdded})))
+		appendFile(t, seg, soakRecord(4, encodeWALRecord(walBatch{growTo: soakBaseN, updates: tail, added: tailAdded})))
+
+		s, err = New(cfg)
+		if corrupt {
+			if err == nil {
+				shutdownServer(t, s)
+				t.Fatal("recovery accepted a trailer naming a vertex an earlier record covered")
+			}
+			if !strings.Contains(err.Error(), "WAL record 4 does not apply") {
+				t.Fatalf("error %q, want record 4 refused as not applying", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("recovering mixed records: %v", err)
+		}
+		if r := s.Recovery(); r.Records != 4 {
+			t.Fatalf("recovered %d records, want 4", r.Records)
+		}
+		if got, want := epochFingerprint(s), ref.Fingerprint(); got != want {
+			t.Fatalf("recovered fingerprint %x, want %x", got, want)
+		}
+		shutdownServer(t, s)
+	}
+}
+
 // TestRecoverRefusesCorruptTrailer: a CRC-valid record whose cover trailer
 // disagrees with its count, names a vertex beyond the record's vertex
 // count, names a vertex twice, or names one the state already covers is
