@@ -474,7 +474,7 @@ func BenchmarkMaintainerInsertBatch(b *testing.B) {
 }
 
 // BenchmarkMaintainerChurn measures steady-state mixed traffic: ~70%
-// inserts, ~30% deletes of earlier edges, with a dirty-region Reminimize
+// inserts, ~30% deletes of earlier edges, with a witness-indexed Reminimize
 // every 4096 updates. One op is one update (Reminimize cost amortized in).
 func BenchmarkMaintainerChurn(b *testing.B) {
 	stream := maintainerStream()

@@ -275,3 +275,60 @@ func FromSortedRows(n, m int, appendRow func(dst []VID, v VID) []VID) *Graph {
 	}
 	return g
 }
+
+// PatchRows builds the Graph on n >= base.NumVertices() vertices whose
+// rows are base's, except where outDirty(v) (inDirty(v)) reports v's
+// out-row (in-row) changed: outRow(dst, v) (inRow(dst, v)) then appends
+// the new row, sorted and duplicate-free. Rows past the base are empty
+// unless dirty; m is the new edge count. The caller keeps the two sides
+// consistent (every new out-edge u->w appears in w's new in-row), so the
+// result equals what FromSortedRows builds from the same out-rows.
+//
+// Each run of clean rows is one bulk copy out of the base's CSR arrays,
+// its index shifted by how far the rows before it grew or shrank, so the
+// cost is a memmove of the edge arrays plus the dirty rows' own work,
+// with no counting scatter over every edge.
+func PatchRows(base Adjacency, n, m int, outDirty func(VID) bool, outRow func(dst []VID, v VID) []VID,
+	inDirty func(VID) bool, inRow func(dst []VID, v VID) []VID) *Graph {
+	outIdx, outAdj, inIdx, inAdj := refArrays(base)
+	baseN := base.NumVertices()
+	g := &Graph{n: n}
+	g.outIdx, g.outAdj = patchSide(outIdx, outAdj, baseN, n, m, outDirty, outRow)
+	g.inIdx, g.inAdj = patchSide(inIdx, inAdj, baseN, n, m, inDirty, inRow)
+	return g
+}
+
+// patchSide is one side (out or in) of PatchRows over the base CSR pair
+// (idx, adj) of baseN rows.
+func patchSide(idx []int64, adj []VID, baseN, n, m int, dirty func(VID) bool,
+	row func(dst []VID, v VID) []VID) ([]int64, []VID) {
+	nidx := make([]int64, n+1)
+	nadj := make([]VID, 0, m)
+	// copyClean appends the clean rows [lo, hi), clipped to the base.
+	copyClean := func(lo, hi int) {
+		top := min(hi, baseN)
+		if lo < top {
+			shift := int64(len(nadj)) - idx[lo]
+			nadj = append(nadj, adj[idx[lo]:idx[top]]...)
+			for v := lo; v < top; v++ {
+				nidx[v+1] = idx[v+1] + shift
+			}
+			lo = top
+		}
+		for v := lo; v < hi; v++ {
+			nidx[v+1] = int64(len(nadj))
+		}
+	}
+	next := 0
+	for v := 0; v < n; v++ {
+		if !dirty(VID(v)) {
+			continue
+		}
+		copyClean(next, v)
+		nadj = row(nadj, VID(v))
+		nidx[v+1] = int64(len(nadj))
+		next = v + 1
+	}
+	copyClean(next, n)
+	return nidx, nadj
+}

@@ -90,22 +90,27 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 	// like a maintenance bug would; tdbserve's writer must contain it
 	// (see internal/fault and the server chaos suite).
 	fault.Inject(fault.SiteDynamicApplyBatch)
-	pending := m.applyEdges(updates)
+	pending, mk := m.applyEdges(updates)
 
-	// Requalify: an edge deleted later in the same batch carries no cycle
-	// of the final graph, and covered endpoints need no query at all. An
-	// insert-delete-reinsert toggle defers the same edge twice; dedupe so
-	// its query runs once.
+	// Requalify: covered endpoints need no query at all, and an edge
+	// deleted later in the same batch carries no cycle of the final graph.
+	// Only an edge whose source row lost an edge in this batch (stamped mk
+	// by applyEdges) can have been deleted after its insert; only such an
+	// edge can be deferred twice, by an insert-delete-reinsert toggle, so
+	// the lookup and the dedupe that runs its query once stay on that path.
 	var seen map[uint64]struct{}
-	if len(pending) > 1 {
-		seen = make(map[uint64]struct{}, len(pending))
-	}
 	live := pending[:0]
 	for _, e := range pending {
-		if !m.HasEdge(e.U, e.V) || m.covered[e.U] || m.covered[e.V] {
+		if m.covered[e.U] || m.covered[e.V] {
 			continue
 		}
-		if seen != nil {
+		if m.mark[e.U] == mk {
+			if !m.HasEdge(e.U, e.V) {
+				continue
+			}
+			if seen == nil {
+				seen = make(map[uint64]struct{})
+			}
 			key := uint64(e.U)<<32 | uint64(e.V)
 			if _, dup := seen[key]; dup {
 				continue
@@ -121,17 +126,20 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 			continue // an earlier addition resolved this edge
 		}
 		m.cycleChecks++
-		if m.edgeCreatesCycle(e.U, e.V) {
-			added = append(added, m.coverEndpoint(e.U, e.V))
+		if found, cyc := m.edgeCreatesCycle(e.U, e.V); found {
+			added = append(added, m.coverEndpoint(e.U, e.V, cyc))
 		}
 	}
 	return added
 }
 
 // applyEdges applies a batch's structural changes in order and returns the
-// insertions between then-uncovered endpoints: the candidates for
-// ApplyBatch's deferred queries.
-func (m *Maintainer) applyEdges(updates []Update) []digraph.Edge {
+// insertions between then-uncovered endpoints, the candidates for
+// ApplyBatch's deferred queries, and the mark epoch it stamped on the
+// source of every edge it deleted.
+func (m *Maintainer) applyEdges(updates []Update) ([]digraph.Edge, uint32) {
+	m.ensureScratch()
+	mk := m.nextMark()
 	var pending []digraph.Edge
 	for _, up := range updates {
 		switch up.Op {
@@ -156,7 +164,8 @@ func (m *Maintainer) applyEdges(updates []Update) []digraph.Edge {
 			}
 			m.deletes++
 			m.deleteEdgeRaw(up.U, up.V, loc, pos)
+			m.mark[up.U] = mk
 		}
 	}
-	return pending
+	return pending, mk
 }

@@ -280,8 +280,9 @@ func TestBatchChurnPropertyStream(t *testing.T) {
 	}
 }
 
-// Reminimize after deletions must only re-test the dirty region, and the
-// result must match what a full pass would produce on a power-law graph.
+// Reminimize after deletions re-tests only the cover vertices whose
+// witness broke, and the result must still be valid and minimal on a
+// power-law graph.
 func TestDirtyRegionReminimize(t *testing.T) {
 	g := gen.PowerLaw(400, 2400, 2.2, 0.3, 21)
 	res, err := core.Compute(g, core.TDBPlusPlus, core.Options{K: 5})
@@ -292,7 +293,7 @@ func TestDirtyRegionReminimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Reminimize() // first pass is full; arms dirty-region tracking
+	m.Reminimize() // re-tests the whole seeded cover, giving each a witness
 
 	rng := rand.New(rand.NewPCG(8, 88))
 	for round := 0; round < 6; round++ {
@@ -308,16 +309,16 @@ func TestDirtyRegionReminimize(t *testing.T) {
 		m.Reminimize()
 		snap := digraph.Materialize(m.Snapshot())
 		if ok, w := verify.IsValid(snap, 5, 3, m.Cover()); !ok {
-			t.Fatalf("round %d: invalid after dirty reminimize, witness %v", round, w)
+			t.Fatalf("round %d: invalid after reminimize, witness %v", round, w)
 		}
 		if ok, red := verify.IsMinimal(snap, 5, 3, m.Cover()); !ok {
-			t.Fatalf("round %d: dirty reminimize missed redundant vertices %v", round, red)
+			t.Fatalf("round %d: reminimize missed redundant vertices %v", round, red)
 		}
 	}
 }
 
 // A second Reminimize with no intervening updates must be a no-op that
-// skips the pass entirely (the dirty set is empty).
+// skips the pass entirely (no witness broke).
 func TestReminimizeIdempotentFast(t *testing.T) {
 	m := New(3, 5, 3)
 	m.InsertEdge(0, 1)

@@ -17,19 +17,22 @@
 //   - DeleteEdge(u, v): the invariant survives edge removal untouched, but
 //     cover vertices may become redundant; Reminimize runs the paper's
 //     minimal pruning pass (Alg. 7) on demand, restricted to the cover
-//     vertices a deletion (or cover growth) can actually have affected.
+//     vertices whose witness cycle a deletion (or cover growth) broke
+//     (witness.go).
 //   - ApplyBatch: the batched form, which applies a whole batch's edge
 //     changes first and then runs the deferred cycle-existence queries in
 //     order. ReplayBatches re-applies a logged tail of batches with the
-//     cover vertices ApplyBatch returned for them, searching nothing (WAL
-//     replay): one sort of the tail's updates and one merge into a fresh
-//     CSR, not one delta edit per update.
+//     cover vertices ApplyBatch added and Reminimize removed, searching
+//     nothing (WAL replay): one sort of the tail's updates and one merge
+//     into a fresh CSR, not one delta edit per update.
 //
 // Storage is a CSR base + delta-buffer hybrid: a compacted immutable
 // digraph.Graph carries the bulk of the edges, per-vertex sorted slices
 // carry the insertions and deletions since the last compaction, and the
 // deltas fold into a fresh CSR once they exceed a fraction of the base
-// (and on Snapshot/Reminimize, which therefore run on flat arrays).
+// (and on Snapshot/Reminimize, which therefore run on flat arrays). A
+// compaction copies clean rows in bulk and merges only the rows with a
+// delta.
 //
 // Cost model: an insertion between uncovered endpoints runs one bounded
 // meet-in-the-middle BFS over the uncovered region — O(min(m, edges
@@ -39,14 +42,20 @@
 // under minLen=3). Only
 // that ambiguous remainder falls through to an iterative, distance-pruned
 // DFS whose explored states are capped; on cap the endpoint is covered
-// conservatively, so validity never depends on the exponential tail.
-// Reminimize is polynomial outright: it runs the paper's exact O(k·m)
-// block-based detector per candidate on the compacted CSR.
+// conservatively, so validity never depends on the exponential tail. A
+// cycle the search finds becomes the covered endpoint's witness, at most k
+// vertices plus as many index entries; a deletion costs a scan of the
+// witnesses through its source, a cover addition one of the witnesses
+// through the new vertex. Reminimize is polynomial outright: it runs the
+// paper's exact O(k·m) block-based detector per re-tested vertex on the
+// compacted CSR, and re-tests only the vertices whose witness broke, or
+// that never had one (a seeded or replayed cover, a capped search).
 package dynamic
 
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"tdb/internal/cycle"
 	"tdb/internal/digraph"
@@ -87,14 +96,10 @@ type Maintainer struct {
 	covered []bool
 	cover   int
 
-	// Dirty-region tracking for Reminimize: a cover vertex can only have
-	// become redundant if its witness cycle was destroyed, i.e. one of the
-	// witness's edges was deleted or one of its vertices entered the
-	// cover. Both event sites are recorded here; Reminimize then re-tests
-	// only cover vertices within k hops of a recorded site. needFull
-	// forces a whole-cover pass (fresh maintainers, seeded covers).
-	dirty    []VID
-	needFull bool
+	// wit proves each cover vertex necessary with a witness cycle and
+	// queues the ones whose proof broke or never existed, the only
+	// vertices Reminimize re-tests (witness.go).
+	wit witnessIndex
 
 	// Scratch for the bounded searches (see search.go). Epoch-stamped
 	// marks make stale state structurally impossible: every traversal
@@ -105,6 +110,9 @@ type Maintainer struct {
 	bmark  []uint32 // backward-distance validity stamps
 	bepoch uint32
 	distB  []int32
+	fpar   []VID // forward BFS parent, valid under mark
+	bnext  []VID // backward BFS next hop toward the target, valid under bmark
+	cyc    []VID // the cycle the last YES search found
 	queue  []VID
 	nextQ  []VID
 	rowBuf []VID
@@ -118,6 +126,7 @@ type Maintainer struct {
 	// counters
 	inserts, deletes, cycleChecks, coverAdds int64
 	compactions                              int64
+	lastCompaction                           time.Duration
 }
 
 // New creates a Maintainer for cycles of length in [minLen, k] over an
@@ -129,14 +138,15 @@ func New(n, k, minLen int) *Maintainer {
 	if k < minLen {
 		panic(fmt.Sprintf("dynamic: k=%d < minLen=%d", k, minLen))
 	}
-	return &Maintainer{
+	m := &Maintainer{
 		k: k, minLen: minLen,
 		base: new(digraph.Graph), n: n,
 		addOut: make([][]VID, n), addIn: make([][]VID, n),
 		delOut: make([][]VID, n), delIn: make([][]VID, n),
-		covered:  make([]bool, n),
-		needFull: true,
+		covered: make([]bool, n),
 	}
+	m.wit.grow(n)
+	return m
 }
 
 // FromGraph creates a Maintainer seeded with an existing graph and an
@@ -145,7 +155,8 @@ func New(n, k, minLen int) *Maintainer {
 // valid (use Verify from package verify to check it first if unsure) but
 // is validated against the vertex range — a cover naming vertices the
 // graph does not have cannot have come from it, and is reported as an
-// error rather than a later index panic.
+// error rather than a later index panic. Its vertices start without
+// witnesses, so the first Reminimize re-tests the whole cover.
 func FromGraph(g digraph.Adjacency, k, minLen int, cover []VID) (*Maintainer, error) {
 	n := g.NumVertices()
 	for _, v := range cover {
@@ -160,6 +171,7 @@ func FromGraph(g digraph.Adjacency, k, minLen int, cover []VID) (*Maintainer, er
 		if !m.covered[v] {
 			m.covered[v] = true
 			m.cover++
+			m.wit.enqueue(v, retestUnknown)
 		}
 	}
 	return m, nil
@@ -188,6 +200,7 @@ func (m *Maintainer) Grow(n int) {
 	m.delOut = append(m.delOut, make([][]VID, grow)...)
 	m.delIn = append(m.delIn, make([][]VID, grow)...)
 	m.covered = append(m.covered, make([]bool, grow)...)
+	m.wit.grow(n)
 	m.n = n
 }
 
@@ -275,10 +288,11 @@ func (m *Maintainer) InsertEdge(u, v VID) int {
 		return -1
 	}
 	m.cycleChecks++
-	if !m.edgeCreatesCycle(u, v) {
+	found, cyc := m.edgeCreatesCycle(u, v)
+	if !found {
 		return -1
 	}
-	return int(m.coverEndpoint(u, v))
+	return int(m.coverEndpoint(u, v, cyc))
 }
 
 // DeleteEdge removes the edge (u, v) if present, reporting whether it
@@ -313,7 +327,7 @@ func (m *Maintainer) addEdgeRaw(u, v VID, loc edgeLoc, pos int) {
 
 // deleteEdgeRaw removes the present edge (u, v), found at (loc, pos) by
 // locate: either by shrinking the add buffers or by tombstoning a base
-// edge. The endpoints become dirty sites for the next Reminimize.
+// edge. The witnesses through the edge break.
 func (m *Maintainer) deleteEdgeRaw(u, v VID, loc edgeLoc, pos int) {
 	if loc == locAdded {
 		m.addOut[u] = slices.Delete(m.addOut[u], pos, pos+1)
@@ -325,44 +339,20 @@ func (m *Maintainer) deleteEdgeRaw(u, v VID, loc edgeLoc, pos int) {
 		m.delta++
 	}
 	m.m--
-	m.markDirty(u, v)
-}
-
-// markDirty records witness-destroying event sites for the next
-// Reminimize. Once the set rivals the vertex count a full pass is cheaper
-// than region tracking, so it collapses into the needFull flag instead of
-// growing without bound on streams that never reminimize.
-func (m *Maintainer) markDirty(sites ...VID) {
-	if m.needFull {
-		return
-	}
-	if len(m.dirty)+len(sites) > m.n {
-		m.needFull = true
-		m.dirty = m.dirty[:0]
-		return
-	}
-	m.dirty = append(m.dirty, sites...)
+	m.wit.breakEdge(u, v)
 }
 
 // coverEndpoint covers the endpoint of (u, v) with the larger total
 // degree — hubs tend to cover more future cycles (the bottom-up
-// heuristic's insight) — and returns it.
-func (m *Maintainer) coverEndpoint(u, v VID) VID {
+// heuristic's insight) — and returns it. cyc, the cycle the search found
+// through (u, v) (nil on a capped search), becomes its witness.
+func (m *Maintainer) coverEndpoint(u, v VID, cyc []VID) VID {
 	pick := u
 	if m.degree(v) > m.degree(u) {
 		pick = v
 	}
-	m.addCover(pick)
+	m.addCover(pick, cyc)
 	return pick
-}
-
-// addCover puts v into the cover and records it as a dirty site: covering
-// v may strip other cover vertices of their last witness cycle.
-func (m *Maintainer) addCover(v VID) {
-	m.covered[v] = true
-	m.cover++
-	m.coverAdds++
-	m.markDirty(v)
 }
 
 // degree returns the live total degree of v.
@@ -392,24 +382,36 @@ func (m *Maintainer) maybeCompact() {
 // returns the base as-is, which is what makes Snapshot cheap on a quiet
 // maintainer.
 //
-// Every source is already sorted — base rows, tombstones and adds — and
-// adds are disjoint from the base (addEdgeRaw cancels a tombstone instead),
-// so each new row is one two-pointer merge of the live base row with the
-// add row: the same rows a Builder sort-and-dedupe of the live edges gives,
-// in O(n+m). Base self-loops (possible when FromGraph adopted a
-// KeepSelfLoops graph) are preserved; they are never cycles (minLen >= 2)
-// and every traversal skips them structurally.
+// Only rows with a non-empty delta change. Every source is already sorted
+// — base rows, tombstones and adds — and adds are disjoint from the base
+// (addEdgeRaw cancels a tombstone instead), so such a row is one
+// two-pointer merge of its live base row with its add row, on each side.
+// Every run of clean rows between them is one bulk copy of the base's CSR
+// arrays (digraph.PatchRows): the same CSR FromSortedRows builds from the
+// live out-rows, without re-scattering every in-edge. Base self-loops
+// (possible when FromGraph adopted a KeepSelfLoops graph) are preserved;
+// they are never cycles (minLen >= 2) and every traversal skips them
+// structurally.
 func (m *Maintainer) compact() digraph.Adjacency {
 	if m.delta == 0 && m.base.NumVertices() == m.n {
 		return m.base
 	}
+	t0 := time.Now()
 	m.compactions++
 	baseN := m.base.NumVertices()
-	g := digraph.FromSortedRows(m.n, m.m, func(dst []VID, u VID) []VID {
-		return m.appendLiveRow(dst, u, baseN)
-	})
+	g := digraph.PatchRows(m.base, m.n, m.m,
+		func(u VID) bool { return len(m.addOut[u])+len(m.delOut[u]) > 0 },
+		func(dst []VID, u VID) []VID { return m.appendLiveRow(dst, u, baseN) },
+		func(v VID) bool { return len(m.addIn[v])+len(m.delIn[v]) > 0 },
+		func(dst []VID, v VID) []VID {
+			if int(v) < baseN {
+				return appendMerged(dst, m.base.In(v), m.delIn[v], m.addIn[v])
+			}
+			return append(dst, m.addIn[v]...)
+		})
 	m.clearDeltas()
 	m.base = g
+	m.lastCompaction = time.Since(t0)
 	return g
 }
 
@@ -434,116 +436,6 @@ func (m *Maintainer) clearDeltas() {
 		m.delIn[u] = m.delIn[u][:0]
 	}
 	m.delta = 0
-}
-
-// Reminimize runs the paper's minimal pruning pass over the current cover:
-// each candidate vertex is restored and dropped for good when no
-// constrained cycle passes through it in the uncovered graph, decided by
-// the exact O(k·m) block-based detector, with its BFS filter on, on the
-// compacted CSR. After the first full pass
-// only DIRTY candidates are re-tested: cover vertices within k hops of a
-// deleted edge or a vertex covered since — the only vertices whose witness
-// cycle can have been destroyed. It returns the number of vertices
-// removed.
-func (m *Maintainer) Reminimize() int {
-	defer func() {
-		m.dirty = m.dirty[:0]
-		m.needFull = false
-	}()
-	if m.cover == 0 || (!m.needFull && len(m.dirty) == 0) {
-		return 0
-	}
-	g := m.compact()
-	n := g.NumVertices()
-	candidates := m.reminimizeCandidates(g)
-	if len(candidates) == 0 {
-		return 0
-	}
-	active := m.remActiveBuf(n)
-	for v := 0; v < n; v++ {
-		active[v] = !m.covered[v]
-	}
-	scr := m.remScratchFor(n)
-	det := cycle.NewBlockDetectorWith(g, m.k, m.minLen, active, scr)
-	det.Filter = true
-	removed := 0
-	for _, v := range candidates {
-		m.cycleChecks++
-		active[v] = true
-		if !det.HasCycleThrough(v) {
-			m.covered[v] = false
-			m.cover--
-			removed++
-			continue // v leaves the cover, so it stays active
-		}
-		active[v] = false
-	}
-	return removed
-}
-
-// reminimizeCandidates returns the cover vertices to re-test, ascending:
-// the whole cover on a full pass, otherwise the cover vertices within k
-// hops (forward or backward) of a dirty site. When the dirty set rivals
-// the graph the region BFS cannot pay for itself, so the pass goes full.
-func (m *Maintainer) reminimizeCandidates(g digraph.Adjacency) []VID {
-	n := g.NumVertices()
-	out := make([]VID, 0, m.cover)
-	if m.needFull || len(m.dirty)*4 >= n {
-		for v := 0; v < n; v++ {
-			if m.covered[v] {
-				out = append(out, VID(v))
-			}
-		}
-		return out
-	}
-	reach := make([]bool, n)
-	m.markReachable(g, reach)
-	for v := 0; v < n; v++ {
-		if m.covered[v] && reach[v] {
-			out = append(out, VID(v))
-		}
-	}
-	return out
-}
-
-// markReachable marks every vertex within k hops of a dirty site, once
-// following out-edges and once in-edges. A destroyed witness cycle leaves
-// its surviving arc intact in the current graph, so the affected cover
-// vertex is reachable from some dirty site along it within k-1 hops; the
-// backward pass is kept for symmetry (it is cheap and strictly widens the
-// candidate set, which is always sound).
-func (m *Maintainer) markReachable(g digraph.Adjacency, reach []bool) {
-	m.ensureScratch()
-	for pass := 0; pass < 2; pass++ {
-		mk := m.nextMark()
-		q := m.queue[:0]
-		for _, s := range m.dirty {
-			if m.mark[s] != mk {
-				m.mark[s] = mk
-				reach[s] = true
-				q = append(q, s)
-			}
-		}
-		next := m.nextQ[:0]
-		for d := 0; d < m.k && len(q) > 0; d++ {
-			next = next[:0]
-			for _, u := range q {
-				row := g.Out(u)
-				if pass == 1 {
-					row = g.In(u)
-				}
-				for _, w := range row {
-					if m.mark[w] != mk {
-						m.mark[w] = mk
-						reach[w] = true
-						next = append(next, w)
-					}
-				}
-			}
-			q, next = next, q
-		}
-		m.queue, m.nextQ = q, next
-	}
 }
 
 // remActiveBuf returns the cached n-sized mask buffer for compacted-CSR
@@ -581,6 +473,9 @@ func (m *Maintainer) Stats() (inserts, deletes, cycleChecks, coverAdds int64) {
 // Compactions returns how many times the delta buffers were folded into a
 // fresh CSR base.
 func (m *Maintainer) Compactions() int64 { return m.compactions }
+
+// LastCompaction returns how long the most recent compaction took.
+func (m *Maintainer) LastCompaction() time.Duration { return m.lastCompaction }
 
 // sorted-slice primitives for the delta buffers.
 

@@ -9,32 +9,39 @@ import (
 
 // Batch is one logged ApplyBatch call, the unit ReplayBatches re-applies:
 // the vertex count the maintainer had grown to when the batch ran, its
-// updates, and the cover vertices ApplyBatch returned for it.
+// updates, the cover vertices ApplyBatch returned for it, and the vertices
+// a Reminimize right after it removed (ascending, as the pass reports
+// them).
 type Batch struct {
 	GrowTo  int
 	Updates []Update
 	Added   []VID
+	Removed []VID
 }
 
 // ReplayBatches re-applies a tail of batches whose cover decisions are
 // already known (WAL replay): each batch's Added is what ApplyBatch
-// returned for it, the tail starting from m's current state. The result is
-// the state those ApplyBatch calls left, with the same graph, cover,
-// insert/delete/cover-add counters and Reminimize dirty set. It is adopted
-// rather than re-decided, so no cycle search runs.
+// returned for it and its Removed what a Reminimize after it removed, the
+// tail starting from m's current state. The result is the state those
+// calls left, with the same graph, cover and insert/delete/cover-add
+// counters. It is adopted rather than re-decided, so no cycle search runs.
+// The adopted cover vertices have no witness, so the next Reminimize
+// re-tests them; witnesses m held break as the tail's deletes and cover
+// additions dictate.
 //
 // The tail is rebuilt in one pass instead of one edit per update:
 //
 //   - Validate every batch before anything changes: its updates against
-//     the vertex count grown to so far, its logged vertices in range,
-//     uncovered, and named once across the whole tail.
+//     the vertex count grown to so far, its logged vertices in range, each
+//     added vertex uncovered and each removed one covered at that point of
+//     the tail (a batch's additions come before its removals).
 //   - Bucket all updates by source vertex with a counting sort, then sort
 //     each row's segment by target, keeping log order within an edge.
 //   - Merge each live row (base minus tombstones, plus adds) with its
 //     segment into a fresh CSR, folding an edge's ops in log order: insert
 //     if absent (self-loops skipped), delete if present.
-//   - Swap in the new base with empty deltas, then cover the logged
-//     vertices in order.
+//   - Swap in the new base with empty deltas, break the witnesses of the
+//     deleted edges, then add and remove the logged vertices in order.
 //
 // That is O(U log d + n + m) for U updates with at most d in one row,
 // against U searches and sorted-slice edits plus the compactions they
@@ -53,26 +60,43 @@ func (m *Maintainer) ReplayBatches(batches []Batch) (applied int, err error) {
 // the first one that does not.
 func (m *Maintainer) validateTail(batches []Batch) (int, error) {
 	n := m.n
-	var named map[VID]int // logged cover vertex -> the batch that added it
+	// The cover so far, as the tail changed it: vertex -> covered, and the
+	// batch that last changed it.
+	type change struct {
+		covered bool
+		batch   int
+	}
+	var changed map[VID]change
+	covered := func(v VID) (bool, int) {
+		if c, ok := changed[v]; ok {
+			return c.covered, c.batch
+		}
+		return int(v) < m.n && m.covered[v], -1
+	}
 	for i, b := range batches {
 		n = max(n, b.GrowTo)
 		if err := validateUpdates(b.Updates, n); err != nil {
 			return i, fmt.Errorf("dynamic: batch %d: %w", i, err)
 		}
-		for _, v := range b.Added {
-			if uint64(v) >= uint64(n) {
-				return i, fmt.Errorf("dynamic: batch %d: replayed cover vertex %d out of range (graph has %d vertices)", i, v, n)
+		for j, vs := range [][]VID{b.Added, b.Removed} {
+			adding := j == 0
+			for _, v := range vs {
+				if uint64(v) >= uint64(n) {
+					return i, fmt.Errorf("dynamic: batch %d: replayed cover vertex %d out of range (graph has %d vertices)", i, v, n)
+				}
+				switch c, by := covered(v); {
+				case adding && c && by >= 0:
+					return i, fmt.Errorf("dynamic: batch %d: replayed cover vertex %d was already added by batch %d", i, v, by)
+				case adding && c:
+					return i, fmt.Errorf("dynamic: batch %d: replayed cover vertex %d is already covered", i, v)
+				case !adding && !c:
+					return i, fmt.Errorf("dynamic: batch %d: removed vertex %d is not covered", i, v)
+				}
+				if changed == nil {
+					changed = make(map[VID]change)
+				}
+				changed[v] = change{covered: adding, batch: i}
 			}
-			if int(v) < m.n && m.covered[v] {
-				return i, fmt.Errorf("dynamic: batch %d: replayed cover vertex %d is already covered", i, v)
-			}
-			if prev, dup := named[v]; dup {
-				return i, fmt.Errorf("dynamic: batch %d: replayed cover vertex %d was already added by batch %d", i, v, prev)
-			}
-			if named == nil {
-				named = make(map[VID]int)
-			}
-			named[v] = i
 		}
 	}
 	return len(batches), nil
@@ -85,12 +109,10 @@ func (m *Maintainer) replayTail(batches []Batch) {
 		n = max(n, b.GrowTo)
 		updates += len(b.Updates)
 	}
-	dels := make([]int, len(batches))
 	var t tailMerge
 	if updates > 0 {
-		t = m.mergeTail(batches, n, updates, dels)
+		t = m.mergeTail(batches, n, updates)
 	}
-	overflow := m.dirtyOverflows(batches, dels)
 	m.Grow(n)
 	if updates > 0 {
 		m.clearDeltas()
@@ -99,35 +121,35 @@ func (m *Maintainer) replayTail(batches []Batch) {
 		m.inserts += t.inserts
 		m.deletes += t.deletes
 	}
-	if overflow {
-		m.needFull = true
-		m.dirty = m.dirty[:0]
+	for _, e := range t.deleted {
+		m.wit.breakEdge(e.U, e.V)
 	}
-	m.markDirty(t.sites...)
 	for _, b := range batches {
 		for _, v := range b.Added {
-			m.addCover(v)
+			m.addCover(v, nil)
+		}
+		for _, v := range b.Removed {
+			m.dropCover(v)
 		}
 	}
 }
 
 // tailMerge is what mergeTail built: the new base, the effective inserts
-// and deletes among the tail's updates, and both endpoints of every
-// effective delete (the sites deleteEdgeRaw would have marked dirty).
+// and deletes among the tail's updates, and the edges those deletes
+// removed (whose witnesses break).
 type tailMerge struct {
 	g                *digraph.Graph
 	inserts, deletes int64
-	sites            []VID
+	deleted          []digraph.Edge
 }
 
 // mergeTail builds the CSR of the graph the batches leave, on n vertices,
-// without changing m; dels[i] receives batch i's effective deletes.
-func (m *Maintainer) mergeTail(batches []Batch, n, updates int, dels []int) tailMerge {
+// without changing m.
+func (m *Maintainer) mergeTail(batches []Batch, n, updates int) tailMerge {
 	// Counting sort by source: row u's updates land in slots
 	// [start[u], start[u+1]) in log order. A key is the target above the
 	// slot's rank within its row, so sorting a row's keys orders it by
-	// target and keeps log order within an edge; tags[slot] holds the
-	// op and the batch.
+	// target and keeps log order within an edge; ops[slot] holds the op.
 	start := make([]int, n+1)
 	inserts := 0
 	for _, b := range batches {
@@ -142,14 +164,14 @@ func (m *Maintainer) mergeTail(batches []Batch, n, updates int, dels []int) tail
 		start[u+1] += start[u]
 	}
 	keys := make([]uint64, updates)
-	tags := make([]uint32, updates)
+	ops := make([]Op, updates)
 	next := slices.Clone(start[:n])
-	for i, b := range batches {
+	for _, b := range batches {
 		for _, up := range b.Updates {
 			s := next[up.U]
 			next[up.U]++
 			keys[s] = uint64(up.V)<<32 | uint64(s-start[up.U])
-			tags[s] = uint32(i)<<1 | uint32(up.Op)
+			ops[s] = up.Op
 		}
 	}
 
@@ -175,16 +197,14 @@ func (m *Maintainer) mergeTail(batches []Batch, n, updates int, dels []int) tail
 				i++
 			}
 			for ; j < len(seg) && VID(seg[j]>>32) == v; j++ {
-				tag := tags[start[u]+int(uint32(seg[j]))]
-				switch {
-				case Op(tag&1) == OpInsert && !present && u != v:
+				switch op := ops[start[u]+int(uint32(seg[j]))]; {
+				case op == OpInsert && !present && u != v:
 					present = true
 					t.inserts++
-				case Op(tag&1) == OpDelete && present:
+				case op == OpDelete && present:
 					present = false
 					t.deletes++
-					dels[tag>>1]++
-					t.sites = append(t.sites, u, v)
+					t.deleted = append(t.deleted, digraph.Edge{U: u, V: v})
 				}
 			}
 			if present {
@@ -194,23 +214,4 @@ func (m *Maintainer) mergeTail(batches []Batch, n, updates int, dels []int) tail
 		return append(dst, live[i:]...)
 	})
 	return t
-}
-
-// dirtyOverflows reports whether applying the batches one at a time would
-// have collapsed the dirty set into needFull. markDirty does that once the
-// set would outgrow the vertex count, which the batches grow one by one;
-// each effective delete marks two sites and each cover addition one.
-func (m *Maintainer) dirtyOverflows(batches []Batch, dels []int) bool {
-	if m.needFull {
-		return false
-	}
-	n, sites := m.n, len(m.dirty)
-	for i, b := range batches {
-		n = max(n, b.GrowTo)
-		sites += 2*dels[i] + len(b.Added)
-		if sites > n {
-			return true
-		}
-	}
-	return false
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -130,12 +131,64 @@ func compactStream(t *testing.T, seed uint64, mapped bool) {
 	}
 }
 
+// TestCompactMatchesFromSortedRows: the row-patching compaction must build
+// the very CSR arrays FromSortedRows builds from the live out-rows, over
+// random delta sets touching few or many rows (tombstones, cancelled
+// tombstones, adds), with Grow before and between them, from a self-loop
+// base in memory and mapped.
+func TestCompactMatchesFromSortedRows(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 25))
+		g := selfLoopBase(rng, 30+rng.IntN(30), 200)
+		var base digraph.Adjacency = g
+		if seed%2 == 0 {
+			path := filepath.Join(t.TempDir(), "base.tdbcsr")
+			if err := digraph.WriteMapped(path, g); err != nil {
+				t.Fatal(err)
+			}
+			mg, err := digraph.OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mg.Close()
+			base = mg
+		}
+		m, err := FromGraph(base, 4, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 12; round++ {
+			if rng.IntN(3) == 0 {
+				m.Grow(m.NumVertices() + rng.IntN(4))
+			}
+			n := m.NumVertices()
+			hot := 1 + rng.IntN(n) // rows the round's updates touch
+			for i := rng.IntN(60); i > 0; i-- {
+				u, v := VID(rng.IntN(hot)), VID(rng.IntN(n))
+				if row := m.outInto(u, nil); rng.IntN(2) == 0 && len(row) > 0 {
+					m.DeleteEdge(u, row[rng.IntN(len(row))])
+				} else {
+					m.InsertEdge(u, v)
+				}
+			}
+			baseN := m.base.NumVertices()
+			want := digraph.FromSortedRows(m.n, m.m, func(dst []VID, u VID) []VID {
+				return m.appendLiveRow(dst, u, baseN)
+			})
+			got := m.compact()
+			if !reflect.DeepEqual(digraph.Materialize(got), want) {
+				t.Fatalf("seed %d round %d: compaction differs from FromSortedRows", seed, round)
+			}
+		}
+	}
+}
+
 // churnBatches drives m with random batches (each after an occasional
-// Grow) and returns them as logged: inserts of random pairs, inserts
-// duplicating a live edge, deletes of random (mostly absent) pairs and of
-// live edges (base self-loops included), insert-delete-insert toggles,
-// and re-inserts of edges an earlier batch deleted, which cancel base
-// tombstones.
+// Grow, a fifth followed by a Reminimize) and returns them as logged:
+// inserts of random pairs, inserts duplicating a live edge, deletes of
+// random (mostly absent) pairs and of live edges (base self-loops
+// included), insert-delete-insert toggles, and re-inserts of edges an
+// earlier batch deleted, which cancel base tombstones.
 func churnBatches(rng *rand.Rand, m *Maintainer, batches, size int) []Batch {
 	out := make([]Batch, 0, batches)
 	var deleted []digraph.Edge
@@ -166,8 +219,11 @@ func churnBatches(rng *rand.Rand, m *Maintainer, batches, size int) []Batch {
 				ups = append(ups, InsertOp(u, v))
 			}
 		}
-		added := m.ApplyBatch(ups)
-		out = append(out, Batch{GrowTo: m.NumVertices(), Updates: ups, Added: added})
+		b := Batch{GrowTo: m.NumVertices(), Updates: ups, Added: m.ApplyBatch(ups)}
+		if rng.IntN(5) == 0 {
+			b.Removed = m.ReminimizePass().Removed
+		}
+		out = append(out, b)
 	}
 	return out
 }
@@ -181,10 +237,10 @@ func writeState(t *testing.T, m *Maintainer) []byte {
 	return buf.Bytes()
 }
 
-// sameReplayState fails unless got and want serialize to the same bytes,
-// count the same inserts, deletes and cover additions, and hold the same
-// Reminimize work: needFull and the dirty multiset. Cycle-check counts
-// differ by design: replay searches nothing.
+// sameReplayState fails unless got and want serialize to the same bytes
+// and count the same inserts, deletes and cover additions. Cycle-check
+// counts differ by design (replay searches nothing), and so do the
+// witnesses: replay adopts its cover vertices without one.
 func sameReplayState(t *testing.T, what string, got, want *Maintainer) {
 	t.Helper()
 	if !bytes.Equal(writeState(t, got), writeState(t, want)) {
@@ -196,19 +252,16 @@ func sameReplayState(t *testing.T, what string, got, want *Maintainer) {
 	if gi != wi || gd != wd || ga != wa {
 		t.Fatalf("%s: inserts/deletes/cover adds %d/%d/%d, want %d/%d/%d", what, gi, gd, ga, wi, wd, wa)
 	}
-	gDirty, wDirty := slices.Sorted(slices.Values(got.dirty)), slices.Sorted(slices.Values(want.dirty))
-	if got.needFull != want.needFull || !slices.Equal(gDirty, wDirty) {
-		t.Fatalf("%s: needFull %v dirty %v, want needFull %v dirty %v", what, got.needFull, gDirty, want.needFull, wDirty)
-	}
 }
 
 // TestReplayBatchesMatchesApplyBatch: replaying a logged tail in one call
-// must rebuild exactly the state ApplyBatch left on the live maintainer,
-// for tails long enough to cross natural compactions and Grow calls and
-// short enough to keep the dirty set under the vertex count, from a base
-// with self-loops. Afterwards both sides must decide new batches alike.
+// must rebuild exactly the state ApplyBatch and Reminimize left on the
+// live maintainer, for tails long enough to cross natural compactions and
+// Grow calls, from a base with self-loops. Afterwards both sides must
+// reminimize alike although they hold different witnesses, and decide new
+// batches alike.
 func TestReplayBatchesMatchesApplyBatch(t *testing.T) {
-	sawDirty, sawOverflow := false, false
+	removals := 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 7))
 		g := selfLoopBase(rng, 120, 420)
@@ -227,9 +280,9 @@ func TestReplayBatchesMatchesApplyBatch(t *testing.T) {
 		compactedMidTail := false
 		for step, size := range []int{100, 1, 3, 40, 2, 200} {
 			if step%2 == 1 {
-				// A reminimized pair tracks dirty sites instead of needFull.
-				if a, b := live.Reminimize(), replica.Reminimize(); a != b {
-					t.Fatalf("seed %d step %d: Reminimize removed %d live, %d replayed", seed, step, a, b)
+				a, b := live.ReminimizePass(), replica.ReminimizePass()
+				if !slices.Equal(a.Removed, b.Removed) {
+					t.Fatalf("seed %d step %d: Reminimize removed %v live, %v replayed", seed, step, a.Removed, b.Removed)
 				}
 			}
 			before := live.Compactions()
@@ -239,8 +292,9 @@ func TestReplayBatchesMatchesApplyBatch(t *testing.T) {
 				t.Fatalf("seed %d step %d: applied %d of %d: %v", seed, step, applied, len(tail), err)
 			}
 			sameReplayState(t, fmt.Sprintf("seed %d step %d", seed, step), replica, live)
-			sawDirty = sawDirty || (!live.needFull && len(live.dirty) > 0)
-			sawOverflow = sawOverflow || (step%2 == 1 && live.needFull)
+			for _, b := range tail {
+				removals += len(b.Removed)
+			}
 		}
 		if !compactedMidTail {
 			t.Fatalf("seed %d: no tail crossed a compaction", seed)
@@ -257,42 +311,9 @@ func TestReplayBatchesMatchesApplyBatch(t *testing.T) {
 		}
 		sameReplayState(t, fmt.Sprintf("seed %d after further batches", seed), replica, live)
 	}
-	if !sawDirty || !sawOverflow {
-		t.Fatalf("dirty tracking not exercised: dirty sites seen %v, overflow to needFull seen %v", sawDirty, sawOverflow)
+	if removals == 0 {
+		t.Fatal("no replayed batch carried a removal")
 	}
-}
-
-// TestReplayBatchesDirtyOverflowBeforeGrowth: applied one at a time, a
-// batch whose dirty sites outgrow the vertex count collapses the set into
-// needFull, even when a later batch grows the graph past that count. Bulk
-// replay must collapse at the same point, not judge by the final count.
-func TestReplayBatchesDirtyOverflowBeforeGrowth(t *testing.T) {
-	ring := make([]digraph.Edge, 6)
-	for i := range ring {
-		ring[i] = digraph.Edge{U: VID(i), V: VID((i + 1) % 6)}
-	}
-	var sides [2]*Maintainer
-	for i := range sides {
-		m, err := FromGraph(digraph.FromEdges(6, ring), 5, 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Reminimize() // track dirty sites from here on
-		sides[i] = m
-	}
-	live, replica := sides[0], sides[1]
-	deletes := []Update{DeleteOp(0, 1), DeleteOp(1, 2), DeleteOp(2, 3), DeleteOp(3, 4)}
-	tail := []Batch{{GrowTo: 6, Updates: deletes, Added: live.ApplyBatch(deletes)}}
-	live.Grow(64)
-	grow := []Update{InsertOp(10, 11)}
-	tail = append(tail, Batch{GrowTo: 64, Updates: grow, Added: live.ApplyBatch(grow)})
-	if !live.needFull {
-		t.Fatal("eight dirty sites on six vertices did not collapse the live set")
-	}
-	if applied, err := replica.ReplayBatches(tail); err != nil || applied != len(tail) {
-		t.Fatalf("applied %d of %d: %v", applied, len(tail), err)
-	}
-	sameReplayState(t, "overflow before growth", replica, live)
 }
 
 // TestReplayBatchesRefusesCorruptAdds: a logged cover vertex out of range,
@@ -364,11 +385,54 @@ func TestReplayBatchesRefusesCorruptAdds(t *testing.T) {
 	}
 }
 
+// TestReplayBatchesRemovals: logged removals apply after the batch's
+// additions, so a vertex may be added and removed by one batch, removed
+// and re-added across batches, and a removal must name a vertex covered
+// at that point of the tail; anything else stops the replay at that batch
+// with the batches before it applied.
+func TestReplayBatchesRemovals(t *testing.T) {
+	fresh := func() *Maintainer {
+		m, err := FromGraph(digraph.FromEdges(4, []digraph.Edge{{U: 0, V: 1}}), 5, 3, []VID{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name    string
+		tail    []Batch
+		applied int
+		cover   []VID
+	}{
+		{"added then removed in one batch", []Batch{{Added: []VID{2}, Removed: []VID{1, 2}}}, 1, []VID{}},
+		{"removed then re-added", []Batch{{Removed: []VID{1}}, {Added: []VID{3}}, {Added: []VID{1}, Removed: []VID{3}}}, 3, []VID{1}},
+		{"removed twice", []Batch{{Removed: []VID{1}}, {Removed: []VID{1}}}, 1, []VID{}},
+		{"removed twice in one batch", []Batch{{Added: []VID{3}}, {Removed: []VID{1, 1}}}, 1, []VID{1, 3}},
+		{"never covered", []Batch{{Added: []VID{3}}, {Removed: []VID{2}}}, 1, []VID{1, 3}},
+		{"out of range", []Batch{{Removed: []VID{4}}}, 0, []VID{1}},
+		{"re-added without a removal", []Batch{{Removed: []VID{1}}, {Added: []VID{1}}, {Added: []VID{1}}}, 2, []VID{1}},
+	} {
+		m := fresh()
+		applied, err := m.ReplayBatches(tc.tail)
+		if applied != tc.applied || (err == nil) != (applied == len(tc.tail)) {
+			t.Fatalf("%s: applied %d (err %v), want %d", tc.name, applied, err, tc.applied)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("batch %d:", applied)) {
+			t.Fatalf("%s: error %q does not name batch %d", tc.name, err, applied)
+		}
+		if got := m.Cover(); !slices.Equal(got, tc.cover) || m.CoverSize() != len(tc.cover) {
+			t.Fatalf("%s: cover %v (size %d), want %v", tc.name, got, m.CoverSize(), tc.cover)
+		}
+		checkWitnesses(t, tc.name, m)
+	}
+}
+
 // FuzzReplayBatches checks bulk replay against live ApplyBatch on small
 // graphs. The first bytes build a base (self-loops kept); the rest decode
 // to batches of inserts and deletes separated by batch breaks that may
-// grow the graph. Replaying what ApplyBatch logged must rebuild its state
-// exactly, and both sides must then decide a further batch alike.
+// grow the graph or reminimize the live side. Replaying what ApplyBatch
+// and Reminimize logged must rebuild the live state exactly, and both
+// sides must then reminimize alike and decide a further batch alike.
 func FuzzReplayBatches(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 0, 3, 3, 0, 0, 1, 0, 7, 1, 0, 5, 0, 1, 0, 0, 1})
 	f.Add([]byte{1, 2, 2, 3, 3, 1, 4, 4, 5, 2, 3, 6, 3, 1, 7, 0, 0, 0, 3, 1, 7, 3, 0, 5, 3, 1})
@@ -401,8 +465,12 @@ func FuzzReplayBatches(f *testing.F) {
 		live, replica := build(), build()
 		var tail []Batch
 		var ups []Update
-		cut := func() {
-			tail = append(tail, Batch{GrowTo: live.NumVertices(), Updates: ups, Added: live.ApplyBatch(ups)})
+		cut := func(reminimize bool) {
+			b := Batch{GrowTo: live.NumVertices(), Updates: ups, Added: live.ApplyBatch(ups)}
+			if reminimize {
+				b.Removed = live.ReminimizePass().Removed
+			}
+			tail = append(tail, b)
 			ups = nil
 		}
 		for i := baseBytes; i+2 < len(data); i += 3 {
@@ -410,7 +478,7 @@ func FuzzReplayBatches(f *testing.F) {
 			u, v := VID(int(data[i+1])%n), VID(int(data[i+2])%n)
 			switch data[i] % 8 {
 			case 7:
-				cut()
+				cut(data[i+2]&4 == 4)
 				if data[i+1]&1 == 1 && n < 4*n0 {
 					live.Grow(n + 1 + int(data[i+2]%3))
 				}
@@ -420,11 +488,14 @@ func FuzzReplayBatches(f *testing.F) {
 				ups = append(ups, InsertOp(u, v))
 			}
 		}
-		cut()
+		cut(data[0]&2 == 2)
 		if applied, err := replica.ReplayBatches(tail); err != nil || applied != len(tail) {
 			t.Fatalf("applied %d of %d: %v", applied, len(tail), err)
 		}
 		sameReplayState(t, "replayed tail", replica, live)
+		if a, b := live.ReminimizePass(), replica.ReminimizePass(); !slices.Equal(a.Removed, b.Removed) {
+			t.Fatalf("after replay Reminimize removed %v live, %v replayed", a.Removed, b.Removed)
+		}
 		n := live.NumVertices()
 		more := []Update{InsertOp(0, VID(n-1)), InsertOp(VID(n-1), 1), InsertOp(1, 0), DeleteOp(VID(n/2), 0)}
 		if a, b := live.ApplyBatch(more), replica.ApplyBatch(more); !slices.Equal(a, b) {

@@ -1,5 +1,7 @@
 package dynamic
 
+import "slices"
+
 // Bounded cycle-existence queries over the hybrid CSR+delta adjacency.
 //
 // The insertion-time question is: does the just-inserted edge (u, v) lie
@@ -24,6 +26,11 @@ package dynamic
 //     necessary, keeping validity unconditional and leaving minimality to
 //     the next Reminimize.
 //
+// A YES from either tier leaves the cycle it found in m.cyc: the shortest
+// path (the BFS halves keep parent pointers) or the DFS stack, closed by
+// the new edge. It becomes the covered endpoint's witness (witness.go). A
+// capped DFS found no cycle, so its endpoint is covered without one.
+//
 // All scratch is epoch-stamped: every traversal bumps its epoch, so marks
 // abandoned by early returns are invalidated structurally — there is no
 // unmark bookkeeping to get wrong (the seed maintainer leaked an on-path
@@ -32,8 +39,9 @@ package dynamic
 // maxDFSStates caps the states the ambiguous-regime DFS may explore before
 // giving a conservative answer. Bounded simple-path existence is NP-hard
 // in general; the cap keeps the worst case linear while real workloads
-// (shallow k, sparse uncovered regions) never come near it.
-const maxDFSStates = 1 << 17
+// (shallow k, sparse uncovered regions) never come near it. It is a
+// variable only so tests can force the cap.
+var maxDFSStates = 1 << 17
 
 // pathFrame is one level of the iterative DFS stack; the frame's neighbor
 // row lives in rows[depth].
@@ -44,15 +52,17 @@ type pathFrame struct {
 
 // edgeCreatesCycle reports whether a cycle of length in [minLen, k]
 // through the edge (u, v) exists in the subgraph of uncovered vertices
-// (both endpoints are uncovered by contract).
-func (m *Maintainer) edgeCreatesCycle(u, v VID) bool {
+// (both endpoints are uncovered by contract). On YES, cyc is such a cycle,
+// u first and v second, in scratch that the next search overwrites; it is
+// nil when the answer is the capped DFS's conservative YES.
+func (m *Maintainer) edgeCreatesCycle(u, v VID) (found bool, cyc []VID) {
 	lo, hi := m.minLen-1, m.k-1
 	d0 := m.shortestLivePath(v, u, hi)
 	if d0 < 0 {
-		return false // every return path is longer than k-1
+		return false, nil // every return path is longer than k-1
 	}
 	if d0 >= lo {
-		return true // the shortest path is simple: a certificate
+		return true, m.cyc // the shortest path is simple: a certificate
 	}
 	return m.boundedPathDFS(v, u, lo, hi)
 }
@@ -60,7 +70,9 @@ func (m *Maintainer) edgeCreatesCycle(u, v VID) bool {
 // shortestLivePath returns the length of the shortest path src -> dst over
 // uncovered vertices (dst is touched only as the endpoint, never
 // expanded), or -1 when every such path is longer than maxLen. Self-loops
-// fall to the visited check.
+// fall to the visited check. On success m.cyc holds dst and then the path
+// from src up to the vertex before dst: the cycle the edge dst -> src
+// closes.
 //
 // The search meets in the middle. It scans src's row first, which settles
 // the common case of a direct edge or no live first hop. Otherwise a
@@ -82,12 +94,14 @@ func (m *Maintainer) shortestLivePath(src, dst VID, maxLen int) int {
 	for _, w := range m.rowBuf {
 		if w == dst {
 			m.nextQ = fq[:0]
+			m.cyc = append(m.cyc[:0], dst, src)
 			return 1
 		}
 		if m.covered[w] || m.mark[w] == mk {
 			continue
 		}
 		m.mark[w] = mk
+		m.fpar[w] = src
 		fq = append(fq, w)
 	}
 	if len(fq) == 0 || maxLen == 1 {
@@ -110,6 +124,7 @@ func (m *Maintainer) shortestLivePath(src, dst VID, maxLen int) int {
 				}
 				m.bmark[w] = bk
 				m.distB[w] = int32(dist)
+				m.bnext[w] = u
 				bq = append(bq, w)
 			}
 		}
@@ -118,13 +133,13 @@ func (m *Maintainer) shortestLivePath(src, dst VID, maxLen int) int {
 	m.queue = bq[:0]
 
 	// fq holds the forward levels back to back; fq[lo:hi] is level f.
-	best := maxLen + 1
+	best, meet := maxLen+1, dst
 	deepest := maxLen - ball
 	for f, lo := 1, 0; f <= deepest && lo < len(fq) && best > f+1; f++ {
 		hi := len(fq)
 		for _, x := range fq[lo:hi] {
-			if m.bmark[x] == bk {
-				best = min(best, f+int(m.distB[x]))
+			if m.bmark[x] == bk && f+int(m.distB[x]) < best {
+				best, meet = f+int(m.distB[x]), x
 			}
 			if f == deepest {
 				continue // the deepest level is only met, never expanded
@@ -135,6 +150,7 @@ func (m *Maintainer) shortestLivePath(src, dst VID, maxLen int) int {
 					continue
 				}
 				m.mark[w] = mk
+				m.fpar[w] = x
 				fq = append(fq, w)
 			}
 		}
@@ -144,6 +160,18 @@ func (m *Maintainer) shortestLivePath(src, dst VID, maxLen int) int {
 	if best > maxLen {
 		return -1
 	}
+	// The walk src ~> meet ~> dst has the shortest length, so it is a
+	// simple path: parents back to src, then next hops on to dst.
+	c := append(m.cyc[:0], dst)
+	for x := meet; x != src; x = m.fpar[x] {
+		c = append(c, x)
+	}
+	c = append(c, src)
+	slices.Reverse(c[1:])
+	for x := m.bnext[meet]; x != dst; x = m.bnext[x] {
+		c = append(c, x)
+	}
+	m.cyc = c
 	return best
 }
 
@@ -152,8 +180,10 @@ func (m *Maintainer) shortestLivePath(src, dst VID, maxLen int) int {
 // shortest path is below lo). A backward BFS from dst first computes
 // distB, the exact shortest uncovered completion x -> dst; the DFS then
 // expands a state only if depth+1+distB <= hi, and returns a conservative
-// true once maxDFSStates states were explored.
-func (m *Maintainer) boundedPathDFS(src, dst VID, lo, hi int) bool {
+// true once maxDFSStates states were explored. A path it finds comes back
+// as cyc (dst, then the path from src), as in shortestLivePath; the
+// capped answer has none.
+func (m *Maintainer) boundedPathDFS(src, dst VID, lo, hi int) (found bool, cyc []VID) {
 	m.ensureScratch()
 
 	// Backward distances up to hi-1 (every useful intermediate state needs
@@ -203,7 +233,11 @@ func (m *Maintainer) boundedPathDFS(src, dst VID, lo, hi int) bool {
 		fr.idx++
 		if w == dst {
 			if d := depth + 1; d >= lo && d <= hi {
-				return true
+				m.cyc = append(m.cyc[:0], dst)
+				for _, f := range m.stack {
+					m.cyc = append(m.cyc, f.v)
+				}
+				return true, m.cyc
 			}
 			continue // too short to close; dst never joins the path
 		}
@@ -215,13 +249,13 @@ func (m *Maintainer) boundedPathDFS(src, dst VID, lo, hi int) bool {
 		}
 		states++
 		if states > maxDFSStates {
-			return true // conservative: cover rather than keep searching
+			return true, nil // conservative: cover rather than keep searching
 		}
 		m.mark[w] = mk
 		m.rows[depth+1] = m.outInto(w, m.rows[depth+1][:0])
 		m.stack = append(m.stack, pathFrame{v: w})
 	}
-	return false
+	return false, nil
 }
 
 // outInto appends u's live out-neighbors to buf and returns it: the base
@@ -270,6 +304,8 @@ func (m *Maintainer) ensureScratch() {
 	m.mark = make([]uint32, m.n)
 	m.bmark = make([]uint32, m.n)
 	m.distB = make([]int32, m.n)
+	m.fpar = make([]VID, m.n)
+	m.bnext = make([]VID, m.n)
 }
 
 // nextMark advances the forward/on-path epoch, clearing the stamps on the

@@ -40,10 +40,29 @@ func (m *Maintainer) forwardShortestLivePath(src, dst VID, maxLen int) int {
 	return found
 }
 
+// checkLivePath fails unless m.cyc holds dst and then a simple path of d
+// hops from src to dst over live edges, with every vertex but dst (which
+// the search never expands) and src (the caller's) uncovered.
+func checkLivePath(t *testing.T, m *Maintainer, src, dst VID, d int) {
+	t.Helper()
+	c := m.cyc
+	if len(c) != d+1 || c[0] != dst || c[1] != src {
+		t.Fatalf("%d->%d: path %v for length %d", src, dst, c, d)
+	}
+	seen := map[VID]bool{}
+	for i, x := range c {
+		next := c[(i+1)%len(c)]
+		if seen[x] || (i > 1 && m.covered[x]) || (i > 0 && !m.HasEdge(x, next)) {
+			t.Fatalf("%d->%d: path %v is not a simple uncovered live path", src, dst, c)
+		}
+		seen[x] = true
+	}
+}
+
 // The bidirectional search must return the forward BFS's d0 for every
 // ordered pair on random maintainers (CSR base plus insert/tombstone
 // deltas) with random covered sets, for every hop budget the maintainer
-// uses and a few beyond it.
+// uses and a few beyond it, and a shortest path to go with it.
 func TestShortestLivePathMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 91))
 	pairs := 0
@@ -74,9 +93,13 @@ func TestShortestLivePathMatchesForward(t *testing.T) {
 			for src := VID(0); int(src) < n; src++ {
 				for dst := VID(0); int(dst) < n; dst++ {
 					want := m.forwardShortestLivePath(src, dst, maxLen)
-					if got := m.shortestLivePath(src, dst, maxLen); got != want {
+					got := m.shortestLivePath(src, dst, maxLen)
+					if got != want {
 						t.Fatalf("iter=%d k=%d maxLen=%d %d->%d: got %d want %d\ncovered=%v",
 							iter, k, maxLen, src, dst, got, want, m.covered)
+					}
+					if got > 0 && src != dst { // the maintainer never asks src == dst
+						checkLivePath(t, m, src, dst, got)
 					}
 					pairs++
 				}

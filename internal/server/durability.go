@@ -29,20 +29,27 @@ import (
 // WAL record payload: one acknowledged write batch and the cover decisions
 // it made.
 //
-//	growTo  u64        maintainer vertex count at append time
-//	count   u32
+//	growTo   u64        maintainer vertex count at append time
+//	count    u32
 //	count × (op u8, u u32, v u32)
-//	added   u32        cover vertices the batch added
-//	added × u32        in the order ApplyBatch added them
+//	added    u32        cover vertices the batch added
+//	added × u32         in the order ApplyBatch added them
+//	removed  u32        only when >= 1: vertices the publish-time
+//	removed × u32       Reminimize removed, ascending
 //
-// Replay re-applies the edges and adopts the logged cover vertices instead
+// Replay re-applies the edges and adopts the logged cover decisions instead
 // of re-running the cycle searches, so recovery rebuilds exactly the
 // acknowledged state. A run of such records replays in one
 // dynamic.Maintainer.ReplayBatches call: one sort of the run's updates and
 // one merge into a fresh CSR, which the post-recovery checkpoint then
-// serializes without compacting again. A record that ends right after its
-// updates was written before the trailer existed; it is recognised by that
-// exact length and replayed through ApplyBatchChecked.
+// serializes without compacting again.
+//
+// Lengths tell the three generations apart. A record that ends right after
+// its updates was written before the trailer existed; it replays through
+// ApplyBatchChecked. A trailer of exactly 4+4·added bytes removes nothing,
+// which is every record from before removals were logged and every record
+// of a batch that did not publish. Anything longer must carry a removal
+// section of at least one vertex, exactly filling the record.
 const walRecordHeader = 12
 
 // walBatch is one acknowledged batch: a WAL record's content, and one entry
@@ -51,10 +58,15 @@ type walBatch struct {
 	growTo  int
 	updates []dynamic.Update
 	added   []VID
+	removed []VID
 }
 
 func encodeWALRecord(b walBatch) []byte {
-	buf := make([]byte, walRecordHeader, walRecordHeader+9*len(b.updates)+4+4*len(b.added))
+	size := walRecordHeader + 9*len(b.updates) + 4 + 4*len(b.added)
+	if len(b.removed) > 0 {
+		size += 4 + 4*len(b.removed)
+	}
+	buf := make([]byte, walRecordHeader, size)
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(b.growTo))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(b.updates)))
 	for _, u := range b.updates {
@@ -62,8 +74,17 @@ func encodeWALRecord(b walBatch) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(u.U))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(u.V))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.added)))
-	for _, v := range b.added {
+	buf = appendVertices(buf, b.added)
+	if len(b.removed) > 0 {
+		buf = appendVertices(buf, b.removed)
+	}
+	return buf
+}
+
+// appendVertices appends a count and the vertices to buf.
+func appendVertices(buf []byte, vs []VID) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vs)))
+	for _, v := range vs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
 	return buf
@@ -103,22 +124,42 @@ func decodeWALRecord(payload []byte) (b walBatch, legacy bool, err error) {
 	if len(trailer) == 0 {
 		return b, true, nil
 	}
-	if len(trailer) < 4 {
-		return walBatch{}, false, fmt.Errorf("cover trailer of %d bytes has no count", len(trailer))
+	if b.added, trailer, err = decodeVertices(trailer, g, "cover trailer"); err != nil {
+		return walBatch{}, false, err
 	}
-	na := binary.LittleEndian.Uint32(trailer)
-	if uint64(len(trailer)-4) != uint64(na)*4 {
-		return walBatch{}, false, fmt.Errorf("cover trailer of %d bytes does not match %d vertices", len(trailer), na)
+	if len(trailer) == 0 {
+		return b, false, nil
 	}
-	b.added = make([]VID, na)
-	for i := range b.added {
-		v := binary.LittleEndian.Uint32(trailer[4+4*i:])
-		if uint64(v) >= g {
-			return walBatch{}, false, fmt.Errorf("cover vertex %d out of range (record has %d vertices)", v, g)
-		}
-		b.added[i] = VID(v)
+	if b.removed, trailer, err = decodeVertices(trailer, g, "removal section"); err != nil {
+		return walBatch{}, false, err
+	}
+	if len(b.removed) == 0 || len(trailer) > 0 {
+		return walBatch{}, false, fmt.Errorf("removal section of %d vertices leaves %d bytes", len(b.removed), len(trailer))
 	}
 	return b, false, nil
+}
+
+// decodeVertices reads a count and that many vertices below n off the
+// front of buf, returning them and the rest of buf. Vertices must fill buf
+// exactly or leave room for a further counted section.
+func decodeVertices(buf []byte, n uint64, what string) ([]VID, []byte, error) {
+	if len(buf) < 4 {
+		return nil, nil, fmt.Errorf("%s of %d bytes has no count", what, len(buf))
+	}
+	c := uint64(binary.LittleEndian.Uint32(buf))
+	body := uint64(len(buf) - 4)
+	if body < 4*c || (body > 4*c && body < 4*c+4) {
+		return nil, nil, fmt.Errorf("%s of %d bytes does not match %d vertices", what, len(buf), c)
+	}
+	vs := make([]VID, c)
+	for i := range vs {
+		v := binary.LittleEndian.Uint32(buf[4+4*i:])
+		if uint64(v) >= n {
+			return nil, nil, fmt.Errorf("cover vertex %d out of range (record has %d vertices)", v, n)
+		}
+		vs[i] = VID(v)
+	}
+	return vs, buf[4+4*c:], nil
 }
 
 // RecoveryStats describes startup recovery from the data dir, phase by
@@ -268,7 +309,7 @@ func notApplying(r wal.Record, err error) error {
 func replayBatches(log []walBatch) []dynamic.Batch {
 	out := make([]dynamic.Batch, len(log))
 	for i, b := range log {
-		out[i] = dynamic.Batch{GrowTo: b.growTo, Updates: b.updates, Added: b.added}
+		out[i] = dynamic.Batch{GrowTo: b.growTo, Updates: b.updates, Added: b.added, Removed: b.removed}
 	}
 	return out
 }

@@ -112,9 +112,12 @@ type UpdateRequest struct {
 type UpdateResponse struct {
 	Accepted bool `json:"accepted"`
 	// Applied is set on waited requests.
-	Applied    bool   `json:"applied,omitempty"`
-	CoverAdded []VID  `json:"cover_added,omitempty"`
-	Epoch      uint64 `json:"epoch,omitempty"`
+	Applied    bool  `json:"applied,omitempty"`
+	CoverAdded []VID `json:"cover_added,omitempty"`
+	// CoverRemoved lists the vertices the publish-time reminimization
+	// took out of the cover, when this batch published.
+	CoverRemoved []VID  `json:"cover_removed,omitempty"`
+	Epoch        uint64 `json:"epoch,omitempty"`
 	// WALSeq is the batch's write-ahead-log sequence number: under
 	// fsync=always the batch is on stable storage when this is returned.
 	// Zero when the server runs without a data dir.
@@ -134,6 +137,22 @@ type StatsResponse struct {
 	WriterPanics    int64  `json:"writer_panics"`
 	WriterRestores  int64  `json:"writer_restores"`
 	Draining        bool   `json:"draining"`
+
+	// Reminimization, which every publishing batch runs before it is
+	// logged: passes run, cover vertices re-tested and removed (in total
+	// and by the last pass), cover vertices awaiting a re-test after the
+	// last batch because their witness broke or was never known (a seeded
+	// or recovered cover, a capped insertion search), and the last pass's
+	// and the last compaction's durations.
+	ReminimizePasses       int64   `json:"reminimize_passes"`
+	ReminimizeRetests      int64   `json:"reminimize_retests"`
+	ReminimizeRemovals     int64   `json:"reminimize_removals"`
+	ReminimizeLastRetests  int64   `json:"reminimize_last_retests"`
+	ReminimizeLastRemovals int64   `json:"reminimize_last_removals"`
+	ReminimizeLastMS       float64 `json:"reminimize_last_ms"`
+	WitnessBroken          int64   `json:"witness_broken"`
+	WitnessUnknown         int64   `json:"witness_unknown"`
+	CompactionLastMS       float64 `json:"compaction_last_ms"`
 
 	// Durability counters, present when the server runs with a data dir.
 	// The wal_recover_*_ms fields time startup recovery phase by phase
@@ -257,6 +276,16 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		WriterPanics:    s.writerPanics.Load(),
 		WriterRestores:  s.writerRestores.Load(),
 		Draining:        draining,
+
+		ReminimizePasses:       s.remPasses.Load(),
+		ReminimizeRetests:      s.remRetests.Load(),
+		ReminimizeRemovals:     s.remRemovals.Load(),
+		ReminimizeLastRetests:  s.remLastRetests.Load(),
+		ReminimizeLastRemovals: s.remLastRemovals.Load(),
+		ReminimizeLastMS:       ms(time.Duration(s.remLastPassNS.Load())),
+		WitnessBroken:          s.remBroken.Load(),
+		WitnessUnknown:         s.remUnknown.Load(),
+		CompactionLastMS:       ms(time.Duration(s.lastCompactionNS.Load())),
 	}
 	if s.wal != nil {
 		resp.WALEnabled = true
@@ -537,7 +566,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, UpdateResponse{
-		Accepted: true, Applied: true, CoverAdded: resp.added,
+		Accepted: true, Applied: true, CoverAdded: resp.added, CoverRemoved: resp.removed,
 		Epoch: resp.epoch, WALSeq: resp.walSeq,
 	})
 }

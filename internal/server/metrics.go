@@ -93,6 +93,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("tdbserve_writer_panics_total", "Writer batches that panicked.", s.writerPanics.Load())
 	counter("tdbserve_writer_restores_total", "Maintainer rebuilds after writer panics.", s.writerRestores.Load())
 	gauge("tdbserve_draining", "1 while shutdown is draining requests.", b01(draining))
+	counter("tdbserve_reminimize_passes_total", "Reminimize passes run by publishing batches.", s.remPasses.Load())
+	counter("tdbserve_reminimize_retests_total", "Cover vertices re-tested by Reminimize passes.", s.remRetests.Load())
+	counter("tdbserve_reminimize_removals_total", "Cover vertices Reminimize passes removed.", s.remRemovals.Load())
+	gauge("tdbserve_reminimize_last_retests", "Cover vertices the last Reminimize pass re-tested.", float64(s.remLastRetests.Load()))
+	gauge("tdbserve_reminimize_last_removals", "Cover vertices the last Reminimize pass removed.", float64(s.remLastRemovals.Load()))
+	gauge("tdbserve_reminimize_last_duration_seconds", "Duration of the last Reminimize pass.", float64(s.remLastPassNS.Load())/1e9)
+	gauge("tdbserve_witness_broken", "Cover vertices whose witness cycle broke, awaiting a re-test.", float64(s.remBroken.Load()))
+	gauge("tdbserve_witness_unknown", "Cover vertices that never had a witness cycle, awaiting a re-test.", float64(s.remUnknown.Load()))
+	gauge("tdbserve_compaction_last_duration_seconds", "Duration of the maintainer's last CSR compaction.", float64(s.lastCompactionNS.Load())/1e9)
 	s.solves.write(&b)
 	gauge("tdbserve_wal_enabled", "1 when writes are durable (a data dir is configured).", b01(s.wal != nil))
 	if s.wal != nil {

@@ -36,15 +36,21 @@ const (
 	soakBaseN  = 32
 )
 
-// ackedBatch is one write the client got a 200 for, with its WAL sequence.
+// ackedBatch is one write the client got a 200 for, with its WAL sequence,
+// and whether it published (and so reminimized) an epoch.
 type ackedBatch struct {
-	seq    uint64
-	growTo int
-	ups    []dynamic.Update
+	seq       uint64
+	growTo    int
+	ups       []dynamic.Update
+	published bool
 }
 
 // replayAcked rebuilds the reference state: every acknowledged batch with
-// sequence <= upTo, applied in acknowledgement order.
+// sequence <= upTo, applied in acknowledgement order, each publishing one
+// followed by a Reminimize as the server ran it. The reference holds other
+// witnesses than the server, which recovered its cover without any, but a
+// pass removes the same vertices whichever valid witnesses a maintainer
+// holds.
 func replayAcked(t *testing.T, acked []ackedBatch, upTo uint64) *dynamic.Maintainer {
 	t.Helper()
 	m := dynamic.New(soakBaseN, soakK, soakMinLen)
@@ -57,6 +63,9 @@ func replayAcked(t *testing.T, acked []ackedBatch, upTo uint64) *dynamic.Maintai
 		}
 		if _, err := m.ApplyBatchChecked(b.ups); err != nil {
 			t.Fatalf("reference replay of acked batch %d: %v", b.seq, err)
+		}
+		if b.published {
+			m.Reminimize()
 		}
 	}
 	return m
@@ -177,6 +186,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 	var acked []ackedBatch // survives rounds, pruned on truncation loss
 	maxAcked := uint64(0)
 	lossRound := false // previous round ended in byte-truncation tampering
+	removals := 0      // vertices publishing batches took out of the cover
 
 	for round := 0; round < rounds; round++ {
 		s, err := New(Config{
@@ -231,6 +241,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 		}
 
 		curN := ref.NumVertices()
+		epoch := stats.Epoch
 		for b, nBatches := 0, 1+rng.Intn(6); b < nBatches; b++ {
 			growTo := 0
 			if !faultRound && rng.Intn(8) == 0 {
@@ -256,7 +267,9 @@ func TestCrashRecoverySoak(t *testing.T) {
 				if resp.WALSeq == 0 {
 					t.Fatalf("round %d: acked durable write without a wal_seq: %+v", round, resp)
 				}
-				acked = append(acked, ackedBatch{seq: resp.WALSeq, growTo: growTo, ups: ups})
+				acked = append(acked, ackedBatch{seq: resp.WALSeq, growTo: growTo, ups: ups, published: resp.Epoch > epoch})
+				epoch = resp.Epoch
+				removals += len(resp.CoverRemoved)
 				maxAcked = resp.WALSeq
 				if growTo > curN {
 					curN = growTo
@@ -294,6 +307,10 @@ func TestCrashRecoverySoak(t *testing.T) {
 				lossRound = true
 			}
 		}
+	}
+
+	if removals == 0 {
+		t.Fatal("no publishing batch removed a cover vertex")
 	}
 
 	// Final restart after the last round's tampering must still come up.

@@ -152,9 +152,10 @@ type writeReq struct {
 }
 
 type writeResp struct {
-	added []VID
-	epoch uint64
-	err   error
+	added   []VID
+	removed []VID // vertices the publish-time Reminimize removed
+	epoch   uint64
+	err     error
 	// walSeq is the batch's WAL sequence number (0 when the server is not
 	// durable or the batch changed nothing).
 	walSeq uint64
@@ -211,6 +212,15 @@ type Server struct {
 	walCheckpointFails atomic.Int64  // checkpoints that failed (server kept serving)
 	walCheckpointNS    atomic.Int64  // duration of the last successful checkpoint
 
+	// Reminimization at publish (see applyOne): passes run, vertices
+	// re-tested and removed in total and by the last pass, cover vertices
+	// awaiting a re-test after the last batch (broken and unknown
+	// witnesses), and the last pass's and compaction's durations.
+	remPasses, remRetests, remRemovals atomic.Int64
+	remLastRetests, remLastRemovals    atomic.Int64
+	remBroken, remUnknown              atomic.Int64
+	remLastPassNS, lastCompactionNS    atomic.Int64
+
 	// solves counts completed /v1/solve requests by execution profile
 	// (strategy, filter tier, batch width, storage backend).
 	solves solveSeries
@@ -249,6 +259,7 @@ func New(cfg Config) (*Server, error) {
 		m = dynamic.New(c.NumVertices, c.K, c.MinLen)
 	}
 	s.m = m
+	s.observeWitnesses()
 	s.publish() // readers always find an epoch
 	s.routes()
 	go s.writerLoop()
@@ -275,7 +286,9 @@ func (s *Server) publish() {
 // final snapshot so every acknowledged write is visible in the last epoch,
 // and finally closes the WAL — Close fsyncs the tail regardless of policy,
 // so a graceful shutdown never loses acknowledged records even under
-// fsync=never.
+// fsync=never. The final snapshot runs no Reminimize: removals would need
+// a WAL record no client asked for, and the next start (which re-tests the
+// whole recovered cover at its first publish) finds the same state.
 func (s *Server) writerLoop() {
 	defer close(s.writerDone)
 	for req := range s.writeQ {
@@ -312,17 +325,25 @@ func (s *Server) applyOne(req *writeReq) (resp writeResp) {
 	if err != nil {
 		return writeResp{epoch: s.ring.Current(), err: err}
 	}
+	// A publish first restores minimality: the pass re-tests the cover
+	// vertices whose witness broke or was never known, so readers only see
+	// minimal covers, and its removals ride in this batch's record.
+	publish := req.publish || s.sincePublish+len(req.updates) >= s.cfg.PublishEvery
+	var removed []VID
+	if publish {
+		removed = s.reminimize()
+	}
 	// The batch carries the maintainer's current vertex count, not the
 	// request's grow_to: growth is monotone, so this makes every record
 	// self-sufficient even when an earlier grow rode a batch that was never
 	// acknowledged (and therefore never logged).
-	b := walBatch{growTo: s.m.NumVertices(), updates: req.updates, added: added}
+	b := walBatch{growTo: s.m.NumVertices(), updates: req.updates, added: added, removed: removed}
 	// Durability point: the batch is in memory but not yet acknowledged.
 	// Log it before anything downstream can observe it as committed; if the
 	// log refuses, roll memory back too (epoch + appliedLog rebuild, which
 	// does not yet contain this batch) so the failed batch exists nowhere.
 	var walSeq uint64
-	if s.wal != nil && (len(req.updates) > 0 || req.growTo > 0) {
+	if s.wal != nil && (len(req.updates) > 0 || req.growTo > 0 || len(removed) > 0) {
 		walSeq, err = s.wal.Append(encodeWALRecord(b))
 		if err != nil {
 			s.restoreMaintainer()
@@ -331,15 +352,39 @@ func (s *Server) applyOne(req *writeReq) (resp writeResp) {
 		}
 		s.sinceCheckpoint += len(req.updates) + 1
 	}
-	if len(req.updates) > 0 {
+	if len(req.updates) > 0 || len(removed) > 0 {
 		s.appliedLog = append(s.appliedLog, b)
 		s.sincePublish += len(req.updates)
 	}
-	if req.publish || s.sincePublish >= s.cfg.PublishEvery {
+	if publish {
 		s.publish()
 	}
 	s.maybeCheckpoint()
-	return writeResp{added: added, epoch: s.ring.Current(), walSeq: walSeq}
+	s.observeWitnesses()
+	return writeResp{added: added, removed: removed, epoch: s.ring.Current(), walSeq: walSeq}
+}
+
+// observeWitnesses publishes the maintainer's re-test backlog and last
+// compaction time to the stats gauges. Writer goroutine only.
+func (s *Server) observeWitnesses() {
+	broken, unknown := s.m.Witnesses()
+	s.remBroken.Store(int64(broken))
+	s.remUnknown.Store(int64(unknown))
+	s.lastCompactionNS.Store(s.m.LastCompaction().Nanoseconds())
+}
+
+// reminimize runs the maintainer's Reminimize pass and records it for
+// /v1/stats and /metrics. Writer goroutine only.
+func (s *Server) reminimize() []VID {
+	t0 := time.Now()
+	p := s.m.ReminimizePass()
+	s.remLastPassNS.Store(time.Since(t0).Nanoseconds())
+	s.remPasses.Add(1)
+	s.remRetests.Add(int64(p.Retested))
+	s.remRemovals.Add(int64(len(p.Removed)))
+	s.remLastRetests.Store(int64(p.Retested))
+	s.remLastRemovals.Store(int64(len(p.Removed)))
+	return p.Removed
 }
 
 // restoreMaintainer rebuilds the writer's maintainer from the last
@@ -381,6 +426,7 @@ func (s *Server) restoreMaintainer() {
 	for _, b := range s.appliedLog {
 		s.sincePublish += len(b.updates)
 	}
+	s.observeWitnesses()
 }
 
 // admit counts the request against shutdown draining and, for reader

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tdb/internal/core"
+	"tdb/internal/dynamic"
 	"tdb/internal/fault"
 	"tdb/internal/gen"
 	"tdb/internal/verify"
@@ -393,6 +394,53 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Epoch != 1 || st.EpochsLive != 1 || st.Served < 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestStatsReminimize: /v1/stats and /metrics account for the pass each
+// publishing batch runs. A triangle written without publishing leaves its
+// cover vertex witnessed; deleting an edge breaks the witness, and the
+// publish re-tests and removes that one vertex.
+func TestStatsReminimize(t *testing.T) {
+	s := newTestServer(t, Config{K: 5, NumVertices: 4, PublishEvery: 1 << 30})
+	stats := func() StatsResponse {
+		t.Helper()
+		var st StatsResponse
+		if code := get(t, s, "/v1/stats", &st); code != 200 {
+			t.Fatalf("stats: %d", code)
+		}
+		return st
+	}
+	post(t, s, "/v1/update", updateBody(0, []dynamic.Update{
+		dynamic.InsertOp(0, 1), dynamic.InsertOp(1, 2), dynamic.InsertOp(2, 0)}), nil)
+	post(t, s, "/v1/update", updateBody(0, []dynamic.Update{dynamic.DeleteOp(2, 0)}), nil)
+	if st := stats(); st.WitnessBroken != 1 || st.WitnessUnknown != 0 || st.ReminimizePasses != 0 {
+		t.Fatalf("before the publish: %+v", st)
+	}
+	if code := post(t, s, "/v1/update", `{"publish":true,"wait":true}`, nil); code != 200 {
+		t.Fatalf("publish: %d", code)
+	}
+	st := stats()
+	if st.ReminimizePasses != 1 || st.ReminimizeRetests != 1 || st.ReminimizeRemovals != 1 ||
+		st.ReminimizeLastRetests != 1 || st.ReminimizeLastRemovals != 1 || st.WitnessBroken != 0 ||
+		st.ReminimizeLastMS <= 0 || st.CompactionLastMS <= 0 {
+		t.Fatalf("after the publish: %+v", st)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, series := range []string{
+		"tdbserve_reminimize_passes_total 1",
+		"tdbserve_reminimize_retests_total 1",
+		"tdbserve_reminimize_removals_total 1",
+		"tdbserve_reminimize_last_removals 1",
+		"tdbserve_witness_broken 0",
+		"tdbserve_witness_unknown 0",
+		"# TYPE tdbserve_reminimize_last_duration_seconds gauge",
+		"# TYPE tdbserve_compaction_last_duration_seconds gauge",
+	} {
+		if !strings.Contains(w.Body.String(), series) {
+			t.Fatalf("metrics output missing %q:\n%s", series, w.Body.String())
+		}
 	}
 }
 

@@ -33,27 +33,72 @@ func randomWALBatch(rng *rand.Rand) walBatch {
 	for i := rng.IntN(5); i > 0; i-- {
 		b.added = append(b.added, VID(rng.IntN(b.growTo)))
 	}
+	if rng.IntN(2) == 0 {
+		for i := 1 + rng.IntN(4); i > 0; i-- {
+			b.removed = append(b.removed, VID(rng.IntN(b.growTo)))
+		}
+	}
 	return b
 }
 
 func sameWALBatch(a, b walBatch) bool {
-	return a.growTo == b.growTo && slices.Equal(a.updates, b.updates) && slices.Equal(a.added, b.added)
+	return a.growTo == b.growTo && slices.Equal(a.updates, b.updates) &&
+		slices.Equal(a.added, b.added) && slices.Equal(a.removed, b.removed)
 }
 
-// TestWALRecordRoundTrip: decode(encode(b)) is b, and a record cut right
-// after its updates decodes as a legacy record of the same updates.
+// addOnlyWALRecord encodes a batch the way records were written before
+// they logged removals: updates and the added vertices.
+func addOnlyWALRecord(b walBatch) []byte {
+	b.removed = nil
+	return encodeWALRecord(b)
+}
+
+// TestWALRecordRoundTrip: decode(encode(b)) is b, removals included; a
+// record cut right after its updates decodes as a legacy record of the
+// same updates, and an add-only record as the batch without removals.
 func TestWALRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 1))
+	removals := 0
 	for i := 0; i < 500; i++ {
 		b := randomWALBatch(rng)
+		removals += len(b.removed)
 		got, legacy, err := decodeWALRecord(encodeWALRecord(b))
 		if err != nil || legacy || !sameWALBatch(got, b) {
 			t.Fatalf("round trip of %+v: got %+v legacy=%v err=%v", b, got, legacy, err)
+		}
+		b.removed = nil
+		got, legacy, err = decodeWALRecord(addOnlyWALRecord(b))
+		if err != nil || legacy || !sameWALBatch(got, b) {
+			t.Fatalf("add-only decode of %+v: got %+v legacy=%v err=%v", b, got, legacy, err)
 		}
 		got, legacy, err = decodeWALRecord(legacyWALRecord(b.growTo, b.updates))
 		b.added = nil
 		if err != nil || !legacy || !sameWALBatch(got, b) {
 			t.Fatalf("legacy decode of %+v: got %+v legacy=%v err=%v", b, got, legacy, err)
+		}
+	}
+	if removals == 0 {
+		t.Fatal("no batch carried removals")
+	}
+}
+
+// TestWALRecordRefusesBadRemovals: a removal section must hold at least
+// one vertex, every one in range, and end the record exactly.
+func TestWALRecordRefusesBadRemovals(t *testing.T) {
+	b := walBatch{growTo: 8, updates: triangle, added: []VID{1}}
+	base := addOnlyWALRecord(b)
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"torn count", []byte{1, 0}},
+		{"empty section", []byte{0, 0, 0, 0}},
+		{"short section", []byte{2, 0, 0, 0, 3, 0, 0, 0}},
+		{"trailing bytes", []byte{1, 0, 0, 0, 3, 0, 0, 0, 9}},
+		{"vertex out of range", []byte{1, 0, 0, 0, 8, 0, 0, 0}},
+	} {
+		if _, _, err := decodeWALRecord(append(slices.Clone(base), tc.tail...)); err == nil {
+			t.Fatalf("%s: decoded", tc.name)
 		}
 	}
 }
@@ -70,6 +115,8 @@ func FuzzWALRecord(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, walRecordHeader+2))
+	f.Add(encodeWALRecord(walBatch{growTo: 4, added: []VID{1}, removed: []VID{1, 2}}))
+	f.Add(addOnlyWALRecord(walBatch{growTo: 4, updates: triangle, added: []VID{3}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		b, legacy, err := decodeWALRecord(payload)
 		if err != nil {
@@ -211,6 +258,82 @@ func TestRecoverMixedRecords(t *testing.T) {
 	}
 }
 
+// TestRecoverRemovals: publishing batches log the vertices their
+// Reminimize removed, a publish that removes vertices logs a record even
+// without updates, and recovery replays a tail holding removals and a
+// vertex removed by one record and re-added by a later one into the state
+// the server published, without searching.
+func TestRecoverRemovals(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := dynamic.New(soakBaseN, soakK, soakMinLen)
+	var removed [][]VID
+	write := func(body string, ups []dynamic.Update) {
+		t.Helper()
+		var resp UpdateResponse
+		if code := post(t, s, "/v1/update", body, &resp); code != 200 {
+			t.Fatalf("write %s: %d", body, code)
+		}
+		ref.ApplyBatch(ups)
+		want := ref.ReminimizePass().Removed
+		if !slices.Equal(resp.CoverRemoved, want) {
+			t.Fatalf("write %s removed %v, reference %v", body, resp.CoverRemoved, want)
+		}
+		removed = append(removed, want)
+	}
+	publishing := func(ups []dynamic.Update) string {
+		return strings.Replace(updateBody(0, ups), `"wait":true`, `"publish":true,"wait":true`, 1)
+	}
+	write(publishing(triangle), triangle)
+	covered := ref.Cover()
+	unclose := []dynamic.Update{dynamic.DeleteOp(0, 1)}
+	if code := post(t, s, "/v1/update", updateBody(0, unclose), nil); code != 200 {
+		t.Fatalf("delete: %d", code)
+	}
+	ref.ApplyBatch(unclose)
+	write(`{"publish":true,"wait":true}`, nil) // removes the triangle's vertex
+	reclose := []dynamic.Update{dynamic.InsertOp(0, 1)}
+	write(publishing(reclose), reclose) // covers the same vertex again
+	if len(covered) != 1 || !slices.Equal(removed[1], covered) || !slices.Equal(ref.Cover(), covered) {
+		t.Fatalf("covered %v, removals %v, final cover %v: want one vertex removed and re-added", covered, removed, ref.Cover())
+	}
+	want := epochFingerprint(s)
+	if want != ref.Fingerprint() {
+		t.Fatalf("served state %x, reference %x", want, ref.Fingerprint())
+	}
+	shutdownServer(t, s)
+
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 4 {
+		t.Fatalf("logged %d records, want 4", len(rec.Records))
+	}
+	b, _, err := decodeWALRecord(rec.Records[2].Payload)
+	if err != nil || len(b.updates) != 0 || !slices.Equal(b.removed, covered) {
+		t.Fatalf("publish-only record %+v (err %v), want no updates and removal %v", b, err, covered)
+	}
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatalf("recovering removals: %v", err)
+	}
+	defer shutdownServer(t, s)
+	if got := epochFingerprint(s); got != want {
+		t.Fatalf("recovered fingerprint %x, want %x", got, want)
+	}
+	var st StatsResponse
+	// Recovery adopts the cover without searching: its vertex awaits the
+	// first publish's re-test.
+	if code := get(t, s, "/v1/stats", &st); code != 200 || st.WitnessUnknown != 1 || st.ReminimizePasses != 0 {
+		t.Fatalf("stats after recovery: code %d, %+v", code, st)
+	}
+}
+
 // TestRecoverRefusesCorruptTrailer: a CRC-valid record whose cover trailer
 // disagrees with its count, names a vertex beyond the record's vertex
 // count, names a vertex twice, or names one the state already covers is
@@ -275,13 +398,16 @@ func TestRecoverRefusesCorruptTrailer(t *testing.T) {
 // maintainer must be exactly what applying the acknowledged batches one by
 // one gave. Concatenating them into one batch requalifies differently: the
 // triangle's cover vertex is dropped once the deletion of 2->0 rides in the
-// same batch, so the live server would lose a vertex it acknowledged.
+// same batch, so the live server would lose a vertex it acknowledged. The
+// publish after the restore reminimizes that vertex away; re-closing the
+// triangle covers a vertex again, and a second restore must rebuild that
+// from the epoch without it plus the re-adding batch.
 func TestWriterPanicRestoresPerBatchCover(t *testing.T) {
 	const k, minLen = 5, 3
 	s := newTestServer(t, Config{K: k, MinLen: minLen, NumVertices: 4, PublishEvery: 1 << 30})
-	batches := [][]dynamic.Update{triangle, {dynamic.DeleteOp(2, 0)}}
 	ref := dynamic.New(4, k, minLen)
-	for _, ups := range batches {
+	write := func(ups []dynamic.Update) {
+		t.Helper()
 		if code := post(t, s, "/v1/update", updateBody(0, ups), nil); code != 200 {
 			t.Fatalf("write %v: %d", ups, code)
 		}
@@ -289,19 +415,43 @@ func TestWriterPanicRestoresPerBatchCover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	disarm := armOnce(fault.SiteDynamicApplyBatch)
-	code := post(t, s, "/v1/update", updateBody(0, []dynamic.Update{dynamic.InsertOp(0, 3)}), nil)
-	disarm()
-	if code != http.StatusInternalServerError || s.writerRestores.Load() != 1 {
-		t.Fatalf("poisoned batch: code %d, restores %d; want 500 and one restore", code, s.writerRestores.Load())
+	poison := func(restores int64) {
+		t.Helper()
+		disarm := armOnce(fault.SiteDynamicApplyBatch)
+		code := post(t, s, "/v1/update", updateBody(0, []dynamic.Update{dynamic.InsertOp(0, 3)}), nil)
+		disarm()
+		if code != http.StatusInternalServerError || s.writerRestores.Load() != restores {
+			t.Fatalf("poisoned batch: code %d, restores %d; want 500 and %d restores", code, s.writerRestores.Load(), restores)
+		}
 	}
-	if code := post(t, s, "/v1/update", `{"publish":true,"wait":true}`, nil); code != 200 {
-		t.Fatalf("publish after restore: %d", code)
+	publish := func(wantRemoved []VID) {
+		t.Helper()
+		var resp UpdateResponse
+		if code := post(t, s, "/v1/update", `{"publish":true,"wait":true}`, &resp); code != 200 {
+			t.Fatalf("publish: %d", code)
+		}
+		if removed := ref.ReminimizePass().Removed; !slices.Equal(removed, wantRemoved) || !slices.Equal(resp.CoverRemoved, removed) {
+			t.Fatalf("publish removed %v, reference %v, want %v", resp.CoverRemoved, removed, wantRemoved)
+		}
+		e := s.ring.Acquire()
+		got, cover := dynamic.StateFingerprint(e.Graph(), e.Cover(), k, minLen), e.Cover()
+		e.Release()
+		if want := ref.Fingerprint(); got != want {
+			t.Fatalf("restored state %x (cover %v), want %x (cover %v)", got, cover, want, ref.Cover())
+		}
 	}
-	e := s.ring.Acquire()
-	got, cover := dynamic.StateFingerprint(e.Graph(), e.Cover(), k, minLen), e.Cover()
-	e.Release()
-	if want := ref.Fingerprint(); got != want {
-		t.Fatalf("restored state %x (cover %v), want %x (cover %v)", got, cover, want, ref.Cover())
+	write(triangle)
+	write([]dynamic.Update{dynamic.DeleteOp(2, 0)})
+	covered := ref.Cover()
+	if len(covered) != 1 {
+		t.Fatalf("triangle covered %v, want one vertex", covered)
 	}
+	poison(1)
+	publish(covered)
+	write([]dynamic.Update{dynamic.InsertOp(2, 0)})
+	if len(ref.Cover()) != 1 {
+		t.Fatalf("re-closed triangle covered %v, want one vertex", ref.Cover())
+	}
+	poison(2)
+	publish(nil)
 }

@@ -345,8 +345,10 @@ func (lm *LabeledMaintainer[K]) NumVertices() int { return len(lm.labels) }
 // NumEdges returns the current edge count.
 func (lm *LabeledMaintainer[K]) NumEdges() int { return lm.m.NumEdges() }
 
-// Reminimize runs the minimal pruning pass over the current cover,
-// returning the number of entries shed.
+// Reminimize runs the minimal pruning pass over the cover entries whose
+// witness cycle a deletion or a later entry broke (or that were seeded
+// without one), returning the number of entries shed. Afterwards the
+// cover is minimal.
 func (lm *LabeledMaintainer[K]) Reminimize() int { return lm.m.Reminimize() }
 
 // Stats returns operation counters: edge inserts, deletes, bounded cycle
