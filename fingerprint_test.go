@@ -2,6 +2,7 @@ package tdb
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -162,4 +163,115 @@ var coverFingerprints = map[string]uint64{
 	"SAD/k5/BUR+/natural":     0x107734161665e010,
 	"SAD/k5/BUR+/degree-asc":  0x89a0b52f23a1a69e,
 	"SAD/k5/BUR+/random":      0xdbe50f6a1d90c181,
+}
+
+// TestMaintainerStreamFingerprint pins every decision the maintainer makes
+// on tdbserve's write-stream shape: the SAD stand-in at scale 0.05 seeded
+// with its TDB++ cover, 1200 churnBatches batches with a Reminimize after
+// every eighth, then 100 more batches one update at a time through
+// InsertEdge and DeleteEdge. The hash covers each batch's added vertices
+// in order and its cycle-check count (one per surviving distinct insert),
+// each pass's removed vertices, each single update's outcome, the insert,
+// delete and cover-add counters and the sha256 of the final WriteState.
+// A pass's re-test count is left out: it depends on which witness cycle a
+// query happened to return, while the pass's removals do not.
+func TestMaintainerStreamFingerprint(t *testing.T) {
+	d, _ := DatasetByName("SAD")
+	g := d.Generate(0.05)
+	res, err := Solve(context.Background(), g, 5, WithAlgorithm(TDBPlusPlus), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := MaintainerFromGraph(g, 5, 3, res.Cover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	putVIDs := func(vs []VID) {
+		put(uint64(len(vs)))
+		for _, v := range vs {
+			put(uint64(v))
+		}
+	}
+	checks := func() int64 {
+		_, _, c, _ := m.Stats()
+		return c
+	}
+	stream := churnBatches(g, 1300, 1)
+	for i, batch := range stream[:1200] {
+		before := checks()
+		putVIDs(m.ApplyBatch(batch))
+		put(uint64(checks() - before))
+		if i%8 == 7 {
+			putVIDs(m.ReminimizePass().Removed)
+		}
+	}
+	before := checks()
+	for _, batch := range stream[1200:] {
+		for _, up := range batch {
+			if up.Op == UpdateInsert {
+				put(uint64(m.InsertEdge(up.U, up.V)))
+			} else if m.DeleteEdge(up.U, up.V) {
+				put(1)
+			}
+		}
+	}
+	put(uint64(checks() - before))
+	ins, del, _, adds := m.Stats()
+	for _, c := range []int64{ins, del, adds} {
+		put(uint64(c))
+	}
+	state := sha256.New()
+	if err := m.WriteState(state); err != nil {
+		t.Fatal(err)
+	}
+	h.Write(state.Sum(nil))
+	const want = 0x6af098d77263852
+	if got := h.Sum64(); got != want {
+		t.Errorf("stream fingerprint %#x (cover %d), want %#x", got, m.CoverSize(), want)
+	}
+}
+
+// TestEdgeCoverFingerprints pins TDB-E's transversal on four registry
+// stand-ins at scale 0.1 for k in {3, 5}.
+func TestEdgeCoverFingerprints(t *testing.T) {
+	for _, name := range []string{"WKV", "SAD", "EU", "GNU"} {
+		d, _ := DatasetByName(name)
+		g := d.Generate(0.1)
+		for _, k := range []int{3, 5} {
+			key := fmt.Sprintf("%s/k%d", name, k)
+			res, err := Solve(context.Background(), g, k, WithEdgeCover(), WithWorkers(1))
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			h := fnv.New64a()
+			var buf [8]byte
+			for _, e := range res.Edges {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
+				binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
+				h.Write(buf[:])
+			}
+			if got, want := h.Sum64(), edgeCoverFingerprints[key]; got != want {
+				t.Errorf("%s: transversal fingerprint %#x (%d edges), want %#x", key, got, len(res.Edges), want)
+			}
+		}
+	}
+}
+
+// edgeCoverFingerprints holds the transversals of TestEdgeCoverFingerprints,
+// keyed dataset/k.
+var edgeCoverFingerprints = map[string]uint64{
+	"WKV/k3": 0x15afe39d5b1eb22a,
+	"WKV/k5": 0xa3e3fd2fe9827f73,
+	"SAD/k3": 0x6042b120d3145ec9,
+	"SAD/k5": 0x4f33c9d2f8e77bfc,
+	"EU/k3":  0x2943ff30c8aa6747,
+	"EU/k5":  0x61ca91599a040858,
+	"GNU/k3": 0x7775e818a3d62ed9,
+	"GNU/k5": 0x22444565b9ed3fcf,
 }
