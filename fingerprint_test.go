@@ -231,7 +231,7 @@ func TestMaintainerStreamFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Write(state.Sum(nil))
-	const want = 0x6af098d77263852
+	const want uint64 = 0x6af098d77263852
 	if got := h.Sum64(); got != want {
 		t.Errorf("stream fingerprint %#x (cover %d), want %#x", got, m.CoverSize(), want)
 	}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"tdb/internal/cycle"
 	"tdb/internal/digraph"
 )
 
@@ -16,9 +18,11 @@ import (
 // through it. The working graph stays free of constrained cycles, so the
 // result is feasible, and every kept edge witnesses a cycle in the final
 // reduced graph plus itself, so it is minimal — the argument of Theorem 7
-// verbatim. This "TDB-E" variant is an extension over the paper (which
-// treats only the vertex version) and is benchmarked against DARC in
-// bench_test.go.
+// verbatim. Each check is the block detector's edge-rooted query
+// (cycle.BlockDetector.FindThroughEdge) over the accepted edges, with its
+// BFS filter on: exact and O(k·m) per edge. This "TDB-E" variant is an
+// extension over the paper (which treats only the vertex version) and is
+// benchmarked against DARC in bench_test.go.
 
 // EdgeCoverResult is the outcome of TopDownEdges.
 type EdgeCoverResult struct {
@@ -48,32 +52,29 @@ func TopDownEdges(g digraph.Adjacency, opts Options) (*EdgeCoverResult, error) {
 	stop := opts.stop()
 	r := &EdgeCoverResult{}
 
-	d := newEdgeDetector(g, opts.K, opts.MinLen)
-	d.cancelled = stop
+	// An edge joins the working graph exactly when no constrained cycle
+	// closes through it there. The query never traverses the edge itself,
+	// so it runs before the edge is appended.
+	acc := newAcceptedEdges(g)
+	det := cycle.NewBlockDetector(acc, opts.K, opts.MinLen, nil)
+	det.Filter = true
 	// Candidate edges grouped by tail vertex in the configured order.
 	for _, u := range vertexOrder(g, opts) {
-		base := d.bases[u]
-		for i, v := range g.Out(u) {
-			if d.aborted || (stop != nil && stop()) {
+		for _, v := range g.Out(u) {
+			if stop != nil && stop() {
 				r.Stats.TimedOut = true
 				break
 			}
 			r.Stats.Checked++
-			id := base + int64(i)
-			d.active[id] = true
-			if d.cycleThroughEdge(u, v) || d.aborted {
-				// Inconclusive checks keep the edge in the transversal
-				// (always safe) and the abort flag stops the run above.
-				d.active[id] = false
+			if det.FindThroughEdge(u, v) != nil {
 				r.Edges = append(r.Edges, digraph.Edge{U: u, V: v})
+			} else {
+				acc.add(u, v)
 			}
 		}
 		if r.Stats.TimedOut {
 			break
 		}
-	}
-	if d.aborted {
-		r.Stats.TimedOut = true
 	}
 
 	r.Stats.Algorithm = "TDB-E"
@@ -82,144 +83,49 @@ func TopDownEdges(g digraph.Adjacency, opts Options) (*EdgeCoverResult, error) {
 	r.Stats.N = g.NumVertices()
 	r.Stats.M = g.NumEdges()
 	r.Stats.CoverSize = len(r.Edges)
+	r.Stats.Detector = det.Stats
 	r.Stats.Storage = digraph.StorageName(g)
 	r.Stats.Duration = time.Since(start)
 	return r, nil
 }
 
-// edgeDetector answers "does the active edge set contain a constrained
-// cycle through edge (u, v)?" — i.e. is there a vertex-simple path
-// v -> ... -> u of length in [MinLen-1, K-1] over active edges. A bounded
-// BFS over active edges first upper-bounds reachability (if u is not within
-// K-1 hops of v, no cycle exists — the analog of the paper's BFS filter);
-// only then does the exact DFS run.
-type edgeDetector struct {
-	g      digraph.Adjacency
-	k      int
-	minLen int
-	bases  []int64
-	active []bool
-
-	onPath  []bool
-	marked  []VID
-	visited []uint32
-	epoch   uint32
-	queue   []VID
-	nextQ   []VID
-
-	// cancellation, polled inside the exponential-worst-case DFS
-	cancelled func() bool
-	steps     int64
-	aborted   bool
+// acceptedEdges is TDB-E's working graph, the edges accepted so far, as a
+// digraph.Adjacency. Every row is carved out of g's degrees up front, so
+// accepting an edge appends it in place to one out-row and one in-row.
+type acceptedEdges struct {
+	outIdx, inIdx []int64 // row starts, from g's degrees
+	outEnd, inEnd []int64 // row ends: the accepted prefix of each row
+	out, in       []VID
+	m             int
 }
 
-func newEdgeDetector(g digraph.Adjacency, k, minLen int) *edgeDetector {
+func newAcceptedEdges(g digraph.Adjacency) *acceptedEdges {
 	n := g.NumVertices()
-	d := &edgeDetector{
-		g: g, k: k, minLen: minLen,
-		bases:   make([]int64, n+1),
-		active:  make([]bool, g.NumEdges()),
-		onPath:  make([]bool, n),
-		visited: make([]uint32, n),
+	a := &acceptedEdges{
+		outIdx: make([]int64, n+1), inIdx: make([]int64, n+1),
+		out: make([]VID, g.NumEdges()), in: make([]VID, g.NumEdges()),
 	}
-	for u := 0; u < n; u++ {
-		d.bases[u+1] = d.bases[u] + int64(g.OutDegree(VID(u)))
+	for v := 0; v < n; v++ {
+		a.outIdx[v+1] = a.outIdx[v] + int64(g.OutDegree(VID(v)))
+		a.inIdx[v+1] = a.inIdx[v] + int64(g.InDegree(VID(v)))
 	}
-	return d
+	a.outEnd = slices.Clone(a.outIdx[:n])
+	a.inEnd = slices.Clone(a.inIdx[:n])
+	return a
 }
 
-// reachableWithin reports whether target is within maxHops of from over
-// active edges (breadth-first, early exit).
-func (d *edgeDetector) reachableWithin(from, target VID, maxHops int) bool {
-	if maxHops <= 0 {
-		return false
-	}
-	d.epoch++
-	if d.epoch == 0 {
-		for i := range d.visited {
-			d.visited[i] = 0
-		}
-		d.epoch = 1
-	}
-	d.visited[from] = d.epoch
-	d.queue = append(d.queue[:0], from)
-	for hop := 1; hop <= maxHops && len(d.queue) > 0; hop++ {
-		d.nextQ = d.nextQ[:0]
-		for _, x := range d.queue {
-			base := d.bases[x]
-			for i, w := range d.g.Out(x) {
-				if !d.active[base+int64(i)] || d.visited[w] == d.epoch {
-					continue
-				}
-				if w == target {
-					return true
-				}
-				d.visited[w] = d.epoch
-				d.nextQ = append(d.nextQ, w)
-			}
-		}
-		d.queue, d.nextQ = d.nextQ, d.queue
-	}
-	return false
+// add accepts the edge (u, v) of g.
+func (a *acceptedEdges) add(u, v VID) {
+	a.out[a.outEnd[u]] = v
+	a.outEnd[u]++
+	a.in[a.inEnd[v]] = u
+	a.inEnd[v]++
+	a.m++
 }
 
-// cycleThroughEdge assumes edge (u, v) is active and checks for a
-// constrained cycle through it.
-func (d *edgeDetector) cycleThroughEdge(u, v VID) bool {
-	if u == v {
-		return false
-	}
-	if !d.reachableWithin(v, u, d.k-1) {
-		return false
-	}
-	d.marked = d.marked[:0]
-	d.mark(u)
-	d.mark(v)
-	found := d.dfs(v, u, 1)
-	for _, x := range d.marked {
-		d.onPath[x] = false
-	}
-	return found
-}
-
-func (d *edgeDetector) mark(x VID) {
-	d.onPath[x] = true
-	d.marked = append(d.marked, x)
-}
-
-// dfs extends the path (ending at cur, depth edges used including the seed
-// edge) toward target over active edges.
-func (d *edgeDetector) dfs(cur, target VID, depth int) bool {
-	base := d.bases[cur]
-	for i, w := range d.g.Out(cur) {
-		d.steps++
-		if d.steps%4096 == 0 && d.cancelled != nil && d.cancelled() {
-			d.aborted = true
-			return false
-		}
-		if d.aborted {
-			return false
-		}
-		if !d.active[base+int64(i)] {
-			continue
-		}
-		if w == target {
-			if depth+1 >= d.minLen {
-				return true
-			}
-			continue
-		}
-		if d.onPath[w] || depth+1 > d.k-1 {
-			continue
-		}
-		d.mark(w)
-		if d.dfs(w, target, depth+1) {
-			return true
-		}
-		// onPath[w] stays set until cycleThroughEdge unwinds; clearing it
-		// here would be wrong only for the success path, but clearing
-		// eagerly also lets other branches reuse w:
-		d.onPath[w] = false
-	}
-	return false
-}
+func (a *acceptedEdges) NumVertices() int    { return len(a.outEnd) }
+func (a *acceptedEdges) NumEdges() int       { return a.m }
+func (a *acceptedEdges) Out(v VID) []VID     { return a.out[a.outIdx[v]:a.outEnd[v]] }
+func (a *acceptedEdges) In(v VID) []VID      { return a.in[a.inIdx[v]:a.inEnd[v]] }
+func (a *acceptedEdges) OutDegree(v VID) int { return int(a.outEnd[v] - a.outIdx[v]) }
+func (a *acceptedEdges) InDegree(v VID) int  { return int(a.inEnd[v] - a.inIdx[v]) }

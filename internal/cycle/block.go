@@ -34,6 +34,11 @@ import "tdb/internal/digraph"
 // condition with the updated block forces it), so a query pushes every
 // vertex at most k times and runs in O(k*m) — Theorem 6; the seed adds one
 // O(m) BFS.
+//
+// FindThroughEdge is the edge-rooted form of the same query: the query
+// from u with its first hop fixed to v, which finds a constrained cycle
+// through the edge (u, v). The maintainer's insertion checks and the
+// top-down edge transversal (TDB-E) ask it.
 type BlockDetector struct {
 	adjacency
 	k      int
@@ -93,10 +98,13 @@ func (d *BlockDetector) setBlock(v VID, b int) {
 	d.s.blocked[v] = int32(b)
 }
 
+// noVertex marks a vertex query: one whose first hop is free.
+const noVertex = ^VID(0)
+
 // FindFrom returns one constrained cycle through s (start vertex first), or
 // nil if none exists in the active subgraph.
 func (d *BlockDetector) FindFrom(s VID) []VID {
-	if !d.query(s) {
+	if !d.query(s, noVertex) {
 		return nil
 	}
 	cyc := make([]VID, len(d.s.path))
@@ -108,7 +116,22 @@ func (d *BlockDetector) FindFrom(s VID) []VID {
 // Unlike FindFrom it does not materialize the found cycle, so repeated
 // cover runs stay allocation-free.
 func (d *BlockDetector) HasCycleThrough(s VID) bool {
-	return d.query(s)
+	return d.query(s, noVertex)
+}
+
+// FindThroughEdge returns one constrained cycle through the edge (u, v) in
+// the active subgraph, u first and v second, or nil if none exists. It is
+// the query from u with the first hop fixed to v, in the BFS filter and in
+// the DFS, so a simple path v ~> u closes the cycle. The search never
+// traverses (u, v) itself, so the answer is the same whether or not the
+// edge is in the graph yet. A self-loop or an inactive endpoint answers
+// nil. The returned slice is the detector's scratch, valid until its next
+// query.
+func (d *BlockDetector) FindThroughEdge(u, v VID) []VID {
+	if !d.query(u, v) {
+		return nil
+	}
+	return d.s.path
 }
 
 // HasHopConstrainedCycle reports whether any cycle of length in [minLen, k]
@@ -139,10 +162,16 @@ func HasHopConstrainedCycle(g digraph.Adjacency, k, minLen int, candidates []boo
 	return false
 }
 
-// query runs the detector, leaving a found cycle in d.s.path.
-func (d *BlockDetector) query(s VID) bool {
+// query runs the detector from s, leaving a found cycle in d.s.path. An
+// edge-rooted query names its fixed first hop; a vertex query passes
+// noVertex. An edge-rooted query answers "no" before seeding when first
+// has no out-edge: then no path leaves it.
+func (d *BlockDetector) query(s, first VID) bool {
 	d.Stats.Queries++
 	if !d.startActive(s) {
+		return false
+	}
+	if first != noVertex && (first == s || !d.startActive(first) || len(d.out(first)) == 0) {
 		return false
 	}
 	d.s.epoch++
@@ -153,7 +182,7 @@ func (d *BlockDetector) query(s VID) bool {
 		d.s.epoch = 1
 	}
 	ball := d.seed(s)
-	if d.Filter && !d.closesWithin(s, ball) {
+	if d.Filter && !d.closesWithin(s, first, ball) {
 		d.Stats.BFSPruned++
 		return false
 	}
@@ -162,11 +191,19 @@ func (d *BlockDetector) query(s VID) bool {
 	d.s.path = append(d.s.path, s)
 	d.s.onPath.set(s)
 	d.Stats.Pushes++
-	if d.search(s, s, 0) {
-		d.Stats.CyclesFound++
-		return true
+	var found bool
+	if first == noVertex {
+		found = d.search(s, s, 0)
+	} else if 1+d.block(first) <= d.k { // the barrier prune of the first hop
+		d.s.path = append(d.s.path, first)
+		d.s.onPath.set(first)
+		d.Stats.Pushes++
+		found = d.search(s, first, 1)
 	}
-	return false
+	if found {
+		d.Stats.CyclesFound++
+	}
+	return found
 }
 
 // seed stamps block[w] = dist(w -> s) for every vertex within D = (k-1)/2
@@ -203,17 +240,19 @@ func (d *BlockDetector) seed(s VID) int {
 }
 
 // closesWithin is the paper's BFS filter (Alg. 11) read off the seeded
-// ball: it reports whether a closed walk of length <= k passes through s.
-// A forward BFS from s over the live out-edges, to depth k-D, stops at the
-// first vertex the seed stamped; s itself counts as stamped, except through
-// a self-loop. Every meet closes a walk of at most (k-D) + D = k hops. If
-// the shortest closed walk through s has length L <= k, its vertex at
-// position max(L-D, 1) lies in the ball within k-D forward hops, so the
-// test is exact. The shortest closed walk through s is a simple cycle, so
-// a false answer proves no cycle of length <= k passes through s; a true
-// answer may stand for a 2-cycle the search then rejects (the paper's
-// Example 2). The BFS marks its visits in onPath and queues in seedQ.
-func (d *BlockDetector) closesWithin(s VID, ball int) bool {
+// ball: it reports whether a closed walk of length <= k passes through s
+// (through the edge (s, first) on an edge-rooted query). A forward BFS
+// from s over the live out-edges, to depth k-D, stops at the first vertex
+// the seed stamped; s itself counts as stamped, except through a
+// self-loop. An edge-rooted query's first level is first alone. Every
+// meet closes a walk of at most (k-D) + D = k hops. If the shortest closed
+// walk has length L <= k, its vertex at position max(L-D, 1) lies in the
+// ball within k-D forward hops, so the test is exact. The shortest closed
+// walk is a simple cycle, so a false answer proves no cycle of length
+// <= k passes through s (or the edge); a true answer may stand for a
+// 2-cycle the search then rejects (the paper's Example 2). The BFS marks
+// its visits in onPath and queues in seedQ.
+func (d *BlockDetector) closesWithin(s, first VID, ball int) bool {
 	if ball == 1 && d.floor == int32(d.k) {
 		return false // the seed ran out: nothing reaches s
 	}
@@ -221,9 +260,15 @@ func (d *BlockDetector) closesWithin(s VID, ball int) bool {
 	d.s.onPath.set(s)
 	q := append(d.s.seedQ[:0], s)
 	met := false
-	lo := 0
+	lo, dist := 0, 1
+	if first != noVertex {
+		d.s.onPath.set(first)
+		d.Stats.BFSVisited++
+		q = append(q, first)
+		lo, dist = 1, 2
+	}
 levels:
-	for dist := 1; dist <= d.k-(d.k-1)/2 && lo < len(q); dist++ {
+	for ; dist <= d.k-(d.k-1)/2 && lo < len(q); dist++ {
 		hi := len(q)
 		for _, u := range q[lo:hi] {
 			for _, w := range d.out(u) {

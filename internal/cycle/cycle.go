@@ -10,7 +10,10 @@
 //     BFS filter (Alg. 11) on every query, a linear-time test read off the
 //     detector's own backward distance seed that proves the absence of any
 //     constrained cycle through the vertex before the DFS starts; TDB++,
-//     the cover verifier and the maintainer's Reminimize turn it on.
+//     the cover verifier and the dynamic maintainer turn it on. Its
+//     edge-rooted form, FindThroughEdge, fixes the query's first hop to
+//     find a constrained cycle through one edge: the maintainer's
+//     insertion checks and the top-down edge transversal (TDB-E) ask it.
 //   - HasHopConstrainedCycle: the whole-graph check, block-detector queries
 //     in vertex order over an active mask that peels every vertex whose
 //     query answered "no".

@@ -24,9 +24,10 @@ import "slices"
 //   - NumEdges() is the total directed edge count of the backend (for
 //     views: of the underlying graph — the view's capacity).
 //
-// The dynamic package's Maintainer intentionally does NOT satisfy
-// Adjacency: its live adjacency is a CSR base plus delta buffers, and
-// materializing rows would allocate. Snapshots of it (Epoch.Graph) do.
+// The dynamic package's Maintainer satisfies Adjacency too: its rows are a
+// compacted CSR base under an overlay of full sorted rows for the vertices
+// touched since the last compaction, and they are invalidated by its next
+// update. Its snapshots (Epoch.Graph) are immutable Graphs.
 type Adjacency interface {
 	// NumVertices returns the number of vertices, n.
 	NumVertices() int

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"slices"
 
 	"tdb/internal/digraph"
 	"tdb/internal/fault"
@@ -90,28 +91,28 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 	// like a maintenance bug would; tdbserve's writer must contain it
 	// (see internal/fault and the server chaos suite).
 	fault.Inject(fault.SiteDynamicApplyBatch)
-	pending, mk := m.applyEdges(updates)
+	pending := m.applyEdges(updates)
 
 	// Requalify: covered endpoints need no query at all, and an edge
 	// deleted later in the same batch carries no cycle of the final graph.
-	// Only an edge whose source row lost an edge in this batch (stamped mk
-	// by applyEdges) can have been deleted after its insert; only such an
+	// Only an edge the batch also deleted can be gone, and only such an
 	// edge can be deferred twice, by an insert-delete-reinsert toggle, so
 	// the lookup and the dedupe that runs its query once stay on that path.
+	slices.Sort(m.dropped)
 	var seen map[uint64]struct{}
 	live := pending[:0]
 	for _, e := range pending {
-		if m.covered[e.U] || m.covered[e.V] {
+		if !m.active[e.U] || !m.active[e.V] {
 			continue
 		}
-		if m.mark[e.U] == mk {
+		key := uint64(e.U)<<32 | uint64(e.V)
+		if _, ok := slices.BinarySearch(m.dropped, key); ok {
 			if !m.HasEdge(e.U, e.V) {
 				continue
 			}
 			if seen == nil {
 				seen = make(map[uint64]struct{})
 			}
-			key := uint64(e.U)<<32 | uint64(e.V)
 			if _, dup := seen[key]; dup {
 				continue
 			}
@@ -122,12 +123,11 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 	m.maybeCompact()
 	var added []VID
 	for _, e := range live {
-		if m.covered[e.U] || m.covered[e.V] {
+		if !m.active[e.U] || !m.active[e.V] {
 			continue // an earlier addition resolved this edge
 		}
-		m.cycleChecks++
-		if found, cyc := m.edgeCreatesCycle(e.U, e.V); found {
-			added = append(added, m.coverEndpoint(e.U, e.V, cyc))
+		if v := m.checkInsert(e.U, e.V); v >= 0 {
+			added = append(added, VID(v))
 		}
 	}
 	return added
@@ -135,37 +135,23 @@ func (m *Maintainer) ApplyBatch(updates []Update) []VID {
 
 // applyEdges applies a batch's structural changes in order and returns the
 // insertions between then-uncovered endpoints, the candidates for
-// ApplyBatch's deferred queries, and the mark epoch it stamped on the
-// source of every edge it deleted.
-func (m *Maintainer) applyEdges(updates []Update) ([]digraph.Edge, uint32) {
-	m.ensureScratch()
-	mk := m.nextMark()
+// ApplyBatch's deferred queries. It leaves the keys of the edges it deleted
+// in m.dropped.
+func (m *Maintainer) applyEdges(updates []Update) []digraph.Edge {
+	m.dropped = m.dropped[:0]
 	var pending []digraph.Edge
 	for _, up := range updates {
+		u, v := up.U, up.V
 		switch up.Op {
 		case OpInsert:
-			u, v := up.U, up.V
-			if u == v {
-				continue
-			}
-			loc, pos := m.locate(u, v)
-			if loc.live() {
-				continue
-			}
-			m.inserts++
-			m.addEdgeRaw(u, v, loc, pos)
-			if !m.covered[u] && !m.covered[v] {
+			if u != v && m.addEdge(u, v) && m.active[u] && m.active[v] {
 				pending = append(pending, digraph.Edge{U: u, V: v})
 			}
 		case OpDelete:
-			loc, pos := m.locate(up.U, up.V)
-			if !loc.live() {
-				continue
+			if m.deleteEdge(u, v) {
+				m.dropped = append(m.dropped, uint64(u)<<32|uint64(v))
 			}
-			m.deletes++
-			m.deleteEdgeRaw(up.U, up.V, loc, pos)
-			m.mark[up.U] = mk
 		}
 	}
-	return pending, mk
+	return pending
 }

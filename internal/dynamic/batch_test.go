@@ -159,7 +159,7 @@ func TestApplyBatchManyTriangles(t *testing.T) {
 }
 
 // Deleting a base edge, re-inserting it, and compacting must round-trip
-// through the tombstone layer without losing or duplicating edges.
+// through the overlay row without losing or duplicating edges.
 func TestDeltaTombstoneRoundTrip(t *testing.T) {
 	g := digraph.FromEdges(4, []digraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}})
 	m, err := FromGraph(g, 5, 3, []VID{0})
@@ -167,25 +167,25 @@ func TestDeltaTombstoneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !m.DeleteEdge(1, 2) || m.HasEdge(1, 2) || m.NumEdges() != 3 {
-		t.Fatal("tombstone delete failed")
+		t.Fatal("base-edge delete failed")
 	}
 	if m.DeleteEdge(1, 2) {
 		t.Fatal("double delete must report false")
 	}
-	// Re-inserting cancels the tombstone. The re-closed triangle runs
+	// Re-inserting restores the base row. The re-closed triangle runs
 	// through the covered vertex 0, so the search must find no uncovered
 	// cycle and leave the cover alone.
 	if m.InsertEdge(1, 2) != -1 {
 		t.Fatal("re-insert must not grow the cover: the only cycle runs through the covered vertex")
 	}
 	if !m.HasEdge(1, 2) || m.NumEdges() != 4 {
-		t.Fatal("tombstone cancel failed")
+		t.Fatal("base-edge re-insert failed")
 	}
 	snap := digraph.Materialize(m.Snapshot())
 	if snap.NumEdges() != 4 || !snap.HasEdge(1, 2) {
 		t.Fatalf("compaction lost edges: %v", snap)
 	}
-	// And dropping a delta-inserted edge before compaction.
+	// And dropping an edge inserted since the compaction.
 	m.InsertEdge(3, 0)
 	if !m.DeleteEdge(3, 0) || m.HasEdge(3, 0) {
 		t.Fatal("delta delete failed")

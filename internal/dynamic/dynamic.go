@@ -24,32 +24,30 @@
 //     order. ReplayBatches re-applies a logged tail of batches with the
 //     cover vertices ApplyBatch added and Reminimize removed, searching
 //     nothing (WAL replay): one sort of the tail's updates and one merge
-//     into a fresh CSR, not one delta edit per update.
+//     into a fresh CSR, not one overlay edit per update.
 //
-// Storage is a CSR base + delta-buffer hybrid: a compacted immutable
-// digraph.Graph carries the bulk of the edges, per-vertex sorted slices
-// carry the insertions and deletions since the last compaction, and the
-// deltas fold into a fresh CSR once they exceed a fraction of the base
-// (and on Snapshot/Reminimize, which therefore run on flat arrays). A
-// compaction copies clean rows in bulk and merges only the rows with a
-// delta.
+// Storage is a CSR base plus a merged-row overlay: a compacted immutable
+// digraph.Graph carries the bulk of the edges, and a row touched since the
+// last compaction holds the vertex's full live row, sorted, in the
+// overlay (one per side); every other row reads the base. The maintainer
+// therefore is a digraph.Adjacency, and an edge lookup is one binary
+// search. The overlay folds into a fresh CSR once the edits since the last
+// compaction exceed a fraction of the base (and on Snapshot): clean rows
+// are copied in bulk and touched rows are copied as they stand.
 //
-// Cost model: an insertion between uncovered endpoints runs one bounded
-// meet-in-the-middle BFS over the uncovered region — O(min(m, edges
-// within k-1 hops)), the same bound as the paper's BFS filter — whose
-// shortest path, being simple, certifies the answer outright in all but
-// the short-walk regime (a walk shorter than minLen-1, e.g. a 2-cycle
-// under minLen=3). Only
-// that ambiguous remainder falls through to an iterative, distance-pruned
-// DFS whose explored states are capped; on cap the endpoint is covered
-// conservatively, so validity never depends on the exponential tail. A
-// cycle the search finds becomes the covered endpoint's witness, at most k
-// vertices plus as many index entries; a deletion costs a scan of the
-// witnesses through its source, a cover addition one of the witnesses
-// through the new vertex. Reminimize is polynomial outright: it runs the
-// paper's exact O(k·m) block-based detector per re-tested vertex on the
-// compacted CSR, and re-tests only the vertices whose witness broke, or
-// that never had one (a seeded or replayed cover, a capped search).
+// Cost model: every cycle question runs on one exact block-based detector
+// (package cycle) over the live adjacency, with the cover as its inactive
+// mask and its BFS filter on. An insertion between uncovered endpoints is
+// the detector's edge-rooted query, O(k·m) at worst like the paper's
+// vertex query and answered by the filter in O(edges within k hops) when
+// no cycle closes; an insertion whose target has no out-edge answers
+// before any search. A cycle the search finds becomes the covered
+// endpoint's witness, at most k vertices plus as many index entries; a
+// deletion costs a scan of the witnesses through its source, a cover
+// addition one of the witnesses through the new vertex. Reminimize runs
+// the same detector's vertex query per re-tested vertex, and re-tests
+// only the vertices whose witness broke, or that never had one (a seeded
+// or replayed cover).
 package dynamic
 
 import (
@@ -64,8 +62,9 @@ import (
 // VID aliases digraph.VID.
 type VID = digraph.VID
 
-// Compaction policy: fold the deltas into a fresh CSR once they hold at
-// least compactMinDelta edges AND at least 1/compactFraction of the base.
+// Compaction policy: fold the overlay into a fresh CSR once at least
+// compactMinDelta edits were made since the last compaction AND at least
+// 1/compactFraction of the base's edge count.
 // The second condition makes compactions geometrically spaced: each
 // compaction is an O(n+m) merge, so the total compaction work over a
 // stream of N insertions is O(N + n·log N).
@@ -80,48 +79,33 @@ type Maintainer struct {
 	k      int
 	minLen int
 
-	// CSR base + sorted per-vertex delta buffers. The live adjacency of u
-	// is (base.Out(u) minus delOut[u]) union addOut[u]; the three sources
-	// are individually sorted, so membership is a pair of binary searches
-	// and traversal is a two-pointer merge.
-	base   digraph.Adjacency
-	n      int     // current vertex count, >= base.NumVertices()
-	addOut [][]VID // edges inserted since compaction, absent from base
-	addIn  [][]VID
-	delOut [][]VID // tombstones over base edges
-	delIn  [][]VID
-	delta  int // adds + tombstones: compaction pressure
-	m      int // live edge count
+	// CSR base + merged-row overlay: the live row of v is out.row(v) when
+	// v's row was touched since the last compaction, base.Out(v) otherwise
+	// (empty past the base); both are sorted.
+	base    digraph.Adjacency
+	baseN   int // base.NumVertices()
+	n       int // current vertex count, >= baseN
+	out, in overlay
+	delta   int // edits since the last compaction: compaction pressure
+	m       int // live edge count
 
-	covered []bool
-	cover   int
+	// active is the complement of the cover: active[v] is false exactly
+	// when v is covered. It is det's mask.
+	active []bool
+	cover  int
 
 	// wit proves each cover vertex necessary with a witness cycle and
 	// queues the ones whose proof broke or never existed, the only
 	// vertices Reminimize re-tests (witness.go).
 	wit witnessIndex
 
-	// Scratch for the bounded searches (see search.go). Epoch-stamped
-	// marks make stale state structurally impossible: every traversal
-	// bumps its epoch, so nothing a previous search left behind — early
-	// returns included — can leak into the next one.
-	mark   []uint32 // forward-visited / DFS on-path stamps
-	mepoch uint32
-	bmark  []uint32 // backward-distance validity stamps
-	bepoch uint32
-	distB  []int32
-	fpar   []VID // forward BFS parent, valid under mark
-	bnext  []VID // backward BFS next hop toward the target, valid under bmark
-	cyc    []VID // the cycle the last YES search found
-	queue  []VID
-	nextQ  []VID
-	rowBuf []VID
-	rows   [][]VID
-	stack  []pathFrame
+	// det answers every cycle question, over the maintainer itself as its
+	// adjacency; built on first use and rebuilt after Grow.
+	det *cycle.BlockDetector
 
-	// Compacted-CSR scratch, cached across Reminimize/ApplyBatch calls.
-	remScratch *cycle.Scratch
-	remActive  []bool
+	// dropped holds the keys of the edges the running batch deleted
+	// (batch.go).
+	dropped []uint64
 
 	// counters
 	inserts, deletes, cycleChecks, coverAdds int64
@@ -138,14 +122,8 @@ func New(n, k, minLen int) *Maintainer {
 	if k < minLen {
 		panic(fmt.Sprintf("dynamic: k=%d < minLen=%d", k, minLen))
 	}
-	m := &Maintainer{
-		k: k, minLen: minLen,
-		base: new(digraph.Graph), n: n,
-		addOut: make([][]VID, n), addIn: make([][]VID, n),
-		delOut: make([][]VID, n), delIn: make([][]VID, n),
-		covered: make([]bool, n),
-	}
-	m.wit.grow(n)
+	m := &Maintainer{k: k, minLen: minLen, base: new(digraph.Graph)}
+	m.Grow(n)
 	return m
 }
 
@@ -165,11 +143,11 @@ func FromGraph(g digraph.Adjacency, k, minLen int, cover []VID) (*Maintainer, er
 		}
 	}
 	m := New(n, k, minLen)
-	m.base = g
+	m.base, m.baseN = g, n
 	m.m = g.NumEdges()
 	for _, v := range cover {
-		if !m.covered[v] {
-			m.covered[v] = true
+		if m.active[v] {
+			m.active[v] = false
 			m.cover++
 			m.wit.enqueue(v, retestUnknown)
 		}
@@ -194,14 +172,12 @@ func (m *Maintainer) Grow(n int) {
 	if n <= m.n {
 		return
 	}
-	grow := n - m.n
-	m.addOut = append(m.addOut, make([][]VID, grow)...)
-	m.addIn = append(m.addIn, make([][]VID, grow)...)
-	m.delOut = append(m.delOut, make([][]VID, grow)...)
-	m.delIn = append(m.delIn, make([][]VID, grow)...)
-	m.covered = append(m.covered, make([]bool, grow)...)
+	m.out.slot = appendN(m.out.slot, n-m.n, -1)
+	m.in.slot = appendN(m.in.slot, n-m.n, -1)
+	m.active = appendN(m.active, n-m.n, true)
 	m.wit.grow(n)
 	m.n = n
+	m.det = nil
 }
 
 // NumEdges returns the current edge count.
@@ -213,8 +189,8 @@ func (m *Maintainer) CoverSize() int { return m.cover }
 // Cover returns the current cover, ascending.
 func (m *Maintainer) Cover() []VID {
 	out := make([]VID, 0, m.cover)
-	for v, c := range m.covered {
-		if c {
+	for v, a := range m.active {
+		if !a {
 			out = append(out, VID(v))
 		}
 	}
@@ -222,48 +198,41 @@ func (m *Maintainer) Cover() []VID {
 }
 
 // Covered reports whether v is currently in the cover.
-func (m *Maintainer) Covered(v VID) bool { return m.covered[v] }
+func (m *Maintainer) Covered(v VID) bool { return !m.active[v] }
+
+// Out returns v's live out-neighbors, ascending. The slice aliases the
+// maintainer's storage and is valid until its next update.
+func (m *Maintainer) Out(v VID) []VID {
+	if r, ok := m.out.row(v); ok {
+		return r
+	}
+	if int(v) < m.baseN {
+		return m.base.Out(v)
+	}
+	return nil
+}
+
+// In returns v's live in-neighbors under the same rules as Out.
+func (m *Maintainer) In(v VID) []VID {
+	if r, ok := m.in.row(v); ok {
+		return r
+	}
+	if int(v) < m.baseN {
+		return m.base.In(v)
+	}
+	return nil
+}
+
+// OutDegree returns len(Out(v)).
+func (m *Maintainer) OutDegree(v VID) int { return len(m.Out(v)) }
+
+// InDegree returns len(In(v)).
+func (m *Maintainer) InDegree(v VID) int { return len(m.In(v)) }
 
 // HasEdge reports whether the edge currently exists.
 func (m *Maintainer) HasEdge(u, v VID) bool {
-	loc, _ := m.locate(u, v)
-	return loc.live()
-}
-
-// edgeLoc says which storage layer holds an edge.
-type edgeLoc uint8
-
-const (
-	locAbsent     edgeLoc = iota // in neither the base nor addOut
-	locTombstoned                // a base edge with a tombstone in delOut
-	locBase                      // a live base edge
-	locAdded                     // in addOut, absent from the base
-)
-
-func (l edgeLoc) live() bool { return l == locBase || l == locAdded }
-
-// locate finds the edge (u, v) with one search per layer it needs. pos is
-// the edge's index, or its insertion point, in the out-row a raw edit of
-// it changes: addOut[u] for locAbsent and locAdded, delOut[u] for the base
-// locations.
-func (m *Maintainer) locate(u, v VID) (loc edgeLoc, pos int) {
-	pos, ok := slices.BinarySearch(m.addOut[u], v)
-	if ok {
-		return locAdded, pos
-	}
-	if !m.inBase(u, v) {
-		return locAbsent, pos
-	}
-	if pos, ok = slices.BinarySearch(m.delOut[u], v); ok {
-		return locTombstoned, pos
-	}
-	return locBase, pos
-}
-
-// inBase reports whether the edge exists in the compacted base (live or
-// tombstoned).
-func (m *Maintainer) inBase(u, v VID) bool {
-	return int(u) < m.base.NumVertices() && digraph.HasArc(m.base, u, v)
+	_, ok := slices.BinarySearch(m.Out(u), v)
+	return ok
 }
 
 // InsertEdge adds the edge (u, v), updating the cover if the insertion
@@ -271,232 +240,226 @@ func (m *Maintainer) inBase(u, v VID) bool {
 // cover, or -1 when none was needed. Self-loops and duplicates are ignored
 // (returning -1). Both endpoints must be < NumVertices (see Grow).
 func (m *Maintainer) InsertEdge(u, v VID) int {
-	if u == v {
+	if u == v || !m.addEdge(u, v) {
 		return -1
 	}
-	loc, pos := m.locate(u, v)
-	if loc.live() {
-		return -1
-	}
-	m.inserts++
-	m.addEdgeRaw(u, v, loc, pos)
 	m.maybeCompact()
 
 	// Every cycle created by this insertion passes through (u, v). If an
 	// endpoint is covered, all of them already are.
-	if m.covered[u] || m.covered[v] {
+	if !m.active[u] || !m.active[v] {
 		return -1
 	}
-	m.cycleChecks++
-	found, cyc := m.edgeCreatesCycle(u, v)
-	if !found {
-		return -1
-	}
-	return int(m.coverEndpoint(u, v, cyc))
+	return m.checkInsert(u, v)
 }
 
 // DeleteEdge removes the edge (u, v) if present, reporting whether it
 // existed. The cover stays valid; call Reminimize to shed vertices that the
 // deletion made redundant.
 func (m *Maintainer) DeleteEdge(u, v VID) bool {
-	loc, pos := m.locate(u, v)
-	if !loc.live() {
+	if !m.deleteEdge(u, v) {
 		return false
 	}
-	m.deletes++
-	m.deleteEdgeRaw(u, v, loc, pos)
 	m.maybeCompact()
 	return true
 }
 
-// addEdgeRaw records the absent edge (u, v), found at (loc, pos) by
-// locate, in the delta layer: either by cancelling a base tombstone or by
-// growing the add buffers.
-func (m *Maintainer) addEdgeRaw(u, v VID, loc edgeLoc, pos int) {
-	if loc == locTombstoned {
-		m.delOut[u] = slices.Delete(m.delOut[u], pos, pos+1)
-		m.delIn[v] = removeSorted(m.delIn[v], u)
-		m.delta--
-	} else {
-		m.addOut[u] = slices.Insert(m.addOut[u], pos, v)
-		m.addIn[v] = insertSorted(m.addIn[v], u)
-		m.delta++
+// addEdge inserts the edge (u, v) into both sides of the overlay unless it
+// is already live, reporting whether it did.
+func (m *Maintainer) addEdge(u, v VID) bool {
+	row := m.Out(u)
+	pos, ok := slices.BinarySearch(row, v)
+	if ok {
+		return false
 	}
+	r := m.out.edit(u, row)
+	*r = slices.Insert(*r, pos, v)
+	r = m.in.edit(v, m.In(v))
+	*r = insertSorted(*r, u)
+	m.inserts++
+	m.delta++
 	m.m++
+	return true
 }
 
-// deleteEdgeRaw removes the present edge (u, v), found at (loc, pos) by
-// locate: either by shrinking the add buffers or by tombstoning a base
-// edge. The witnesses through the edge break.
-func (m *Maintainer) deleteEdgeRaw(u, v VID, loc edgeLoc, pos int) {
-	if loc == locAdded {
-		m.addOut[u] = slices.Delete(m.addOut[u], pos, pos+1)
-		m.addIn[v] = removeSorted(m.addIn[v], u)
-		m.delta--
-	} else {
-		m.delOut[u] = slices.Insert(m.delOut[u], pos, v)
-		m.delIn[v] = insertSorted(m.delIn[v], u)
-		m.delta++
+// deleteEdge removes the edge (u, v) from both sides of the overlay if it
+// is live, reporting whether it was. The witnesses through the edge break.
+func (m *Maintainer) deleteEdge(u, v VID) bool {
+	row := m.Out(u)
+	pos, ok := slices.BinarySearch(row, v)
+	if !ok {
+		return false
 	}
+	r := m.out.edit(u, row)
+	*r = slices.Delete(*r, pos, pos+1)
+	r = m.in.edit(v, m.In(v))
+	*r = removeSorted(*r, u)
+	m.deletes++
+	m.delta++
 	m.m--
 	m.wit.breakEdge(u, v)
+	return true
 }
 
-// coverEndpoint covers the endpoint of (u, v) with the larger total
-// degree — hubs tend to cover more future cycles (the bottom-up
-// heuristic's insight) — and returns it. cyc, the cycle the search found
-// through (u, v) (nil on a capped search), becomes its witness.
-func (m *Maintainer) coverEndpoint(u, v VID, cyc []VID) VID {
+// checkInsert runs the insertion query for the edge (u, v) between
+// uncovered endpoints: the detector's edge-rooted query in the uncovered
+// graph. When it finds a constrained cycle, checkInsert covers the
+// endpoint with the larger total degree — hubs tend to cover more future
+// cycles (the bottom-up heuristic's insight) — with the cycle as its
+// witness and returns it; otherwise it returns -1.
+func (m *Maintainer) checkInsert(u, v VID) int {
+	m.cycleChecks++
+	cyc := m.detector().FindThroughEdge(u, v)
+	if cyc == nil {
+		return -1
+	}
 	pick := u
 	if m.degree(v) > m.degree(u) {
 		pick = v
 	}
 	m.addCover(pick, cyc)
-	return pick
+	return int(pick)
+}
+
+// detector returns the maintainer's block detector, building it after a
+// Grow. Its adjacency is the maintainer's live graph and its mask the
+// complement of the cover, both read at query time.
+func (m *Maintainer) detector() *cycle.BlockDetector {
+	if m.det == nil {
+		m.det = cycle.NewBlockDetector(m, m.k, m.minLen, m.active)
+		m.det.Filter = true
+	}
+	return m.det
 }
 
 // degree returns the live total degree of v.
 func (m *Maintainer) degree(v VID) int {
-	d := len(m.addOut[v]) + len(m.addIn[v]) - len(m.delOut[v]) - len(m.delIn[v])
-	if int(v) < m.base.NumVertices() {
-		d += m.base.OutDegree(v) + m.base.InDegree(v)
-	}
-	return d
+	return len(m.Out(v)) + len(m.In(v))
 }
 
-// compactionDue reports whether the deltas have grown past the compaction
-// policy's thresholds.
+// compactionDue reports whether the edits since the last compaction have
+// grown past the compaction policy's thresholds.
 func (m *Maintainer) compactionDue() bool {
 	return m.delta >= compactMinDelta && m.delta*compactFraction >= m.base.NumEdges()
 }
 
-// maybeCompact folds the deltas into a fresh CSR when a compaction is due.
+// maybeCompact folds the overlay into a fresh CSR when a compaction is due.
 func (m *Maintainer) maybeCompact() {
 	if m.compactionDue() {
 		m.compact()
 	}
 }
 
-// compact rebuilds the CSR base from the surviving base edges plus the add
-// buffers and clears the deltas. With empty deltas (and no Grow since) it
-// returns the base as-is, which is what makes Snapshot cheap on a quiet
+// compact rebuilds the CSR base from the live rows and empties the
+// overlay. With no edit (and no Grow) since the last compaction it returns
+// the base as-is, which is what makes Snapshot cheap on a quiet
 // maintainer.
 //
-// Only rows with a non-empty delta change. Every source is already sorted
-// — base rows, tombstones and adds — and adds are disjoint from the base
-// (addEdgeRaw cancels a tombstone instead), so such a row is one
-// two-pointer merge of its live base row with its add row, on each side.
-// Every run of clean rows between them is one bulk copy of the base's CSR
-// arrays (digraph.PatchRows): the same CSR FromSortedRows builds from the
-// live out-rows, without re-scattering every in-edge. Base self-loops
-// (possible when FromGraph adopted a KeepSelfLoops graph) are preserved;
-// they are never cycles (minLen >= 2) and every traversal skips them
-// structurally.
+// Only the touched rows changed, and each already holds its full live row,
+// sorted, so it is copied as it stands; every run of clean rows between
+// them is one bulk copy of the base's CSR arrays (digraph.PatchRows): the
+// same CSR FromSortedRows builds from the live out-rows, without
+// re-scattering every in-edge. Base self-loops (possible when FromGraph
+// adopted a KeepSelfLoops graph) are preserved; they are never cycles
+// (minLen >= 2) and every traversal skips them structurally.
 func (m *Maintainer) compact() digraph.Adjacency {
-	if m.delta == 0 && m.base.NumVertices() == m.n {
+	if m.delta == 0 && m.baseN == m.n {
 		return m.base
 	}
 	t0 := time.Now()
 	m.compactions++
-	baseN := m.base.NumVertices()
 	g := digraph.PatchRows(m.base, m.n, m.m,
-		func(u VID) bool { return len(m.addOut[u])+len(m.delOut[u]) > 0 },
-		func(dst []VID, u VID) []VID { return m.appendLiveRow(dst, u, baseN) },
-		func(v VID) bool { return len(m.addIn[v])+len(m.delIn[v]) > 0 },
-		func(dst []VID, v VID) []VID {
-			if int(v) < baseN {
-				return appendMerged(dst, m.base.In(v), m.delIn[v], m.addIn[v])
-			}
-			return append(dst, m.addIn[v]...)
-		})
-	m.clearDeltas()
-	m.base = g
+		m.out.touched, func(dst []VID, u VID) []VID { return append(dst, m.Out(u)...) },
+		m.in.touched, func(dst []VID, v VID) []VID { return append(dst, m.In(v)...) })
+	m.rebase(g)
 	m.lastCompaction = time.Since(t0)
 	return g
 }
 
-// appendLiveRow appends u's live out-row to dst, ascending; baseN is the
-// base's vertex count. Rows past m.n (a Grow not yet applied) are empty.
-func (m *Maintainer) appendLiveRow(dst []VID, u VID, baseN int) []VID {
-	switch {
-	case int(u) < baseN:
-		return appendMerged(dst, m.base.Out(u), m.delOut[u], m.addOut[u])
-	case int(u) < m.n:
-		return append(dst, m.addOut[u]...)
-	}
-	return dst
-}
-
-// clearDeltas empties the delta rows, keeping their capacity.
-func (m *Maintainer) clearDeltas() {
-	for u := 0; u < m.n; u++ {
-		m.addOut[u] = m.addOut[u][:0]
-		m.addIn[u] = m.addIn[u][:0]
-		m.delOut[u] = m.delOut[u][:0]
-		m.delIn[u] = m.delIn[u][:0]
-	}
+// rebase makes g, which holds the live graph, the new base and empties the
+// overlay.
+func (m *Maintainer) rebase(g digraph.Adjacency) {
+	m.out.clear()
+	m.in.clear()
+	m.base, m.baseN = g, g.NumVertices()
 	m.delta = 0
 }
 
-// remActiveBuf returns the cached n-sized mask buffer for compacted-CSR
-// passes, reallocating only on growth.
-func (m *Maintainer) remActiveBuf(n int) []bool {
-	if cap(m.remActive) < n {
-		m.remActive = make([]bool, n)
-	}
-	return m.remActive[:n]
-}
-
-// remScratchFor returns the cached cycle.Scratch for compacted-CSR passes,
-// reallocating only when the vertex count changed.
-func (m *Maintainer) remScratchFor(n int) *cycle.Scratch {
-	if m.remScratch == nil || m.remScratch.Len() != n {
-		m.remScratch = cycle.NewScratch(n)
-	}
-	return m.remScratch
-}
-
 // Snapshot freezes the current graph into an immutable digraph.Graph by
-// compacting the deltas; with no changes since the last compaction it is
+// compacting the overlay; with no changes since the last compaction it is
 // free. The returned graph is shared with the maintainer but immutable:
-// later updates accumulate in fresh deltas and never mutate it.
+// later updates accumulate in a fresh overlay and never mutate it.
 func (m *Maintainer) Snapshot() digraph.Adjacency {
 	return m.compact()
 }
 
-// Stats returns operation counters: edge inserts, deletes, bounded cycle
-// searches, and cover additions.
+// Stats returns operation counters: edge inserts, deletes, cycle queries
+// (insertion checks and Reminimize re-tests), and cover additions.
 func (m *Maintainer) Stats() (inserts, deletes, cycleChecks, coverAdds int64) {
 	return m.inserts, m.deletes, m.cycleChecks, m.coverAdds
 }
 
-// Compactions returns how many times the delta buffers were folded into a
+// Compactions returns how many times the overlay was folded into a
 // fresh CSR base.
 func (m *Maintainer) Compactions() int64 { return m.compactions }
 
 // LastCompaction returns how long the most recent compaction took.
 func (m *Maintainer) LastCompaction() time.Duration { return m.lastCompaction }
 
-// sorted-slice primitives for the delta buffers.
+// overlay is one side (out or in) of the rows touched since the last
+// compaction: each holds its vertex's full live row, sorted. The rows sit
+// in one list, indexed from a per-vertex slot, so a clean vertex costs 4
+// bytes and no pointer; the list keeps its rows' capacity across
+// compactions.
+type overlay struct {
+	slot []int32 // per vertex: its row in rows, -1 when it reads the base
+	rows [][]VID
+}
 
-// appendMerged appends (row minus dels) merged with adds to buf, ascending.
-// All three lists are sorted and adds is disjoint from row.
-func appendMerged(buf, row, dels, adds []VID) []VID {
-	i, j := 0, 0
-	for _, w := range row {
-		for j < len(dels) && dels[j] < w {
-			j++
-		}
-		if j < len(dels) && dels[j] == w {
-			continue
-		}
-		for i < len(adds) && adds[i] < w {
-			buf = append(buf, adds[i])
-			i++
-		}
-		buf = append(buf, w)
+// row returns v's touched row, and whether v has one.
+func (o *overlay) row(v VID) ([]VID, bool) {
+	if s := o.slot[v]; s >= 0 {
+		return o.rows[s], true
 	}
-	return append(buf, adds[i:]...)
+	return nil, false
+}
+
+// touched reports whether v's row was touched since the last compaction.
+func (o *overlay) touched(v VID) bool { return o.slot[v] >= 0 }
+
+// edit returns v's touched row for an in-place edit, first copying live,
+// v's current row, into a fresh one when v had none.
+func (o *overlay) edit(v VID, live []VID) *[]VID {
+	s := o.slot[v]
+	if s < 0 {
+		s = int32(len(o.rows))
+		if len(o.rows) < cap(o.rows) {
+			o.rows = o.rows[:s+1]
+		} else {
+			o.rows = append(o.rows, nil)
+		}
+		o.rows[s] = append(slices.Grow(o.rows[s][:0], len(live)+1), live...)
+		o.slot[v] = s
+	}
+	return &o.rows[s]
+}
+
+// clear returns every vertex to reading the base, keeping the rows'
+// capacity. It is O(n), like the compaction that calls it.
+func (o *overlay) clear() {
+	for v := range o.slot {
+		o.slot[v] = -1
+	}
+	o.rows = o.rows[:0]
+}
+
+// appendN appends c copies of x to s.
+func appendN[T any](s []T, c int, x T) []T {
+	s = slices.Grow(s, c)
+	for range c {
+		s = append(s, x)
+	}
+	return s
 }
 
 func insertSorted(s []VID, v VID) []VID {

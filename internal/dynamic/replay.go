@@ -37,10 +37,10 @@ type Batch struct {
 //     the tail (a batch's additions come before its removals).
 //   - Bucket all updates by source vertex with a counting sort, then sort
 //     each row's segment by target, keeping log order within an edge.
-//   - Merge each live row (base minus tombstones, plus adds) with its
-//     segment into a fresh CSR, folding an edge's ops in log order: insert
-//     if absent (self-loops skipped), delete if present.
-//   - Swap in the new base with empty deltas, break the witnesses of the
+//   - Merge each live row with its segment into a fresh CSR, folding an
+//     edge's ops in log order: insert if absent (self-loops skipped),
+//     delete if present.
+//   - Swap in the new base with an empty overlay, break the witnesses of the
 //     deleted edges, then add and remove the logged vertices in order.
 //
 // That is O(U log d + n + m) for U updates with at most d in one row,
@@ -71,7 +71,7 @@ func (m *Maintainer) validateTail(batches []Batch) (int, error) {
 		if c, ok := changed[v]; ok {
 			return c.covered, c.batch
 		}
-		return int(v) < m.n && m.covered[v], -1
+		return int(v) < m.n && !m.active[v], -1
 	}
 	for i, b := range batches {
 		n = max(n, b.GrowTo)
@@ -115,8 +115,8 @@ func (m *Maintainer) replayTail(batches []Batch) {
 	}
 	m.Grow(n)
 	if updates > 0 {
-		m.clearDeltas()
-		m.base, m.m = t.g, t.g.NumEdges()
+		m.rebase(t.g)
+		m.m = t.g.NumEdges()
 		m.compactions++
 		m.inserts += t.inserts
 		m.deletes += t.deletes
@@ -176,15 +176,16 @@ func (m *Maintainer) mergeTail(batches []Batch, n, updates int) tailMerge {
 	}
 
 	var t tailMerge
-	baseN := m.base.NumVertices()
-	var live []VID
 	t.g = digraph.FromSortedRows(n, m.m+inserts, func(dst []VID, u VID) []VID {
+		var live []VID // rows past m.n, which the tail grows, start empty
+		if int(u) < m.n {
+			live = m.Out(u)
+		}
 		seg := keys[start[u]:start[u+1]]
 		if len(seg) == 0 {
-			return m.appendLiveRow(dst, u, baseN)
+			return append(dst, live...)
 		}
 		slices.Sort(seg)
-		live = m.appendLiveRow(live[:0], u, baseN)
 		i := 0
 		for j := 0; j < len(seg); {
 			v := VID(seg[j] >> 32)

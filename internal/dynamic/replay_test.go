@@ -52,7 +52,7 @@ func selfLoopBase(rng *rand.Rand, n, m int) *digraph.Graph {
 
 // TestCompactMatchesBuilder: the merged compaction must produce exactly
 // the CSR a KeepSelfLoops Builder gives for the same live edges, over
-// random streams that delete and re-insert base edges (tombstone cancels),
+// random streams that delete and re-insert base edges,
 // grow past the base, and start from bases with self-loops, in memory and
 // mapped.
 func TestCompactMatchesBuilder(t *testing.T) {
@@ -103,7 +103,7 @@ func compactStream(t *testing.T, seed uint64, mapped bool) {
 		for i := 0; i < 40; i++ {
 			var e digraph.Edge
 			switch r := rng.IntN(6); {
-			case r < 2: // delete or re-insert a base edge (tombstone, cancel)
+			case r < 2: // delete or re-insert a base edge
 				e = baseEdges[rng.IntN(len(baseEdges))]
 			default:
 				e = digraph.Edge{U: VID(rng.IntN(n)), V: VID(rng.IntN(n))}
@@ -120,7 +120,7 @@ func compactStream(t *testing.T, seed uint64, mapped bool) {
 		}
 		m.ApplyBatch(ups)
 		if rng.IntN(3) > 0 {
-			continue // let the deltas pile up across rounds
+			continue // let the overlay pile up across rounds
 		}
 		b := digraph.NewBuilder(m.NumVertices())
 		b.KeepSelfLoops = true
@@ -133,8 +133,8 @@ func compactStream(t *testing.T, seed uint64, mapped bool) {
 
 // TestCompactMatchesFromSortedRows: the row-patching compaction must build
 // the very CSR arrays FromSortedRows builds from the live out-rows, over
-// random delta sets touching few or many rows (tombstones, cancelled
-// tombstones, adds), with Grow before and between them, from a self-loop
+// random edit sets touching few or many rows (base-edge deletes, their
+// re-inserts, new edges), with Grow before and between them, from a self-loop
 // base in memory and mapped.
 func TestCompactMatchesFromSortedRows(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -165,15 +165,14 @@ func TestCompactMatchesFromSortedRows(t *testing.T) {
 			hot := 1 + rng.IntN(n) // rows the round's updates touch
 			for i := rng.IntN(60); i > 0; i-- {
 				u, v := VID(rng.IntN(hot)), VID(rng.IntN(n))
-				if row := m.outInto(u, nil); rng.IntN(2) == 0 && len(row) > 0 {
+				if row := m.Out(u); rng.IntN(2) == 0 && len(row) > 0 {
 					m.DeleteEdge(u, row[rng.IntN(len(row))])
 				} else {
 					m.InsertEdge(u, v)
 				}
 			}
-			baseN := m.base.NumVertices()
 			want := digraph.FromSortedRows(m.n, m.m, func(dst []VID, u VID) []VID {
-				return m.appendLiveRow(dst, u, baseN)
+				return append(dst, m.Out(u)...)
 			})
 			got := m.compact()
 			if !reflect.DeepEqual(digraph.Materialize(got), want) {
@@ -188,7 +187,7 @@ func TestCompactMatchesFromSortedRows(t *testing.T) {
 // inserts of random pairs, inserts duplicating a live edge, deletes of
 // random (mostly absent) pairs and of live edges (base self-loops
 // included), insert-delete-insert toggles, and re-inserts of edges an
-// earlier batch deleted, which cancel base tombstones.
+// earlier batch deleted.
 func churnBatches(rng *rand.Rand, m *Maintainer, batches, size int) []Batch {
 	out := make([]Batch, 0, batches)
 	var deleted []digraph.Edge
@@ -200,7 +199,7 @@ func churnBatches(rng *rand.Rand, m *Maintainer, batches, size int) []Batch {
 		ups := make([]Update, 0, size)
 		for len(ups) < size {
 			u, v := VID(rng.IntN(n)), VID(rng.IntN(n))
-			row := m.outInto(u, nil)
+			row := m.Out(u)
 			switch r := rng.IntN(10); {
 			case r == 0:
 				ups = append(ups, DeleteOp(u, v))

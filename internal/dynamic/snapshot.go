@@ -41,7 +41,7 @@ func (m *Maintainer) StateSize() int {
 }
 
 // WriteState serializes the maintainer's full logical state to w. It compacts
-// first (Snapshot), so the written graph is the delta-free CSR — the same
+// first (Snapshot), so the written graph is the overlay-free CSR — the same
 // compaction the live maintainer keeps, which keeps a restored replica's
 // compaction schedule aligned with the original's. Fields are encoded in
 // place into one stateChunk buffer, which goes to w whenever it fills.
@@ -81,8 +81,8 @@ func (m *Maintainer) WriteState(w io.Writer) error {
 	}
 	binary.LittleEndian.PutUint64(buf[off:], uint64(m.cover))
 	off += 8
-	for v, c := range m.covered {
-		if !c {
+	for v, a := range m.active {
+		if a {
 			continue
 		}
 		if err := room(4); err != nil {

@@ -154,7 +154,7 @@ func TestStateFingerprintSensitivity(t *testing.T) {
 
 // goldenStateMaintainer is a fixed maintainer built without a random
 // generator: an arithmetic base graph with self-loops, a seeded cover, and
-// two batches that tombstone base edges, add edges past the base and grow
+// two batches that delete base edges, add edges past the base and grow
 // the vertex set. Its edge section (~12k edges) spans
 // more than one 64 KiB encoder chunk.
 func goldenStateMaintainer(t *testing.T) *Maintainer {

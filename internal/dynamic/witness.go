@@ -3,8 +3,6 @@ package dynamic
 import (
 	"math"
 	"slices"
-
-	"tdb/internal/cycle"
 )
 
 // Witness-indexed reminimization (DESIGN.md §10).
@@ -25,8 +23,7 @@ import (
 // the witnesses either event breaks in time proportional to the hits. A
 // broken witness is dropped and its owner queued for a re-test. Cover
 // vertices that never had a witness are queued as unknown: a seeded or
-// recovered cover, vertices a replayed log covered, and vertices the
-// insertion search covered on its DFS cap (which found no cycle).
+// recovered cover and vertices a replayed log covered.
 //
 // Reminimize re-tests exactly the queue. Every other cover vertex holds a
 // valid witness, and the pass only removes vertices, which breaks none, so
@@ -71,9 +68,7 @@ func (w *witnessIndex) grow(n int) {
 	if d := n - len(w.reason); d > 0 {
 		w.first = append(w.first, make([]int32, d)...)
 		w.size = append(w.size, make([]int32, d)...)
-		for range d {
-			w.head = append(w.head, -1)
-		}
+		w.head = appendN(w.head, d, -1)
 		w.reason = append(w.reason, make([]uint8, d)...)
 	}
 }
@@ -192,11 +187,11 @@ func (w *witnessIndex) breakAll(hits []VID) {
 }
 
 // takeQueue returns the queued cover vertices ascending, each once, and
-// empties the queue.
-func (w *witnessIndex) takeQueue(covered []bool) []VID {
+// empties the queue; active is the complement of the cover.
+func (w *witnessIndex) takeQueue(active []bool) []VID {
 	q := w.queue[:0]
 	for _, v := range w.queue {
-		if w.reason[v] != 0 && covered[v] {
+		if w.reason[v] != 0 && !active[v] {
 			q = append(q, v)
 		}
 	}
@@ -210,7 +205,7 @@ func (w *witnessIndex) takeQueue(covered []bool) []VID {
 // when none is known; copied in), breaking the witnesses that pass through
 // v.
 func (m *Maintainer) addCover(v VID, c []VID) {
-	m.covered[v] = true
+	m.active[v] = false
 	m.cover++
 	m.coverAdds++
 	m.wit.breakVertex(v)
@@ -224,7 +219,7 @@ func (m *Maintainer) addCover(v VID, c []VID) {
 // dropCover takes the cover vertex v out of the cover. That breaks no
 // witness; v's own is dropped, since witnesses belong to cover vertices.
 func (m *Maintainer) dropCover(v VID) {
-	m.covered[v] = false
+	m.active[v] = true
 	m.cover--
 	m.wit.drop(v)
 	m.wit.dequeue(v)
@@ -241,38 +236,31 @@ type Pass struct {
 // Reminimize restores minimality: it re-tests every cover vertex whose
 // witness broke or that never had one, in ascending order, and removes it
 // when no constrained cycle passes through it in the uncovered graph,
-// decided by the exact O(k·m) block-based detector with its BFS filter on,
-// on the compacted CSR. A vertex that keeps its place takes the found
-// cycle as its new witness. It returns the number of vertices removed.
+// decided by the maintainer's exact O(k·m) block-based detector with its
+// BFS filter on. A vertex that keeps its place takes the found cycle as its
+// new witness. It returns the number of vertices removed.
 func (m *Maintainer) Reminimize() int {
 	return len(m.ReminimizePass().Removed)
 }
 
 // ReminimizePass is Reminimize, reporting what the pass did.
 func (m *Maintainer) ReminimizePass() Pass {
-	cands := m.wit.takeQueue(m.covered)
+	cands := m.wit.takeQueue(m.active)
 	if len(cands) == 0 {
 		return Pass{}
 	}
 	p := Pass{Retested: len(cands)}
-	g := m.compact()
-	n := g.NumVertices()
-	active := m.remActiveBuf(n)
-	for v := 0; v < n; v++ {
-		active[v] = !m.covered[v]
-	}
-	det := cycle.NewBlockDetectorWith(g, m.k, m.minLen, active, m.remScratchFor(n))
-	det.Filter = true
+	det := m.detector()
 	for _, v := range cands {
 		m.cycleChecks++
-		active[v] = true
+		m.active[v] = true
 		c := det.FindFrom(v)
 		if c == nil {
 			m.dropCover(v)
 			p.Removed = append(p.Removed, v)
-			continue // v leaves the cover, so it stays active
+			continue
 		}
-		active[v] = false
+		m.active[v] = false
 		m.wit.set(v, c)
 	}
 	m.wit.queue = m.wit.queue[:0]

@@ -142,8 +142,8 @@ type StatsResponse struct {
 	// logged: passes run, cover vertices re-tested and removed (in total
 	// and by the last pass), cover vertices awaiting a re-test after the
 	// last batch because their witness broke or was never known (a seeded
-	// or recovered cover, a capped insertion search), and the last pass's
-	// and the last compaction's durations.
+	// or recovered cover, or vertices a replayed log covered), and the last
+	// pass's and the last compaction's durations.
 	ReminimizePasses       int64   `json:"reminimize_passes"`
 	ReminimizeRetests      int64   `json:"reminimize_retests"`
 	ReminimizeRemovals     int64   `json:"reminimize_removals"`

@@ -405,7 +405,7 @@ func (s *Server) restoreMaintainer() {
 		var err error
 		// The epoch graph is adopted as the immutable CSR base without
 		// copying — safe to share with readers, the maintainer only overlays
-		// deltas on it.
+		// its touched rows on it.
 		m, err = dynamic.FromGraph(e.Graph(), s.cfg.K, s.cfg.MinLen, e.Cover())
 		e.Release()
 		if err != nil { // unreachable: the epoch's cover came from this graph

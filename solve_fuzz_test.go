@@ -26,7 +26,10 @@ import (
 //     back, is valid and (where promised) minimal. Renumbering changes the
 //     candidate order, so the cover itself may differ;
 //   - at MinLen 3, HasHopConstrainedCycle, one-shot and on an engine,
-//     reports a cycle exactly when the enumerator found one.
+//     reports a cycle exactly when the enumerator found one;
+//   - the edge transversal (WithEdgeCover), under every order, holds an
+//     edge of every enumerated cycle, and each kept edge is the only kept
+//     edge on some enumerated cycle (minimality).
 func FuzzSolveDifferential(f *testing.F) {
 	// Byte 0 picks n, byte 1 MinLen, byte 2 k, byte 3 the random-order
 	// seed; the rest is an edge list of (u, v) byte pairs taken mod n.
@@ -63,6 +66,16 @@ func FuzzSolveDifferential(f *testing.F) {
 					k, got, len(cycles), g.Edges())
 			}
 		}
+		for _, order := range []Order{OrderNatural, OrderDegreeAsc, OrderDegreeDesc, OrderRandom} {
+			name := fmt.Sprintf("TDB-E order=%d n=%d k=%d minlen=%d edges=%v", order, n, k, minLen, g.Edges())
+			res, err := Solve(context.Background(), g, k, WithEdgeCover(), WithMinLen(minLen),
+				WithOrder(order), WithSeed(seed))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkEdgeOracle(t, name, cycles, res.Edges)
+		}
+
 		perm := RenumberPerm(g, RenumberDegree)
 		rg := g.Renumber(perm)
 		inv := InversePerm(perm)
@@ -111,6 +124,41 @@ func FuzzSolveDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkEdgeOracle checks an edge transversal against the enumerated cycle
+// set: every cycle must hold a kept edge, and every kept edge must be the
+// only kept edge of at least one cycle.
+func checkEdgeOracle(t *testing.T, name string, cycles [][]VID, kept []Edge) {
+	t.Helper()
+	in := make(map[Edge]bool, len(kept))
+	for _, e := range kept {
+		if in[e] {
+			t.Fatalf("%s: transversal %v repeats edge %v", name, kept, e)
+		}
+		in[e] = true
+	}
+	needed := make(map[Edge]bool, len(kept))
+	for _, c := range cycles {
+		hits, last := 0, Edge{}
+		for i, v := range c {
+			if e := (Edge{U: v, V: c[(i+1)%len(c)]}); in[e] {
+				hits++
+				last = e
+			}
+		}
+		switch hits {
+		case 0:
+			t.Fatalf("%s: transversal %v misses cycle %v", name, kept, c)
+		case 1:
+			needed[last] = true
+		}
+	}
+	for _, e := range kept {
+		if !needed[e] {
+			t.Fatalf("%s: transversal %v is not minimal: %v lies on no cycle it alone covers", name, kept, e)
+		}
+	}
 }
 
 // promisesMinimal reports whether algo guarantees a minimal cover.
