@@ -45,10 +45,14 @@ func fingerprint(vs []VID) uint64 {
 }
 
 // edgeFingerprint hashes a graph's edge list in CSR order.
-func edgeFingerprint(g *Graph) uint64 {
+func edgeFingerprint(g *Graph) uint64 { return edgeListFingerprint(g.Edges()) }
+
+// edgeListFingerprint is the FNV-64a hash of the little-endian uint32
+// encoding of the edges, in the given order.
+func edgeListFingerprint(edges []Edge) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
 		binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
 		h.Write(buf[:])
@@ -249,14 +253,7 @@ func TestEdgeCoverFingerprints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			h := fnv.New64a()
-			var buf [8]byte
-			for _, e := range res.Edges {
-				binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
-				binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
-				h.Write(buf[:])
-			}
-			if got, want := h.Sum64(), edgeCoverFingerprints[key]; got != want {
+			if got, want := edgeListFingerprint(res.Edges), edgeCoverFingerprints[key]; got != want {
 				t.Errorf("%s: transversal fingerprint %#x (%d edges), want %#x", key, got, len(res.Edges), want)
 			}
 		}
