@@ -229,8 +229,7 @@ type Stats struct {
 
 	// Strategy names the execution strategy the planning layer selected
 	// for this run ("sequential" or "scc-parallel"); empty when
-	// Compute, ComputeParallel or TopDownEdges ran directly, below the
-	// planner.
+	// Compute or TopDownEdges ran directly, below the planner.
 	Strategy string
 	// StrategyPinned reports that the caller pinned the strategy rather
 	// than the planner choosing it from the SCC condensation.

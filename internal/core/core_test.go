@@ -384,10 +384,7 @@ func TestUnconstrainedVariant(t *testing.T) {
 	if len(r5.Cover) != 0 {
 		t.Fatalf("k=5 cover %v, want empty", r5.Cover)
 	}
-	r, err := Unconstrained(gr, TDBPlusPlus, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustCompute(t, gr, TDBPlusPlus, Options{K: cycle.Unconstrained(gr)})
 	if len(r.Cover) != 1 {
 		t.Fatalf("unconstrained cover %v, want 1 vertex", r.Cover)
 	}

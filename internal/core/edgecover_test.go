@@ -155,7 +155,7 @@ func TestParallelMatchesSequentialValidity(t *testing.T) {
 		}
 		gr := b.Build()
 		for _, workers := range []int{1, 4} {
-			r, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 5}, workers)
+			r, err := solveParallel(gr, TDBPlusPlus, Options{K: 5}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestParallelManyComponents(t *testing.T) {
 		b.AddEdge(z, x)
 	}
 	gr := b.Build()
-	r, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 5}, 0)
+	r, err := solveParallel(gr, TDBPlusPlus, Options{K: 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestParallelUnconstrainedClamp(t *testing.T) {
 		}
 	}
 	gr := b.Build()
-	r, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 20}, 2)
+	r, err := solveParallel(gr, TDBPlusPlus, Options{K: 20}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +206,14 @@ func TestParallelUnconstrainedClamp(t *testing.T) {
 func TestParallelSkipsTinyComponents(t *testing.T) {
 	// 2-vertex SCCs hold only 2-cycles: invisible at MinLen=3, covered at 2.
 	gr := g(4, 0, 1, 1, 0, 2, 3, 3, 2)
-	r, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 5}, 2)
+	r, err := solveParallel(gr, TDBPlusPlus, Options{K: 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Cover) != 0 {
 		t.Fatalf("cover = %v, want empty at MinLen=3", r.Cover)
 	}
-	r2, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 5, MinLen: 2}, 2)
+	r2, err := solveParallel(gr, TDBPlusPlus, Options{K: 5, MinLen: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestParallelSkipsTinyComponents(t *testing.T) {
 
 func TestParallelValidation(t *testing.T) {
 	gr := g(3, 0, 1)
-	if _, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 1}, 2); err == nil {
+	if _, err := solveParallel(gr, TDBPlusPlus, Options{K: 1}, 2); err == nil {
 		t.Fatal("K < MinLen must error")
 	}
 }

@@ -151,28 +151,17 @@ func newRunScratch(n int) *runScratch {
 	}
 }
 
-// viewMinAvgDegree gates the active-adjacency view on graph density: below
-// an average degree of 2 the graph is forest/DAG-like, detector queries are
-// already near-free (most vertices have no active in-neighbor to even start
-// a walk from), and the view's O(m) build plus O(deg) activation writes
-// cannot be recouped — measured ~1.7x slower on a 30k-vertex planted-cycles
-// graph with davg 1.4, while power-law graphs win with the view from davg 2
-// up (BenchmarkCoverWorkingGraph, DESIGN.md §7).
-const viewMinAvgDegree = 2
-
 // workingGraph returns the run's working-graph representation reset to the
 // given initial state. The default is the compacted active-adjacency view
 // (first return non-nil): detector scans then touch exactly the live edges.
 // A pooled view is reset to look exactly like a fresh one, so the
 // bottom-up cover, whose results depend on the order the DFS scans live
 // neighbors, gives the same cover on every run.
-// The []bool VertexMask is the fallback for graphs beyond the view's int32
-// edge limit, for near-acyclic graphs below the view's density cutoff, and
-// for the maskWorkingGraph opt-out (equivalence tests, comparison
-// benchmarks).
+// The view serves graphs of every density. The []bool VertexMask is only
+// the fallback for graphs beyond the view's int32 edge limit and the
+// maskWorkingGraph opt-out (equivalence tests, comparison benchmarks).
 func (rs *runScratch) workingGraph(g digraph.Adjacency, opts Options, allActive bool) (*digraph.ActiveAdjacency, working) {
-	if opts.maskWorkingGraph || !digraph.FitsActiveAdjacency(g) ||
-		g.NumEdges() < viewMinAvgDegree*g.NumVertices() {
+	if opts.maskWorkingGraph || !digraph.FitsActiveAdjacency(g) {
 		if rs.active == nil {
 			rs.active = digraph.NewVertexMask(g.NumVertices(), false)
 		}

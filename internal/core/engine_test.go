@@ -88,12 +88,12 @@ func TestCancellationContext(t *testing.T) {
 		t.Fatal("TopDownEdges: cancelled context did not mark TimedOut")
 	}
 	// And the SCC-partitioned parallel solver.
-	pr, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 5, Context: ctx}, 2)
+	pr, err := solveParallel(gr, TDBPlusPlus, Options{K: 5, Context: ctx}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pr.Stats.TimedOut {
-		t.Fatal("ComputeParallel: cancelled context did not mark TimedOut")
+		t.Fatal("scc-parallel solve: cancelled context did not mark TimedOut")
 	}
 }
 
@@ -104,7 +104,7 @@ func TestComputeParallelWeighted(t *testing.T) {
 	// Two disjoint triangles; expensive vertices 0 and 3 must stay out.
 	gr := g(6, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3)
 	w := []float64{100, 1, 1, 100, 1, 1}
-	r, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 5, Order: OrderWeighted, Weights: w}, 2)
+	r, err := solveParallel(gr, TDBPlusPlus, Options{K: 5, Order: OrderWeighted, Weights: w}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestComputeParallelTimeoutCoverStillValid(t *testing.T) {
 	gr := gen.PlantedCycles(400, 30, 3, 5, 600, 3).Graph
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 5, Context: ctx}, 2)
+	r, err := solveParallel(gr, TDBPlusPlus, Options{K: 5, Context: ctx}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

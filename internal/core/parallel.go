@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,31 +11,6 @@ import (
 	"tdb/internal/fault"
 	"tdb/internal/scc"
 )
-
-// ComputeParallel computes the same cover problem as Compute by
-// decomposing the graph into strongly connected components and covering
-// each non-trivial component independently in a worker pool. Every directed
-// cycle lies inside one SCC, so the union of per-component covers is a
-// valid cover of the whole graph, and since restoring a vertex can only
-// expose cycles inside its own component, minimality is preserved
-// per-component and therefore globally.
-//
-// This is an extension over the paper (which is single-threaded): it helps
-// exactly when the cyclic part of the graph splits into many components
-// (program-analysis and circuit workloads often do). A graph that is one
-// giant SCC gains nothing from the decomposition, and the planner runs the
-// sequential loop on it instead. Each component run inherits the caller's
-// options.
-//
-// Options.Context is polled by every worker; a timeout marks the whole
-// result. workers <= 0 selects GOMAXPROCS. Engine.Solve with
-// StrategyParallelSCC runs the same solver over the engine's cached
-// components.
-func ComputeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers int) (*Result, error) {
-	return computeParallel(g, algo, opts, workers, func() []sccPart {
-		return sccParts(g, scc.Compute(g))
-	})
-}
 
 // sccPart is one non-trivial strongly connected component carved out as its
 // own graph: dense IDs in increasing old-ID order, and oldID[i] the ID of
@@ -79,11 +53,24 @@ func sccParts(g digraph.Adjacency, comps *scc.Result) []sccPart {
 	return parts
 }
 
-// computeParallel is ComputeParallel over the components buildParts
-// returns, invoked once the options validate: the engine hands in its
-// cached set, the one-shot paths build one per call (reusing the planner's
-// decomposition when there is one).
-func computeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers int, buildParts func() []sccPart) (*Result, error) {
+// computeParallel computes the same cover problem as Compute by covering
+// each non-trivial strongly connected component of the engine's graph
+// independently in a worker pool. Every directed cycle lies inside one SCC,
+// so the union of per-component covers is a valid cover of the whole
+// graph, and since restoring a vertex can only expose cycles inside its own
+// component, minimality is preserved per-component and therefore globally.
+//
+// This is an extension over the paper (which is single-threaded): it helps
+// exactly when the cyclic part of the graph splits into many components
+// (program-analysis and circuit workloads often do). A graph that is one
+// giant SCC gains nothing from the decomposition, and the planner runs the
+// sequential loop on it instead. Each component run inherits the caller's
+// options and covers the engine's cached component subgraph (sccParts).
+//
+// Options.Context is polled by every worker; a timeout marks the whole
+// result. workers is the plan's resolved worker count.
+func (e *Engine) computeParallel(algo Algorithm, opts Options, workers int) (*Result, error) {
+	g := e.g
 	opts = opts.withDefaults()
 	if err := opts.validate(g); err != nil {
 		return nil, err
@@ -91,14 +78,11 @@ func computeParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers 
 	if err := checkPartialSupport(algo, opts); err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	start := time.Now()
 	stop := opts.stop()
 	r := &Result{}
 
-	parts := buildParts()
+	parts := e.sccParts()
 	r.Stats.SCCSkipped = int64(g.NumVertices())
 	// A component smaller than MinLen holds no constrained cycle (e.g. a
 	// 2-vertex SCC when 2-cycles are excluded): it is never dispatched and

@@ -15,6 +15,12 @@ import (
 	"tdb/internal/verify"
 )
 
+// solveParallel runs a pinned scc-parallel solve on a throwaway engine, the
+// way a one-shot solve does.
+func solveParallel(g digraph.Adjacency, algo Algorithm, opts Options, workers int) (*Result, error) {
+	return NewEngine(g).Solve(nil, SolveSpec{Algorithm: algo, Opts: opts, Workers: workers, Strategy: StrategyParallelSCC})
+}
+
 // parallelOracle is the per-solve partitioned loop the cached component
 // subgraphs replaced, kept as the reference: for every non-trivial SCC it
 // carves the component with digraph.Induced over a whole-graph mask, remaps
@@ -165,7 +171,7 @@ func TestSCCParallelMatchesOracle(t *testing.T) {
 							if !slices.Equal(r.Cover, want) {
 								t.Fatalf("%s engine: cover %v, oracle %v", name, r.Cover, want)
 							}
-							one, err := ComputeParallel(backend, TDBPlusPlus, opts, workers)
+							one, err := solveParallel(backend, TDBPlusPlus, opts, workers)
 							if err != nil {
 								t.Fatalf("%s one-shot: %v", name, err)
 							}

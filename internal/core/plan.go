@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"runtime"
 
-	"tdb/internal/digraph"
 	"tdb/internal/scc"
 )
 
 // This file is the planning layer of the unified solve surface: one entry
-// point (Solve / Engine.Solve) accepts the full option set plus a worker
+// point (Engine.Solve) accepts the full option set plus a worker
 // budget, inspects the graph's SCC condensation, and picks the execution
 // strategy, instead of the caller choosing among per-strategy entry
 // points. The rule mirrors where each strategy actually wins:
@@ -34,7 +33,7 @@ const (
 	// StrategySequential runs the paper's single-threaded cover loop.
 	StrategySequential
 	// StrategyParallelSCC decomposes the graph into strongly connected
-	// components and covers them concurrently (ComputeParallel).
+	// components and covers them concurrently (parallel.go).
 	StrategyParallelSCC
 )
 
@@ -107,7 +106,7 @@ func countNontrivial(comps *scc.Result) int {
 
 // planFor selects the execution plan for a spec. nontrivial lazily counts
 // the non-trivial SCCs (an O(n+m) inspection); it is only invoked when the
-// decision actually depends on the condensation, and engines cache it
+// decision actually depends on the condensation, and the engine caches it
 // across calls.
 func planFor(spec SolveSpec, nontrivial func() int) Plan {
 	workers := spec.Workers
@@ -127,53 +126,30 @@ func planFor(spec SolveSpec, nontrivial func() int) Plan {
 	return Plan{Strategy: StrategySequential, Workers: 1}
 }
 
-// Solve plans and runs a cover computation one-shot. For repeated solves
-// over one graph use Engine.Solve, which additionally caches the
-// condensation inspection and the per-component subgraphs.
-func Solve(g digraph.Adjacency, spec SolveSpec) (*Result, error) {
-	var comps *scc.Result // planner's decomposition, reused by the executor
-	plan := planFor(spec, func() int {
-		comps = scc.Compute(g)
-		return countNontrivial(comps)
-	})
-	return runPlan(nil, g, spec, plan, func() []sccPart {
-		if comps == nil {
-			comps = scc.Compute(g)
-		}
-		return sccParts(g, comps)
-	})
-}
-
-// Solve is the engine counterpart of the package-level Solve: the same
-// planning step, but sequential plans run on the engine's pooled scratch,
-// and the condensation and per-component subgraphs are built once per
-// engine. ctx supersedes spec.Opts.Context when non-nil.
+// Solve plans and runs a cover computation: the one solve path. Sequential
+// plans run on the engine's pooled scratch, and the condensation and
+// per-component subgraphs are built lazily, once per engine — a one-shot
+// solve is a throwaway engine. ctx supersedes spec.Opts.Context when
+// non-nil.
 func (e *Engine) Solve(ctx context.Context, spec SolveSpec) (*Result, error) {
 	if ctx != nil {
 		spec.Opts.Context = ctx
 	}
-	plan := planFor(spec, e.nontrivialSCCs)
-	return runPlan(e, e.g, spec, plan, e.sccParts)
+	return e.runPlan(spec, planFor(spec, e.nontrivialSCCs))
 }
 
-// runPlan executes a planned solve on the one-shot path (e == nil) or the
-// engine path, and stamps the plan into the result's statistics. parts
-// supplies the partitioned solver's components; only an scc-parallel plan
-// invokes it.
-func runPlan(e *Engine, g digraph.Adjacency, spec SolveSpec, plan Plan, parts func() []sccPart) (*Result, error) {
+// runPlan executes a planned solve and stamps the plan into the result's
+// statistics.
+func (e *Engine) runPlan(spec SolveSpec, plan Plan) (*Result, error) {
 	var (
 		r   *Result
 		err error
 	)
 	switch plan.Strategy {
 	case StrategyParallelSCC:
-		r, err = computeParallel(g, spec.Algorithm, spec.Opts, plan.Workers, parts)
+		r, err = e.computeParallel(spec.Algorithm, spec.Opts, plan.Workers)
 	case StrategySequential:
-		if e != nil {
-			r, err = e.Compute(nil, spec.Algorithm, spec.Opts)
-		} else {
-			r, err = Compute(g, spec.Algorithm, spec.Opts)
-		}
+		r, err = e.Compute(nil, spec.Algorithm, spec.Opts)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", plan.Strategy)
 	}

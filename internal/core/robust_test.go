@@ -129,8 +129,8 @@ func TestPartialOnDeadlineUnsupported(t *testing.T) {
 			t.Fatalf("%v: PartialOnDeadline accepted, want error", a)
 		}
 	}
-	if _, err := ComputeParallel(gr, BUR, opts, 2); err == nil {
-		t.Fatal("ComputeParallel(BUR): PartialOnDeadline accepted, want error")
+	if _, err := solveParallel(gr, BUR, opts, 2); err == nil {
+		t.Fatal("scc-parallel solve(BUR): PartialOnDeadline accepted, want error")
 	}
 	if _, err := TopDownEdges(gr, opts); err == nil {
 		t.Fatal("TopDownEdges: PartialOnDeadline accepted, want error")
@@ -140,7 +140,7 @@ func TestPartialOnDeadlineUnsupported(t *testing.T) {
 func TestPartialOnDeadlineParallelSCC(t *testing.T) {
 	gr := gen.Communities(8, 40, 0.15, 0.002, 5)
 	opts := Options{K: 8, Context: expiredContext(t), PartialOnDeadline: true}
-	r, err := ComputeParallel(gr, TDBPlusPlus, opts, 4)
+	r, err := solveParallel(gr, TDBPlusPlus, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +180,13 @@ func TestParallelWorkerPanicIsolated(t *testing.T) {
 	gr := gen.Communities(12, 30, 0.2, 0.002, 9)
 	disarm := fault.Arm("core/parallel-worker", panicOnce("injected component panic"))
 	defer disarm()
-	_, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 6}, 4)
+	_, err := solveParallel(gr, TDBPlusPlus, Options{K: 6}, 4)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err=%v, want a *PanicError", err)
 	}
 	disarm()
-	r, err := ComputeParallel(gr, TDBPlusPlus, Options{K: 6}, 4)
+	r, err := solveParallel(gr, TDBPlusPlus, Options{K: 6}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,11 +112,3 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 	finishStats(r, g, algo, opts, start)
 	return r
 }
-
-// Unconstrained computes a minimal cover of cycles of every length (the
-// paper's Sec. VI-C variant) by running the requested top-down variant with
-// the hop constraint lifted to n.
-func Unconstrained(g digraph.Adjacency, algo Algorithm, opts Options) (*Result, error) {
-	opts.K = cycle.Unconstrained(g)
-	return Compute(g, algo, opts)
-}

@@ -10,15 +10,35 @@ import (
 	"tdb/internal/verify"
 )
 
+// sparseGraphs are the representation tests' inputs below average degree
+// 2, where the view serves as it does on dense graphs: a sparse power-law
+// graph and a planted-cycles graph.
+func sparseGraphs(t *testing.T, seed uint64) []*digraph.Graph {
+	t.Helper()
+	gs := []*digraph.Graph{
+		gen.PowerLaw(300, 450, 2.2, 0.3, seed),
+		gen.PlantedCycles(300, 20, 3, 6, 320, seed).Graph,
+	}
+	for _, gr := range gs {
+		if gr.NumEdges() >= 2*gr.NumVertices() {
+			t.Fatalf("sparse input n=%d m=%d has average degree >= 2", gr.NumVertices(), gr.NumEdges())
+		}
+	}
+	return gs
+}
+
 // The top-down family only asks order-independent questions of the working
 // graph (cycle existence, shortest-closed-walk length), so switching the
 // representation from the []bool mask to the compacted active-adjacency
-// view must leave its covers bit-identical — across k and the SCC
+// view must leave its covers bit-identical — across density, k and the SCC
 // prefilter. See DESIGN.md §7.
 func TestViewMatchesMaskTopDown(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 7))
+	graphs := sparseGraphs(t, 5)
 	for trial := 0; trial < 4; trial++ {
-		gr := gen.PowerLaw(80+rng.IntN(80), 500+rng.IntN(500), 2.2, 0.3, rng.Uint64())
+		graphs = append(graphs, gen.PowerLaw(80+rng.IntN(80), 500+rng.IntN(500), 2.2, 0.3, rng.Uint64()))
+	}
+	for _, gr := range graphs {
 		for _, k := range []int{3, 5, 8} {
 			for _, sccPre := range []bool{false, true} {
 				for _, a := range []Algorithm{TDB, TDBPlus, TDBPlusPlus} {
@@ -45,8 +65,11 @@ func TestViewMatchesMaskTopDown(t *testing.T) {
 // a fixed input must produce the same cover on every run (determinism).
 func TestViewBottomUpValidAndDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 19))
+	graphs := sparseGraphs(t, 7)
 	for trial := 0; trial < 4; trial++ {
-		gr := gen.PowerLaw(60+rng.IntN(60), 400+rng.IntN(400), 2.2, 0.3, rng.Uint64())
+		graphs = append(graphs, gen.PowerLaw(60+rng.IntN(60), 400+rng.IntN(400), 2.2, 0.3, rng.Uint64()))
+	}
+	for _, gr := range graphs {
 		for _, k := range []int{3, 5, 8} {
 			for _, a := range []Algorithm{BUR, BURPlus} {
 				opts := Options{K: k}
@@ -149,29 +172,40 @@ func mustComputeTimedOut(t *testing.T, gr *digraph.Graph, a Algorithm, opts Opti
 
 // BenchmarkCoverWorkingGraph runs the same end-to-end covers on both
 // working-graph representations: Mask filters the full CSR degree at every
-// scan, View traverses only live edges. The ratio is the tentpole win of
-// the active-adjacency refactor; allocs differ by the one-shot view build.
+// scan, View traverses only live edges; allocs differ by the one-shot view
+// build. The dense row is a power-law graph at average degree 14, the
+// sparse row a 30k-vertex planted-cycles graph at average degree 1.4,
+// where the view has the least to win and its O(m) build the most weight.
 func BenchmarkCoverWorkingGraph(b *testing.B) {
-	gr := gen.PowerLaw(1400, 20000, 2.2, 0.3, 9)
-	for _, a := range []Algorithm{TDB, TDBPlus, TDBPlusPlus, BUR, BURPlus} {
-		for _, mask := range []bool{true, false} {
-			name := a.String() + "/View"
-			if mask {
-				name = a.String() + "/Mask"
-			}
-			b.Run(name, func(b *testing.B) {
-				opts := Options{K: 5, maskWorkingGraph: mask}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					r, err := Compute(gr, a, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.Stats.TimedOut {
-						b.Fatal("unexpected timeout")
-					}
+	graphs := []struct {
+		name string
+		g    *digraph.Graph
+	}{
+		{"dense", gen.PowerLaw(1400, 20000, 2.2, 0.3, 9)},
+		{"sparse", gen.PlantedCycles(30000, 1500, 3, 5, 36000, 9).Graph},
+	}
+	for _, in := range graphs {
+		gr := in.g
+		for _, a := range []Algorithm{TDB, TDBPlus, TDBPlusPlus, BUR, BURPlus} {
+			for _, mask := range []bool{true, false} {
+				name := in.name + "/" + a.String() + "/View"
+				if mask {
+					name = in.name + "/" + a.String() + "/Mask"
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					opts := Options{K: 5, maskWorkingGraph: mask}
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r, err := Compute(gr, a, opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if r.Stats.TimedOut {
+							b.Fatal("unexpected timeout")
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -146,7 +146,7 @@ func (d *BlockDetector) FindThroughEdge(u, v VID) []VID {
 func HasHopConstrainedCycle(g digraph.Adjacency, k, minLen int, candidates []bool, s *Scratch) bool {
 	validate(g, k, minLen, candidates)
 	s = checkScratch(s, g.NumVertices())
-	live := s.peelMask(candidates)
+	live := s.peelMask(candidates, g.NumVertices())
 	// A local value, not NewBlockDetectorWith's pointer: the detector does
 	// not outlive the call, so it stays off the heap.
 	det := BlockDetector{adjacency: maskAdjacency(g, live), k: k, minLen: minLen, s: s}

@@ -23,11 +23,11 @@
 // All detectors operate on an immutable digraph.Graph plus either an
 // optional active-vertex mask (O(1) activation, O(full degree) scans) or a
 // digraph.ActiveAdjacency working-graph view (O(deg) activation, scans
-// proportional to the LIVE degree) — the cover algorithms use the view by
-// default and fall back to the mask; see DESIGN.md §7. Their O(n) working
-// state lives in a Scratch that can be borrowed from a per-graph
-// ScratchPool, making repeated covers over the same graph allocation-free
-// (see Scratch).
+// proportional to the LIVE degree) — the cover algorithms use the view on
+// graphs of every density and the mask only beyond the view's int32 edge
+// limit; see DESIGN.md §7. Their O(n) working state lives in a Scratch that
+// can be borrowed from a per-graph ScratchPool, making repeated covers over
+// the same graph allocation-free (see Scratch).
 //
 // Cycle-length conventions follow the paper: a cycle's length is its number
 // of vertices (= edges); self-loops never count (the graph builder drops

@@ -29,7 +29,7 @@ type Scratch struct {
 	peel    []bool // allocated on first use
 }
 
-// NewScratch allocates scratch state for graphs with n vertices.
+// NewScratch allocates scratch state for graphs with up to n vertices.
 func NewScratch(n int) *Scratch {
 	return &Scratch{
 		n:       n,
@@ -39,28 +39,32 @@ func NewScratch(n int) *Scratch {
 	}
 }
 
-// peelMask returns the scratch's n-byte peel mask holding a copy of from
-// (nil = every vertex), allocating it on first use.
-func (s *Scratch) peelMask(from []bool) []bool {
+// peelMask returns an n-byte peel mask holding a copy of from (nil = every
+// vertex), allocating the scratch's mask on first use.
+func (s *Scratch) peelMask(from []bool, n int) []bool {
 	if s.peel == nil {
 		s.peel = make([]bool, s.n)
 	}
-	for i := range s.peel {
-		s.peel[i] = from == nil || from[i]
+	live := s.peel[:n]
+	for i := range live {
+		live[i] = from == nil || from[i]
 	}
-	return s.peel
+	return live
 }
 
 // Len returns the number of vertices the scratch is sized for.
 func (s *Scratch) Len() int { return s.n }
 
 // checkScratch validates a borrowed scratch against the graph size,
-// allocating a fresh one when the caller passed nil.
+// allocating a fresh one when the caller passed nil. A scratch sized for
+// more vertices serves a smaller graph: every table is indexed by vertex,
+// so a graph that grows (the dynamic maintainer) can keep one scratch
+// across growth steps.
 func checkScratch(s *Scratch, n int) *Scratch {
 	if s == nil {
 		return NewScratch(n)
 	}
-	if s.n != n {
+	if s.n < n {
 		panic(fmt.Sprintf("cycle: scratch sized for n=%d used with graph n=%d", s.n, n))
 	}
 	return s

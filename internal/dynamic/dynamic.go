@@ -100,8 +100,11 @@ type Maintainer struct {
 	wit witnessIndex
 
 	// det answers every cycle question, over the maintainer itself as its
-	// adjacency; built on first use and rebuilt after Grow.
-	det *cycle.BlockDetector
+	// adjacency; built on first use and rebuilt after Grow. Its scratch
+	// outlives the rebuilds and grows geometrically, so a stream that adds
+	// one vertex per insert pays amortized O(1) per vertex for it.
+	det     *cycle.BlockDetector
+	scratch *cycle.Scratch
 
 	// dropped holds the keys of the edges the running batch deleted
 	// (batch.go).
@@ -326,7 +329,12 @@ func (m *Maintainer) checkInsert(u, v VID) int {
 // complement of the cover, both read at query time.
 func (m *Maintainer) detector() *cycle.BlockDetector {
 	if m.det == nil {
-		m.det = cycle.NewBlockDetector(m, m.k, m.minLen, m.active)
+		if m.scratch == nil {
+			m.scratch = cycle.NewScratch(m.n)
+		} else if m.scratch.Len() < m.n {
+			m.scratch = cycle.NewScratch(max(m.n, 2*m.scratch.Len()))
+		}
+		m.det = cycle.NewBlockDetectorWith(m, m.k, m.minLen, m.active, m.scratch)
 		m.det.Filter = true
 	}
 	return m.det

@@ -71,7 +71,8 @@ func ParallelAblation(cfg Config) *Table {
 			ctx, cancel := timeoutCtx(cfg.Timeout)
 			defer cancel()
 			opts := core.Options{K: cfg.K, Order: cfg.Order, Context: ctx}
-			r, err := core.ComputeParallel(g, core.TDBPlusPlus, opts, 0)
+			r, err := core.NewEngine(g).Solve(nil, core.SolveSpec{
+				Algorithm: core.TDBPlusPlus, Opts: opts, Strategy: core.StrategyParallelSCC})
 			if err != nil {
 				return Cell{TimedOut: true}
 			}

@@ -3,6 +3,7 @@ package tdb
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -15,6 +16,33 @@ func labeledTriangle() *LabeledGraph[string] {
 	b.AddEdge("c", "a")
 	b.AddEdge("c", "d")
 	return b.Build()
+}
+
+// TestLabeledMaintainerInternLinear: a stream that interns one new label
+// per insert must grow the maintainer's working state geometrically, not
+// rebuild n-sized detector state on every insert. Building a 20k-label path
+// that way allocated about 2.5 GB; amortized growth needs a few MB. The
+// last insert closes a triangle, so the detector must still answer over
+// the grown graph.
+func TestLabeledMaintainerInternLinear(t *testing.T) {
+	const n = 20000
+	lm := NewLabeledMaintainer[int](5, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, added := lm.InsertEdge(i, i+1); added {
+			t.Fatalf("insert %d: cover grew on a path", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<20)
+	t.Logf("%d-label path: %d KB allocated", n, got>>10)
+	if got > limit {
+		t.Fatalf("interning a %d-label path allocated %d MB, want <= %d MB", n, got>>20, limit>>20)
+	}
+	if _, added := lm.InsertEdge(n, n-2); !added {
+		t.Fatal("closing a triangle did not grow the cover")
+	}
 }
 
 // TestLabeledBuildAndLookup: interning assigns dense VIDs, lookups and

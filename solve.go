@@ -20,21 +20,16 @@ import (
 // and marks the result TimedOut. A nil ctx is treated as
 // context.Background().
 //
-// For repeated solves over one graph use Engine.Solve, which pools all
-// working state and caches the planning inspection.
+// Solve runs on a throwaway Engine. For repeated solves over one graph use
+// Engine.Solve, which keeps the pooled working state and the planning
+// inspection across calls.
 func Solve(ctx context.Context, g *Graph, k int, opts ...Option) (*Result, error) {
 	cfg := newSolveConfig(opts)
 	a, err := resolveStorage(&cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	if err := prepareSolve(&cfg, a, k, ctx); err != nil {
-		return nil, err
-	}
-	if cfg.edgeCover {
-		return solveEdges(a, cfg)
-	}
-	return core.Solve(a, cfg.spec())
+	return NewStorageEngine(a).solve(ctx, k, cfg)
 }
 
 // resolveStorage picks the backend a solve runs over: WithStorage when
@@ -92,6 +87,11 @@ func (e *Engine) Solve(ctx context.Context, k int, opts ...Option) (*Result, err
 		// another graph with it would be wrong in both directions.
 		return nil, fmt.Errorf("tdb: WithStorage on an engine must name the engine's own backend (use NewStorageEngine)")
 	}
+	return e.solve(ctx, k, cfg)
+}
+
+// solve runs a resolved request on the engine's backend.
+func (e *Engine) solve(ctx context.Context, k int, cfg solveConfig) (*Result, error) {
 	if err := prepareSolve(&cfg, e.Graph(), k, ctx); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package tdb
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -29,7 +30,10 @@ import (
 //     reports a cycle exactly when the enumerator found one;
 //   - the edge transversal (WithEdgeCover), under every order, holds an
 //     edge of every enumerated cycle, and each kept edge is the only kept
-//     edge on some enumerated cycle (minimality).
+//     edge on some enumerated cycle (minimality);
+//   - the input saved with SaveMapped and solved through WithStorage on
+//     the mapped backend gives TDB++ and BUR+ covers bit-identical to the
+//     in-memory graph's under both strategies, and they pass the oracle.
 func FuzzSolveDifferential(f *testing.F) {
 	// Byte 0 picks n, byte 1 MinLen, byte 2 k, byte 3 the random-order
 	// seed; the rest is an edge list of (u, v) byte pairs taken mod n.
@@ -75,6 +79,7 @@ func FuzzSolveDifferential(f *testing.F) {
 			}
 			checkEdgeOracle(t, name, cycles, res.Edges)
 		}
+		checkMappedStorage(t, g, k, minLen, cycles)
 
 		perm := RenumberPerm(g, RenumberDegree)
 		rg := g.Renumber(perm)
@@ -124,6 +129,45 @@ func FuzzSolveDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkMappedStorage saves g in the mapped format, solves it through
+// WithStorage(mapped) with TDB++ and BUR+ under both strategies, and
+// requires the covers of the in-memory graph and the oracle's checks.
+func checkMappedStorage(t *testing.T, g *Graph, k, minLen int, cycles [][]VID) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.tdbcsr")
+	if err := SaveMapped(path, g); err != nil {
+		t.Fatal(err)
+	}
+	mg, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mg.Close()
+	ctx := context.Background()
+	for _, strategy := range []Strategy{StrategySequential, StrategyParallelSCC} {
+		for _, algo := range []Algorithm{TDBPlusPlus, BURPlus} {
+			name := fmt.Sprintf("%v %v mapped n=%d k=%d minlen=%d edges=%v",
+				algo, strategy, g.NumVertices(), k, minLen, g.Edges())
+			opts := []Option{WithMinLen(minLen), WithAlgorithm(algo), WithStrategy(strategy), WithWorkers(2)}
+			want, err := Solve(ctx, g, k, opts...)
+			if err != nil {
+				t.Fatalf("%s memory: %v", name, err)
+			}
+			got, err := Solve(ctx, nil, k, append(opts, WithStorage(mg))...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got.Stats.Storage != "mapped" {
+				t.Fatalf("%s: ran on %q storage", name, got.Stats.Storage)
+			}
+			if !slices.Equal(got.Cover, want.Cover) {
+				t.Fatalf("%s: cover %v, memory cover %v", name, got.Cover, want.Cover)
+			}
+			checkOracle(t, name, cycles, got.Cover, true)
+		}
+	}
 }
 
 // checkEdgeOracle checks an edge transversal against the enumerated cycle

@@ -14,7 +14,7 @@ func multiSCCGraph() *Graph {
 
 // chordRing adds a directed ring over vertices base..base+n-1 with one
 // back-chord (v+3) -> v per vertex, each closing a 4-cycle. The ring has 2n
-// edges: dense enough for the active-adjacency working graph.
+// edges.
 func chordRing(b *Builder, base, n int) {
 	for i := 0; i < n; i++ {
 		b.AddEdge(VID(base+i), VID(base+(i+1)%n))
@@ -22,9 +22,9 @@ func chordRing(b *Builder, base, n int) {
 	}
 }
 
-// denseMultiSCCGraph is multiSCCGraph's split condensation above the
-// view's density cutoff: ten 40-vertex chord rings, each linked forward to
-// the next, so the whole graph and every component run on the view.
+// denseMultiSCCGraph is a denser split condensation than multiSCCGraph's:
+// ten 40-vertex chord rings (average degree 2), each linked forward to the
+// next.
 func denseMultiSCCGraph() *Graph {
 	const parts, size = 10, 40
 	b := NewBuilder(parts * size)
@@ -38,7 +38,7 @@ func denseMultiSCCGraph() *Graph {
 }
 
 // singleSCCGraph is one giant strongly connected component: a 1200-vertex
-// chord ring, which runs on the active-adjacency view.
+// chord ring.
 func singleSCCGraph() *Graph {
 	b := NewBuilder(1200)
 	chordRing(b, 0, 1200)
@@ -205,10 +205,10 @@ func TestEngineSolveMatchesPackageSolve(t *testing.T) {
 	// The DAG has no cycle at all: under WithSCCPrefilter TDB++ has no
 	// candidate to check.
 	dag := FromEdges(200, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 199}})
-	// The power-law graph, the chord rings and their split condensation are
-	// dense enough (average degree >= 2) to run on the active-adjacency
-	// view, which the engine pools and resets between runs; multiSCCGraph
-	// and the DAG run on the vertex mask.
+	// Every graph runs on the active-adjacency view, which the engine pools
+	// and resets between runs: the power-law graph, the chord rings and
+	// their split condensation at average degree >= 2, multiSCCGraph and
+	// the DAG below it.
 	dense := GenPowerLaw(300, 1500, 2.2, 0.3, 12)
 	for _, g := range []*Graph{multiSCCGraph(), denseMultiSCCGraph(), singleSCCGraph(), dag, dense} {
 		for _, k := range []int{3, 5, 8} {
