@@ -38,8 +38,8 @@ const (
 	TDB
 	// TDBPlus is TDB with the block-based detector (Alg. 9-10).
 	TDBPlus
-	// TDBPlusPlus is TDBPlus with the BFS-filter (Alg. 11) — the paper's
-	// headline algorithm.
+	// TDBPlusPlus is TDBPlus with the BFS-filter (Alg. 11), here the
+	// detector's exact tagged meet — the paper's headline algorithm.
 	TDBPlusPlus
 	// DARCDV is the state-of-the-art baseline: the DARC edge transversal
 	// run on the line graph and mapped back to vertices (Sec. III-B).
@@ -196,11 +196,13 @@ type Stats struct {
 	Checked int64
 	// SCCSkipped counts candidates exempted by the SCC prefilter.
 	SCCSkipped int64
-	// FilterPruned counts candidates the BFS-filter (Alg. 11) proved
-	// unnecessary on the exact working graph G0+v (TDB++); the other
-	// checked candidates went on to the block detector's DFS. The filter
-	// runs inside the detector's query, so Detector.Queries counts every
-	// checked candidate once.
+	// FilterPruned counts candidates the filter proved unnecessary on the
+	// exact working graph G0+v (TDB++). The filter is the block
+	// detector's tagged meet (the paper's Alg. 11 made exact), so at
+	// MinLen <= 3 every other checked candidate is one the meet proved
+	// necessary, with no DFS; at longer MinLen they go on to the DFS. The
+	// filter runs inside the detector's query, so Detector.Queries counts
+	// every checked candidate once.
 	FilterPruned int64
 	// FilterBatchWidth is always 0. It is kept only because the benchmark
 	// harness (perfbench) reads it.

@@ -574,10 +574,10 @@ func throughOracle(gr *digraph.Graph, k, minLen int, active []bool, s VID) bool 
 
 // TestFilterPrunedMatchesReplay replays TDB++'s natural-order loop with the
 // enumeration oracle: each vertex joins the working graph, counts as
-// pruned when no cycle of length in [2, k] passes through it (the BFS
-// filter is exact at that length), and otherwise stays in the cover when a
-// cycle of length in [MinLen, k] does. Stats.FilterPruned, Checked and the
-// cover must equal the replay.
+// pruned when no cycle of length in [MinLen, k] passes through it (the
+// tagged meet is exact at MinLen 2 and 3), and otherwise stays in the
+// cover. Stats.FilterPruned, Checked and the cover must equal the replay,
+// and no query may run the DFS.
 func TestFilterPrunedMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 83))
 	for iter := 0; iter < 40; iter++ {
@@ -593,12 +593,11 @@ func TestFilterPrunedMatchesReplay(t *testing.T) {
 				pruned := int64(0)
 				for v := VID(0); int(v) < n; v++ {
 					active[v] = true
-					switch {
-					case !throughOracle(gr, k, 2, active, v):
-						pruned++
-					case throughOracle(gr, k, minLen, active, v):
+					if throughOracle(gr, k, minLen, active, v) {
 						cover = append(cover, v)
 						active[v] = false
+					} else {
+						pruned++
 					}
 				}
 				r := mustCompute(t, gr, TDBPlusPlus, Options{K: k, MinLen: minLen})
@@ -606,8 +605,56 @@ func TestFilterPrunedMatchesReplay(t *testing.T) {
 					t.Fatalf("iter=%d k=%d minLen=%d: FilterPruned=%d Checked=%d, replay %d of %d\ngraph=%v",
 						iter, k, minLen, r.Stats.FilterPruned, r.Stats.Checked, pruned, n, gr.Edges())
 				}
+				if r.Stats.Detector.Pushes != 0 {
+					t.Fatalf("iter=%d k=%d minLen=%d: %d DFS pushes, want none", iter, k, minLen, r.Stats.Detector.Pushes)
+				}
 				if !slices.Equal(r.Cover, cover) {
 					t.Fatalf("iter=%d k=%d minLen=%d: cover %v, replay %v", iter, k, minLen, r.Cover, cover)
+				}
+			}
+		}
+	}
+}
+
+// TestTopDownLongMinLenMatchesEnumerator: at MinLen 4 and 5 a cycle that
+// is too short can close deep in the block detector's DFS, and the
+// rejection must repair every stack vertex's bound, not only the top
+// one's. On random graphs with many 2-cycles, every top-down cover must
+// be valid and minimal against the Enumerator.
+func TestTopDownLongMinLenMatchesEnumerator(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for iter := 0; iter < 200; iter++ {
+		n := 4 + rng.IntN(10)
+		b := digraph.NewBuilder(n)
+		for i := rng.IntN(3 * n); i > 0; i-- {
+			u, v := VID(rng.IntN(n)), VID(rng.IntN(n))
+			b.AddEdge(u, v)
+			if rng.IntN(3) == 0 {
+				b.AddEdge(v, u)
+			}
+		}
+		gr := b.Build()
+		for minLen := 4; minLen <= 5; minLen++ {
+			for k := minLen; k <= 7; k++ {
+				for _, a := range []Algorithm{TDB, TDBPlus, TDBPlusPlus} {
+					r := mustCompute(t, gr, a, Options{K: k, MinLen: minLen})
+					active := make([]bool, n)
+					for v := range active {
+						active[v] = true
+					}
+					for _, v := range r.Cover {
+						active[v] = false
+					}
+					if c := cycle.NewEnumerator(gr, k, minLen, active).All(); len(c) > 0 {
+						t.Fatalf("%v k=%d minLen=%d: cover %v misses cycle %v\ngraph=%v", a, k, minLen, r.Cover, c[0], gr.Edges())
+					}
+					for _, v := range r.Cover {
+						active[v] = true
+						if !throughOracle(gr, k, minLen, active, v) {
+							t.Fatalf("%v k=%d minLen=%d: cover vertex %d is redundant\ngraph=%v", a, k, minLen, v, gr.Edges())
+						}
+						active[v] = false
+					}
 				}
 			}
 		}

@@ -18,9 +18,10 @@ import (
 // through it. The working graph stays free of constrained cycles, so the
 // result is feasible, and every kept edge witnesses a cycle in the final
 // reduced graph plus itself, so it is minimal — the argument of Theorem 7
-// verbatim. Each check is the block detector's edge-rooted query
-// (cycle.BlockDetector.FindThroughEdge) over the accepted edges, with its
-// BFS filter on: exact and O(k·m) per edge. This "TDB-E" variant is an
+// verbatim. Each check is the block detector's yes/no edge-rooted query
+// (cycle.BlockDetector.HasCycleThroughEdge) over the accepted edges, with
+// its filter on: exact and O(k·m) per edge, and at MinLen <= 3 answered by
+// the O(m) tagged meet alone. This "TDB-E" variant is an
 // extension over the paper (which treats only the vertex version) and is
 // benchmarked against DARC in bench_test.go.
 
@@ -36,6 +37,22 @@ type EdgeCoverResult struct {
 // the top-down process. Options are interpreted as for Compute; Order
 // orders candidate edges by their tail vertex.
 func TopDownEdges(g digraph.Adjacency, opts Options) (*EdgeCoverResult, error) {
+	return topDownEdges(g, opts, nil)
+}
+
+// TopDownEdges is the package-level TopDownEdges over the engine's graph,
+// with its detector on the engine's pooled cycle scratch.
+func (e *Engine) TopDownEdges(opts Options) (*EdgeCoverResult, error) {
+	sc := e.getCyc()
+	r, err := topDownEdges(e.g, opts, sc)
+	// Non-deferred Put: a panicking run quarantines its scratch (see
+	// Compute).
+	e.putCyc(sc)
+	return r, err
+}
+
+// topDownEdges runs TopDownEdges with the detector on sc (nil allocates).
+func topDownEdges(g digraph.Adjacency, opts Options, sc *cycle.Scratch) (*EdgeCoverResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(g); err != nil {
 		return nil, err
@@ -56,7 +73,7 @@ func TopDownEdges(g digraph.Adjacency, opts Options) (*EdgeCoverResult, error) {
 	// closes through it there. The query never traverses the edge itself,
 	// so it runs before the edge is appended.
 	acc := newAcceptedEdges(g)
-	det := cycle.NewBlockDetector(acc, opts.K, opts.MinLen, nil)
+	det := cycle.NewBlockDetectorWith(acc, opts.K, opts.MinLen, nil, sc)
 	det.Filter = true
 	// Candidate edges grouped by tail vertex in the configured order.
 	for _, u := range vertexOrder(g, opts) {
@@ -66,7 +83,7 @@ func TopDownEdges(g digraph.Adjacency, opts Options) (*EdgeCoverResult, error) {
 				break
 			}
 			r.Stats.Checked++
-			if det.FindThroughEdge(u, v) != nil {
+			if det.HasCycleThroughEdge(u, v) {
 				r.Edges = append(r.Edges, digraph.Edge{U: u, V: v})
 			} else {
 				acc.add(u, v)

@@ -22,13 +22,18 @@ import (
 // Solve (plan.go) is the engine's entry point; Compute runs one algorithm
 // on pooled scratch below the planner. Context is accepted explicitly and
 // takes precedence over Options.Context.
+//
+// A one-shot engine (NewOneShotEngine) pools nothing: every run allocates
+// its scratch and drops it on return, so a throwaway engine leaves no
+// scratch reachable from sync.Pool caches after its one solve.
 type Engine struct {
-	g digraph.Adjacency
+	g       digraph.Adjacency
+	oneShot bool
 	// run-level scratch (mask + order buffer + detector scratch), one per
 	// concurrent sequential run.
 	runPool sync.Pool
 	// detector-level scratch for the cycle queries (FindCycle,
-	// HasHopConstrainedCycle).
+	// HasHopConstrainedCycle) and the edge transversal (TopDownEdges).
 	cycPool *cycle.ScratchPool
 	// Strategy planning inspects the SCC condensation; the graph is fixed,
 	// so the engine computes the decomposition, its non-trivial component
@@ -51,6 +56,42 @@ func NewEngine(g digraph.Adjacency) *Engine {
 	return e
 }
 
+// NewOneShotEngine creates an engine for a single solve over g: the same
+// paths as NewEngine's, with scratch allocated per run and never pooled.
+func NewOneShotEngine(g digraph.Adjacency) *Engine {
+	return &Engine{g: g, oneShot: true}
+}
+
+// getRun borrows a run's scratch: pooled, or fresh on a one-shot engine.
+func (e *Engine) getRun() *runScratch {
+	if e.oneShot {
+		return newRunScratch(e.g.NumVertices())
+	}
+	return e.runPool.Get().(*runScratch)
+}
+
+// putRun returns a run's scratch to the pool; a one-shot engine drops it.
+func (e *Engine) putRun(rs *runScratch) {
+	if !e.oneShot {
+		e.runPool.Put(rs)
+	}
+}
+
+// getCyc borrows detector scratch: pooled, or fresh on a one-shot engine.
+func (e *Engine) getCyc() *cycle.Scratch {
+	if e.oneShot {
+		return cycle.NewScratch(e.g.NumVertices())
+	}
+	return e.cycPool.Get()
+}
+
+// putCyc returns detector scratch to the pool; a one-shot engine drops it.
+func (e *Engine) putCyc(sc *cycle.Scratch) {
+	if !e.oneShot {
+		e.cycPool.Put(sc)
+	}
+}
+
 // Graph returns the adjacency backend the engine computes over.
 func (e *Engine) Graph() digraph.Adjacency { return e.g }
 
@@ -64,14 +105,14 @@ func (e *Engine) Compute(ctx context.Context, algo Algorithm, opts Options) (*Re
 	if err := opts.validate(e.g); err != nil {
 		return nil, err
 	}
-	rs := e.runPool.Get().(*runScratch)
+	rs := e.getRun()
 	// Deliberately NOT a deferred Put: if compute panics out of this frame
 	// (caller-supplied callbacks, or a bug the pool recovery above this layer
 	// contains), the scratch was abandoned mid-traversal and may hold
 	// poisoned marks — quarantine it to the GC instead of ever handing it to
 	// a later, unrelated run.
 	r, err := compute(e.g, algo, opts, rs)
-	e.runPool.Put(rs)
+	e.putRun(rs)
 	return r, err
 }
 
@@ -97,11 +138,11 @@ func (e *Engine) nontrivialSCCs() int {
 // engine's pool — the allocation-free counterpart of the one-shot package
 // query for serving repeated traffic.
 func (e *Engine) FindCycle(k, minLen int, s VID) []VID {
-	sc := e.cycPool.Get()
+	sc := e.getCyc()
 	// Non-deferred Put: a panicking query quarantines its scratch (see
 	// Compute) rather than pooling possibly-poisoned marks.
 	c := cycle.NewBlockDetectorWith(e.g, k, minLen, nil, sc).FindFrom(s)
-	e.cycPool.Put(sc)
+	e.putCyc(sc)
 	return c
 }
 
@@ -111,11 +152,11 @@ func (e *Engine) FindCycle(k, minLen int, s VID) []VID {
 // queried: no other vertex lies on a cycle.
 func (e *Engine) HasHopConstrainedCycle(k, minLen int) bool {
 	e.condensation()
-	sc := e.cycPool.Get()
+	sc := e.getCyc()
 	found := cycle.HasHopConstrainedCycle(e.g, k, minLen, e.candidates, sc)
 	// Non-deferred Put: a panicking query quarantines its scratch (see
 	// Compute) rather than pooling possibly-poisoned marks.
-	e.cycPool.Put(sc)
+	e.putCyc(sc)
 	return found
 }
 

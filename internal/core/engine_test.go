@@ -136,3 +136,60 @@ func TestComputeParallelTimeoutCoverStillValid(t *testing.T) {
 		t.Fatalf("timed-out parallel cover leaves cycle %v uncovered", witness)
 	}
 }
+
+// TestOneShotEngineDropsScratch: a one-shot engine (the one behind the
+// package-level tdb.Solve) hands no scratch to a sync.Pool, so none of it
+// stays reachable once a solve returns, whatever the solve ran: every
+// algorithm under both strategies, the edge transversal and the cycle
+// queries. A pooling engine after the same solves holds its run scratch,
+// which is what the pools are for.
+func TestOneShotEngineDropsScratch(t *testing.T) {
+	gr := gen.PlantedCycles(300, 20, 3, 5, 400, 5).Graph
+	want := make(map[Algorithm][]VID)
+	for _, a := range allAlgorithms() {
+		r, err := Compute(gr, a, Options{K: 5})
+		if err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
+		want[a] = r.Cover
+	}
+	solveAll := func(e *Engine) {
+		t.Helper()
+		for _, a := range allAlgorithms() {
+			for _, st := range []Strategy{StrategySequential, StrategyParallelSCC} {
+				r, err := e.Solve(context.Background(), SolveSpec{Algorithm: a, Opts: Options{K: 5}, Workers: 2, Strategy: st})
+				if err != nil {
+					t.Fatalf("%v %v: %v", a, st, err)
+				}
+				if st == StrategySequential && !slices.Equal(r.Cover, want[a]) {
+					t.Fatalf("%v: cover %v, want %v", a, r.Cover, want[a])
+				}
+			}
+		}
+		if _, err := e.TopDownEdges(Options{K: 5}); err != nil {
+			t.Fatal(err)
+		}
+		e.FindCycle(5, 3, 0)
+		e.HasHopConstrainedCycle(5, 3)
+	}
+	e := NewOneShotEngine(gr)
+	solveAll(e)
+	if e.cycPool != nil {
+		t.Fatal("a one-shot engine built a cycle-scratch pool")
+	}
+	if rs := e.runPool.Get(); rs != nil {
+		t.Fatalf("a one-shot engine pooled a run scratch: %T", rs)
+	}
+	if raceEnabled {
+		return // the race runtime drops pooled values at random
+	}
+	pooled := NewEngine(gr)
+	solveAll(pooled)
+	if _, err := pooled.Compute(nil, TDBPlusPlus, Options{K: 5}); err != nil {
+		t.Fatal(err)
+	}
+	pooled.runPool.New = nil
+	if pooled.runPool.Get() == nil {
+		t.Fatal("a pooling engine kept no run scratch: the check above proves nothing")
+	}
+}

@@ -26,7 +26,8 @@ type working interface {
 //
 //	TDB   — plain bounded-DFS detector;
 //	TDB+  — block-based detector (Alg. 9-10);
-//	TDB++ — block-based detector with its BFS filter on (Alg. 11).
+//	TDB++ — block-based detector with its BFS filter on (Alg. 11), the
+//	        exact tagged meet, which answers alone at MinLen <= 3.
 //
 // The cover starts conceptually as all of V and the working graph G0 as
 // empty. Each candidate v is activated (all its edges join G0); if no

@@ -12,7 +12,7 @@ import "tdb/internal/digraph"
 //     neighbors, so no per-entry filtering happens at all.
 //
 // Keeping the selection here, in one place, pins the detectors' activation
-// semantics together: the DFS, the seed, the BFS filter and the Unblock
+// semantics together: the DFS, the seed, the tagged meet and the Unblock
 // propagation all see the same live subgraph.
 type adjacency struct {
 	g      digraph.Adjacency

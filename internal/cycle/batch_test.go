@@ -11,9 +11,10 @@ import (
 
 // The whole-graph check and the streaming maintainer's ApplyBatch answer a
 // batch of sources with one block-detector query each, in order, and TDB++
-// runs every query with the BFS filter on. The tests below hold, for every
+// runs every query with the filter on. The tests below hold, for every
 // source of a batch, the detector's answer at minLen 2 and the filtered
-// detector's prune to the enumeration oracle (cycleVertices), on both
+// detector's answer and prune at its own MinLen to the enumeration oracle
+// (cycleVertices), on both
 // working-graph backends, at batch sizes below, at and past one 64-bit word
 // (the width of the batched sweep these tests once checked), and with the
 // detectors and the peel sharing a Scratch query by query. The two tests
@@ -80,7 +81,8 @@ func activeView(g *digraph.Graph, active []bool) *digraph.ActiveAdjacency {
 // batch sizes and both working-graph backends, a block detector at minLen 2
 // answering a batch of sources one query at a time finds a cycle exactly
 // where the oracle lists one, and a filtered detector on the same Scratch
-// prunes exactly the live sources the oracle puts on no cycle.
+// prunes exactly the live sources the oracle at its MinLen puts on no
+// cycle.
 func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -104,7 +106,8 @@ func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 						for v := range active {
 							active[v] = rng.IntN(5) > 0
 						}
-						onCycle := cycleVertices(tc.g, k, active)
+						onCycle := cycleVertices(tc.g, k, exactMinLen, active)
+						onCycleFil := cycleVertices(tc.g, k, filterMinLen(k), active)
 						sc := NewScratch(n)
 						var det, fil *BlockDetector
 						switch backend {
@@ -130,7 +133,7 @@ func TestBatchBFSFilterMatchesScalar(t *testing.T) {
 									found++
 								}
 							}
-							checkFilterPrunes(t, fil, src, active, onCycle)
+							checkFilterPrunes(t, fil, src, active, onCycleFil)
 						}
 						if det.Stats.Queries != int64(3*size) {
 							t.Fatalf("detector counted %d queries, want %d", det.Stats.Queries, 3*size)
@@ -157,8 +160,10 @@ func TestBatchFilterScratchReuse(t *testing.T) {
 	for v := range active {
 		active[v] = v%4 != 0
 	}
-	onCycle := cycleVertices(g, 5, nil)
-	onCycleMasked := cycleVertices(g, 5, active)
+	onCycle := cycleVertices(g, 5, exactMinLen, nil)
+	onCycleMasked := cycleVertices(g, 5, exactMinLen, active)
+	onCycleFil := cycleVertices(g, 5, DefaultMinLen, nil)
+	onCycleFilMasked := cycleVertices(g, 5, DefaultMinLen, active)
 	det := NewBlockDetectorWith(g, 5, exactMinLen, nil, sc)
 	fil := NewBlockDetectorWith(g, 5, DefaultMinLen, nil, sc)
 	fil.Filter = true
@@ -171,13 +176,13 @@ func TestBatchFilterScratchReuse(t *testing.T) {
 			if got := det.HasCycleThrough(VID(v)); got != onCycle[v] {
 				t.Fatalf("round %d full-graph source %d: detector=%v oracle %v", round, v, got, onCycle[v])
 			}
-			checkFilterPrunes(t, fil, []VID{VID(v)}, nil, onCycle)
+			checkFilterPrunes(t, fil, []VID{VID(v)}, nil, onCycleFil)
 		}
 		for v := 0; v < n; v++ {
 			if got, want := detMasked.HasCycleThrough(VID(v)), active[v] && onCycleMasked[v]; got != want {
 				t.Fatalf("round %d masked source %d: detector=%v oracle %v", round, v, got, want)
 			}
-			checkFilterPrunes(t, filMasked, []VID{VID(v)}, active, onCycleMasked)
+			checkFilterPrunes(t, filMasked, []VID{VID(v)}, active, onCycleFilMasked)
 		}
 	}
 }
@@ -203,7 +208,7 @@ func TestBatchFilterViewTracksActivation(t *testing.T) {
 			t.Fatalf("all-active: source %d found no cycle, want one", s)
 		}
 	}
-	checkFilterPrunes(t, fil, src, nil, cycleVertices(g, 5, nil))
+	checkFilterPrunes(t, fil, src, nil, cycleVertices(g, 5, DefaultMinLen, nil))
 	// Every cycle runs over 0->1, so deactivating 1 leaves none.
 	view.Deactivate(1)
 	for _, s := range src {
@@ -212,14 +217,14 @@ func TestBatchFilterViewTracksActivation(t *testing.T) {
 		}
 	}
 	without1 := []bool{true, false, true, true}
-	checkFilterPrunes(t, fil, src, without1, cycleVertices(g, 5, without1))
+	checkFilterPrunes(t, fil, src, without1, cycleVertices(g, 5, DefaultMinLen, without1))
 	view.Activate(1)
 	for _, s := range src {
 		if !det.HasCycleThrough(s) {
 			t.Fatalf("re-activated: source %d found no cycle, want one", s)
 		}
 	}
-	checkFilterPrunes(t, fil, src, nil, cycleVertices(g, 5, nil))
+	checkFilterPrunes(t, fil, src, nil, cycleVertices(g, 5, DefaultMinLen, nil))
 }
 
 // sweepWidths are the batch widths W (sources per batch) of the sweep
@@ -241,7 +246,8 @@ func firstOnCycle(onCycle, active []bool) int {
 
 // TestBatchBFSFilterWidthSweep checks batches of every width W: per source,
 // the detector at minLen 2 matches the oracle and the filtered detector
-// prunes exactly the sources off every cycle, on both backends. On the mask
+// prunes exactly the sources off every cycle of its MinLen, on both
+// backends. On the mask
 // backend it also runs HasHopConstrainedCycle's peel over the same
 // candidates on the same scratch: the peel must clear exactly the active
 // vertices below the first one on a cycle, stop there with true, and leave
@@ -265,7 +271,8 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 						active[v] = rng.IntN(5) > 0
 					}
 					src := batchSources(rng, n, size)
-					onCycle := cycleVertices(tc.g, k, active)
+					onCycle := cycleVertices(tc.g, k, exactMinLen, active)
+					onCycleFil := cycleVertices(tc.g, k, filterMinLen(k), active)
 					for _, backend := range []string{"mask", "view"} {
 						t.Run(backend, func(t *testing.T) {
 							sc := NewScratch(n)
@@ -287,7 +294,7 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 							if det.Stats.Queries != int64(size) {
 								t.Fatalf("Queries = %d, want %d", det.Stats.Queries, size)
 							}
-							checkFilterPrunes(t, fil, src, active, onCycle)
+							checkFilterPrunes(t, fil, src, active, onCycleFil)
 							if backend != "mask" {
 								return
 							}
@@ -326,8 +333,10 @@ func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 	for v := range active {
 		active[v] = v%3 != 1
 	}
-	onCycle := cycleVertices(g, 5, nil)
-	onCycleMasked := cycleVertices(g, 5, active)
+	onCycle := cycleVertices(g, 5, exactMinLen, nil)
+	onCycleMasked := cycleVertices(g, 5, exactMinLen, active)
+	onCycleFil := cycleVertices(g, 5, DefaultMinLen, nil)
+	onCycleFilMasked := cycleVertices(g, 5, DefaultMinLen, active)
 	det := NewBlockDetectorWith(g, 5, exactMinLen, nil, sc)
 	fil := NewBlockDetectorWith(g, 5, DefaultMinLen, nil, sc)
 	fil.Filter = true
@@ -344,7 +353,7 @@ func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 				t.Fatalf("round %d (W=%d) whole-graph source %d: detector=%v oracle %v", round, w, v, got, onCycle[v])
 			}
 		}
-		checkFilterPrunes(t, fil, src, nil, onCycle)
+		checkFilterPrunes(t, fil, src, nil, onCycleFil)
 		if got := HasHopConstrainedCycle(g, 5, exactMinLen, active, sc); got != wantPeel {
 			t.Fatalf("round %d (W=%d) masked peel = %v, want %v", round, w, got, wantPeel)
 		}
@@ -356,6 +365,6 @@ func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 				t.Fatalf("round %d (W=%d) masked source %d: detector=%v oracle %v", round, w, v, got, want)
 			}
 		}
-		checkFilterPrunes(t, filMasked, src, active, onCycleMasked)
+		checkFilterPrunes(t, filMasked, src, active, onCycleFilMasked)
 	}
 }

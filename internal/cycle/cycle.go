@@ -6,14 +6,21 @@
 //     bottom-up cover and by the unoptimized top-down cover (TDB).
 //   - BlockDetector: the paper's NodeNecessary + Unblock (Alg. 9-10), the
 //     block/barrier-based detector with O(k*m) worst-case time per query,
-//     used by TDB+ and TDB++. With Filter set it also runs the paper's
-//     BFS filter (Alg. 11) on every query, a linear-time test read off the
-//     detector's own backward distance seed that proves the absence of any
-//     constrained cycle through the vertex before the DFS starts; TDB++,
-//     the cover verifier and the dynamic maintainer turn it on. Its
-//     edge-rooted form, FindThroughEdge, fixes the query's first hop to
-//     find a constrained cycle through one edge: the maintainer's
-//     insertion checks and the top-down edge transversal (TDB-E) ask it.
+//     used by TDB+ and TDB++. With Filter set every query first runs the
+//     tagged meet, the paper's BFS filter (Alg. 11) made exact: a
+//     bidirectional BFS over the detector's own backward distance seed in
+//     which each vertex carries up to two nearest distinct first hops out
+//     of (or last hops into) the vertex, so that a meet proves a cycle of
+//     length in [3, k] and no meet proves there is none, in O(m). At
+//     MinLen <= 3 the yes/no queries (HasCycleThrough, HasCycleThroughEdge)
+//     answer from the meet alone, with no DFS; longer MinLen runs the DFS
+//     after a meet, and FindFrom and FindThroughEdge, which must return a
+//     cycle, run the plain (untagged) meet and then the DFS. TDB++, the
+//     cover verifier, TDB-E and the dynamic maintainer turn it on. The
+//     edge-rooted
+//     forms fix the query's first hop to ask about one edge: the
+//     maintainer's insertion checks and the top-down edge transversal
+//     (TDB-E) ask them.
 //   - HasHopConstrainedCycle: the whole-graph check, block-detector queries
 //     in vertex order over an active mask that peels every vertex whose
 //     query answered "no".
@@ -56,13 +63,25 @@ const DefaultMinLen = 3
 // post-Wait fold). Never share one Stats value between concurrently
 // querying instances.
 type Stats struct {
-	Queries     int64 // detector invocations
-	Pushes      int64 // DFS stack pushes
-	EdgeScans   int64 // adjacency entries examined
-	Unblocks    int64 // Unblock propagation steps (block detector only)
+	Queries int64 // detector invocations
+	// Pushes counts DFS stack pushes. A filtered block-detector query the
+	// tagged meet answers (every "no", and every yes/no "yes" at
+	// MinLen <= 3) pushes nothing.
+	Pushes    int64
+	EdgeScans int64 // adjacency entries examined
+	// Unblocks counts Unblock propagation steps (block detector only);
+	// like Pushes, they happen only in a DFS.
+	Unblocks    int64
 	CyclesFound int64 // queries that found a constrained cycle
-	BFSVisited  int64 // vertices settled by the BFS filter's forward BFS
-	BFSPruned   int64 // queries the BFS filter pruned (BlockDetector.Filter)
+	// BFSVisited counts the tags the tagged meet's forward BFS records:
+	// a vertex counts once per first-hop tag it takes (at most two), and
+	// the last level, which is only probed against the ball, not at all.
+	BFSVisited int64
+	// BFSPruned counts the filtered queries a meet answered "no"
+	// (BlockDetector.Filter): on a yes/no query no cycle of length in
+	// [max(MinLen, 3), k] (in [2, k] at MinLen 2) passes through the
+	// vertex or edge, on a finding query no closed walk of length <= k.
+	BFSPruned int64
 	// Batches is always 0. It is kept only because the benchmark
 	// harness (perfbench) reads it.
 	Batches int64

@@ -8,14 +8,14 @@ import (
 	"tdb/internal/digraph"
 )
 
-// The BFS filter (BlockDetector.Filter, the paper's Alg. 11) is checked
-// against the enumeration oracle, never against another filter: with
-// MinLen 2 the shortest closed walk through s is a simple cycle, so a query
-// must prune exactly when the Enumerator lists no cycle of length in [2, k]
-// through s.
+// The filter (BlockDetector.Filter, the tagged meet that makes the paper's
+// Alg. 11 exact) is checked against the enumeration oracle at the
+// detector's own MinLen, never against another filter: at MinLen 2 and 3
+// a query must prune exactly when the Enumerator lists no cycle of length
+// in [MinLen, k] through s, and answer "yes" otherwise, with no DFS.
 
-// filterKs are the hop constraints the filter tests cover. k = 2 has seed
-// depth D = 0, so the forward BFS must meet the ball at s itself.
+// filterKs are the hop constraints the filter tests cover. k = 2 is the
+// one whose seed depth (k-1)/2 = 0 is raised to 1.
 var filterKs = []int{2, 3, 4, 5, 8}
 
 // filterMinLen is the shortest cycle length a detector at hop constraint k
@@ -23,10 +23,12 @@ var filterKs = []int{2, 3, 4, 5, 8}
 func filterMinLen(k int) int { return min(DefaultMinLen, k) }
 
 // cycleVertices marks every vertex of the active subgraph (nil = whole
-// graph) that lies on a cycle of length in [2, k], as the Enumerator at
-// MinLen 2 lists them. The enumeration stops once every vertex on a cycle
-// of any length is marked, which keeps dense graphs cheap.
-func cycleVertices(g digraph.Adjacency, k int, active []bool) []bool {
+// graph) that lies on a cycle of length in [minLen, k], as the Enumerator
+// lists them. The enumeration stops once every vertex on a cycle of any
+// length is marked, which keeps dense graphs cheap (at minLen 3 a vertex
+// whose only cycles are 2-cycles is never marked, and the enumeration may
+// run to its end).
+func cycleVertices(g digraph.Adjacency, k, minLen int, active []bool) []bool {
 	n := g.NumVertices()
 	on := make([]bool, n)
 	left := 0
@@ -38,7 +40,7 @@ func cycleVertices(g digraph.Adjacency, k int, active []bool) []bool {
 	if left == 0 {
 		return on
 	}
-	NewEnumerator(g, k, 2, active).Visit(func(c []VID) bool {
+	NewEnumerator(g, k, minLen, active).Visit(func(c []VID) bool {
 		for _, v := range c {
 			if !on[v] {
 				on[v] = true
@@ -76,26 +78,27 @@ func onAnyCycle(g digraph.Adjacency, active []bool, s VID) bool {
 	return false
 }
 
-// checkFilterPrunes queries every source with det, whose Filter is on, and
-// fails unless a query counts a prune exactly when its source is live in
-// active (nil = every vertex) and unmarked in onCycle. A pruned query must
-// answer "no", and a detector at minLen 2 must answer exactly onCycle.
+// checkFilterPrunes queries every source with det, whose Filter is on and
+// whose MinLen is at most 3, and fails unless each query answers exactly
+// onCycle, the oracle at det's MinLen (cycleVertices), counts a prune
+// exactly when its source is live in active (nil = every vertex) and
+// unmarked in onCycle, and pushes nothing: the meet alone answers.
 func checkFilterPrunes(t *testing.T, det *BlockDetector, sources []VID, active, onCycle []bool) {
 	t.Helper()
 	for i, s := range sources {
-		before := det.Stats.BFSPruned
+		before, pushes := det.Stats.BFSPruned, det.Stats.Pushes
 		found := det.HasCycleThrough(s)
 		pruned := det.Stats.BFSPruned != before
 		live := active == nil || active[s]
 		if want := live && !onCycle[s]; pruned != want {
-			t.Fatalf("k=%d position %d source %d: pruned=%v, want %v (live=%v, on a cycle=%v)",
-				det.k, i, s, pruned, want, live, onCycle[s])
+			t.Fatalf("k=%d minLen=%d position %d source %d: pruned=%v, want %v (live=%v, on a cycle=%v)",
+				det.k, det.minLen, i, s, pruned, want, live, onCycle[s])
 		}
-		if found && (pruned || !onCycle[s]) {
-			t.Fatalf("k=%d source %d: found a cycle the oracle does not list (pruned=%v)", det.k, s, pruned)
+		if found != (live && onCycle[s]) {
+			t.Fatalf("k=%d minLen=%d source %d: found=%v, oracle %v", det.k, det.minLen, s, found, live && onCycle[s])
 		}
-		if det.minLen == 2 && found != (live && onCycle[s]) {
-			t.Fatalf("k=%d source %d: minLen-2 detector found=%v, oracle %v", det.k, s, found, live && onCycle[s])
+		if det.Stats.Pushes != pushes {
+			t.Fatalf("k=%d minLen=%d source %d: the query ran the DFS after the meet", det.k, det.minLen, s)
 		}
 	}
 }
@@ -111,7 +114,7 @@ func allSources(n int) []VID {
 
 // TestFilterMatchesEnumerator: on random graphs, with and without a mask,
 // with and without self-loops, a filtered query prunes exactly the live
-// vertices the oracle puts on no cycle of length <= k.
+// vertices the oracle puts on no cycle of length in [MinLen, k].
 func TestFilterMatchesEnumerator(t *testing.T) {
 	rng := rand.New(rand.NewPCG(55, 66))
 	for iter := 0; iter < 100; iter++ {
@@ -134,7 +137,7 @@ func TestFilterMatchesEnumerator(t *testing.T) {
 				for _, minLen := range []int{2, filterMinLen(k)} {
 					det := NewBlockDetector(gr, k, minLen, active)
 					det.Filter = true
-					checkFilterPrunes(t, det, allSources(n), active, cycleVertices(gr, k, active))
+					checkFilterPrunes(t, det, allSources(n), active, cycleVertices(gr, k, minLen, active))
 				}
 			})
 		}
@@ -142,8 +145,9 @@ func TestFilterMatchesEnumerator(t *testing.T) {
 }
 
 // TestFilterWalkLengths pins the filter's boundary: a 4-cycle is pruned at
-// k = 3 and kept from k = 4 on, and a 2-cycle is never pruned, even where
-// the detector at minLen 3 then rejects it (the paper's Example 2).
+// k = 3 and kept from k = 4 on, and a 2-cycle is kept at minLen 2 and
+// pruned at minLen 3, where the paper's untagged filter let it through to
+// a DFS that then rejected it (the paper's Example 2).
 func TestFilterWalkLengths(t *testing.T) {
 	ring := g(4, 0, 1, 1, 2, 2, 3, 3, 0)
 	for _, k := range filterKs {
@@ -171,16 +175,17 @@ func TestFilterWalkLengths(t *testing.T) {
 			if found := det.HasCycleThrough(0); found != (minLen == 2) {
 				t.Fatalf("2-cycle k=%d minLen=%d: found=%v", k, minLen, found)
 			}
-			if det.Stats.BFSPruned != 0 {
-				t.Fatalf("2-cycle k=%d minLen=%d: the filter pruned a closed walk of length 2", k, minLen)
+			if pruned := det.Stats.BFSPruned == 1; pruned != (minLen == 3) || det.Stats.Pushes != 0 {
+				t.Fatalf("2-cycle k=%d minLen=%d: pruned=%v pushes=%d, want a prune exactly at minLen 3 and no DFS",
+					k, minLen, pruned, det.Stats.Pushes)
 			}
 		}
 	}
 }
 
 // TestFilterNoInNeighbors: a source with no live in-edge is pruned at every
-// k. Where the seed scans in-edges (k >= 3) it runs out at s, so the query
-// settles no vertex forward. A self-loop is no in-edge.
+// k. The seed runs out at s, so the query settles no vertex forward. A
+// self-loop is no in-edge.
 func TestFilterNoInNeighbors(t *testing.T) {
 	b := digraph.NewBuilder(4)
 	b.KeepSelfLoops = true
@@ -201,7 +206,7 @@ func TestFilterNoInNeighbors(t *testing.T) {
 			if det.HasCycleThrough(src.s) || det.Stats.BFSPruned != 1 {
 				t.Fatalf("k=%d s=%d: a source with no live in-edge was not pruned", k, src.s)
 			}
-			if k >= 3 && det.Stats.BFSVisited != 0 {
+			if det.Stats.BFSVisited != 0 {
 				t.Fatalf("k=%d s=%d: the forward BFS settled %d vertices after the seed ran out",
 					k, src.s, det.Stats.BFSVisited)
 			}

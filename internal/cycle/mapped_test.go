@@ -27,8 +27,9 @@ func openMapped(t *testing.T, g *digraph.Graph) *digraph.MappedGraph {
 
 // TestDetectorsOnMappedBackend asserts the block detector answers
 // identically over the mapped backend and the in-memory CSR, per vertex,
-// and that with its filter on it prunes exactly where the oracle puts a
-// vertex on no cycle — also on a mapped graph that keeps self-loops.
+// and that with its filter on it prunes exactly where the oracle at its
+// MinLen puts a vertex on no cycle — also on a mapped graph that keeps
+// self-loops.
 func TestDetectorsOnMappedBackend(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	const n, k = 200, 5
@@ -55,7 +56,7 @@ func TestDetectorsOnMappedBackend(t *testing.T) {
 			t.Fatalf("%s: mapped graph has %d edges, want %d", name, mapped.NumEdges(), gr.NumEdges())
 		}
 		for _, fk := range filterKs {
-			onCycle := cycleVertices(mapped, fk, nil)
+			onCycle := cycleVertices(mapped, fk, filterMinLen(fk), nil)
 			memFil := NewBlockDetector(gr, fk, filterMinLen(fk), nil)
 			mapFil := NewBlockDetector(mapped, fk, filterMinLen(fk), nil)
 			memFil.Filter, mapFil.Filter = true, true

@@ -6,16 +6,16 @@ import (
 )
 
 // Scratch owns the O(n) working state the detection primitives need: the
-// epoch-marked path map, the block/barrier tables, the queue of
-// BlockDetector's distance seed and BFS filter, and the peel mask of
-// HasHopConstrainedCycle. Allocating it once per graph and lending it to
+// epoch-marked path map, the block/barrier tables, the queues of
+// BlockDetector's distance seed and tagged meet, the meet's hop-tag tables,
+// and the peel mask of HasHopConstrainedCycle. Allocating it once per graph and lending it to
 // detectors makes repeated queries (and repeated whole covers over the
 // same graph) allocation-free; ScratchPool makes that reuse safe across
 // goroutines.
 //
 // One Scratch may back ONE detector or enumerator at a time: PlainDetector
 // and Enumerator run on its onPath and path buffers, BlockDetector on
-// those plus blocked, stamp and seedQ. Scratch is not safe for concurrent
+// those plus blocked, stamp, seedQ, seedQ2 and the tag tables. Scratch is not safe for concurrent
 // use; give each worker its own (see ScratchPool).
 type Scratch struct {
 	n int
@@ -26,6 +26,9 @@ type Scratch struct {
 	epoch   uint32
 	path    []VID
 	seedQ   []VID
+	seedQ2  []VID    // second-tag entries of the tagged seed and meet
+	back    []tagSet // the meet's hop tags, allocated on first tagged query
+	fwd     []tagSet
 	peel    []bool // allocated on first use
 }
 
@@ -50,6 +53,18 @@ func (s *Scratch) peelMask(from []bool, n int) []bool {
 		live[i] = from == nil || from[i]
 	}
 	return live
+}
+
+// tagTables returns the backward and forward tag tables, allocating them
+// on first use: only a tagged meet needs them (8 B per vertex each). The
+// meet's queues grow with use: the ball and the forward BFS share seedQ
+// and seedQ2, so each holds at most 2n entries.
+func (s *Scratch) tagTables() (back, fwd []tagSet) {
+	if s.back == nil {
+		s.back = make([]tagSet, s.n)
+		s.fwd = make([]tagSet, s.n)
+	}
+	return s.back, s.fwd
 }
 
 // Len returns the number of vertices the scratch is sized for.

@@ -57,10 +57,10 @@ func TestViewDetectorsMatchMask(t *testing.T) {
 			}
 		}
 
-		// The filtered detectors prune exactly where the oracle puts a
-		// live vertex on no cycle, on both backends.
+		// The filtered detectors prune exactly where the oracle at their
+		// MinLen puts a live vertex on no cycle, on both backends.
 		for _, k := range filterKs {
-			onCycle := cycleVertices(g, k, active)
+			onCycle := cycleVertices(g, k, filterMinLen(k), active)
 			maskFil := NewBlockDetector(g, k, filterMinLen(k), active)
 			viewFil := NewBlockDetectorView(view, k, filterMinLen(k), nil)
 			maskFil.Filter, viewFil.Filter = true, true

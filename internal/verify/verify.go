@@ -138,6 +138,7 @@ func IsValidParallel(g digraph.Adjacency, k, minLen int, cover []VID, workers in
 func IsMinimal(g digraph.Adjacency, k, minLen int, cover []VID) (bool, []VID) {
 	active := activeWithout(g.NumVertices(), cover)
 	det := cycle.NewBlockDetector(g, k, minLen, active)
+	det.Filter = true
 	var redundant []VID
 	for _, v := range cover {
 		active[v] = true

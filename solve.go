@@ -20,16 +20,17 @@ import (
 // and marks the result TimedOut. A nil ctx is treated as
 // context.Background().
 //
-// Solve runs on a throwaway Engine. For repeated solves over one graph use
-// Engine.Solve, which keeps the pooled working state and the planning
-// inspection across calls.
+// Solve runs on a throwaway Engine that pools nothing, so no scratch
+// outlives the call. For repeated solves over one graph use Engine.Solve,
+// which keeps the pooled working state and the planning inspection across
+// calls.
 func Solve(ctx context.Context, g *Graph, k int, opts ...Option) (*Result, error) {
 	cfg := newSolveConfig(opts)
 	a, err := resolveStorage(&cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	return NewStorageEngine(a).solve(ctx, k, cfg)
+	return (&Engine{e: core.NewOneShotEngine(a)}).solve(ctx, k, cfg)
 }
 
 // resolveStorage picks the backend a solve runs over: WithStorage when
@@ -63,10 +64,10 @@ func prepareSolve(cfg *solveConfig, g Storage, k int, ctx context.Context) error
 	return nil
 }
 
-// solveEdges runs the edge-transversal variant and folds its outcome into
-// the unified Result shape.
-func solveEdges(g Storage, cfg solveConfig) (*Result, error) {
-	er, err := core.TopDownEdges(g, cfg.core)
+// solveEdges runs the edge-transversal variant on e's cycle scratch and
+// folds its outcome into the unified Result shape.
+func solveEdges(e *core.Engine, cfg solveConfig) (*Result, error) {
+	er, err := e.TopDownEdges(cfg.core)
 	if err != nil {
 		return nil, err
 	}
@@ -96,9 +97,9 @@ func (e *Engine) solve(ctx context.Context, k int, cfg solveConfig) (*Result, er
 		return nil, err
 	}
 	if cfg.edgeCover {
-		// The edge detector sizes its state to the edge count and is not
-		// pooled; engine edge solves share only the graph.
-		return solveEdges(e.Graph(), cfg)
+		// The accepted-edge graph is sized to the edge count and built per
+		// solve; only the detector's scratch comes from the engine.
+		return solveEdges(e.e, cfg)
 	}
 	return e.e.Solve(nil, cfg.spec())
 }
