@@ -252,15 +252,15 @@ func (d *BlockDetector) query(s, first VID, find bool) bool {
 // With Filter set, on a query that wants the meet exact (a yes/no query;
 // one that must return a cycle runs the DFS after any meet), and at
 // MinLen >= 3, the seed also tags the ball for the meet (see Tags) once
-// firstHops finds that s has a partner: back[w] then
-// keeps w's up to two nearest distinct last hops into s. A partner
-// in-neighbor of s takes its own hop as its tag, every other one the safe
-// tag. A vertex takes its second tag at most once, on a level no nearer
-// than its first, and is then queued again, in q2, to pass that tag on;
-// so every ball vertex is expanded at most twice. The block of w is the
-// level of its first tag, as without tags. Without a partner every tag
-// is safe, and the query is untagged (d.tagged false): neither side
-// records a tag, and the meet is the paper's plain one.
+// firstHops finds that s has a partner: back[w] then keeps w's up to two
+// nearest distinct last hops into s. A partner in-neighbor of s takes its
+// own hop as its tag, every other one the safe tag. A vertex takes its
+// second tag at most once, on a level no nearer than its first, and is
+// then queued again, in q2, to pass that tag on; so every ball vertex is
+// expanded at most twice. The block of w is the level of its first tag,
+// as without tags. Without a partner every tag is safe, and the query is
+// untagged (d.tagged false): neither side records a tag, and the meet is
+// the paper's plain one.
 //
 // A filtered seed returns 0, before searching past the first level, when
 // s's own rows already rule out every cycle (see firstHops).
@@ -368,10 +368,9 @@ func (d *BlockDetector) seedTagged(s VID, depth int, q []VID) ([]VID, int) {
 // level) holds; with exact set, d.tagged records whether there is one,
 // and if so it tags level: a partner with its own hop, every other
 // in-neighbor with the safe tag. It returns false when s's own rows rule
-// out every cycle: s has
-// no live first hop, or (for cycles of length >= 3, which leave s by one
-// hop and return by another) its one live in-neighbor is its one live
-// first hop.
+// out every cycle: s has no live first hop, or (for cycles of length
+// >= 3, which leave s by one hop and return by another) its one live
+// in-neighbor is its one live first hop.
 func (d *BlockDetector) firstHops(s, first VID, level []VID, exact bool) bool {
 	stamp, epoch, active := d.s.stamp, d.s.epoch, d.active
 	hops, live := d.out(s), 0
@@ -401,8 +400,8 @@ func (d *BlockDetector) firstHops(s, first VID, level []VID, exact bool) bool {
 		return false
 	}
 	if d.tagged {
-		// A partner tags itself, every other hop is safe; s is safe and
-		// full on both sides, so neither ever tags it.
+		// A partner tags itself, every other in-neighbor is safe; s is
+		// safe and full on both sides, so neither ever tags it.
 		back, fwd := d.s.tagTables()
 		back[s], fwd[s] = tagSet{s, noVertex}, tagSet{s, noVertex}
 		for _, v := range level {
@@ -411,13 +410,6 @@ func (d *BlockDetector) firstHops(s, first VID, level []VID, exact bool) bool {
 				t = v
 			}
 			back[v] = tagSet{t, noVertex}
-		}
-		for _, a := range hops {
-			t := s
-			if stamp[a] == epoch {
-				t = a
-			}
-			fwd[a] = tagSet{t, noVertex}
 		}
 	}
 	return true
@@ -497,8 +489,10 @@ func (d *BlockDetector) closesWithin(s VID) bool {
 }
 
 // taggedMeet is closesWithin for a tagged query. The first level is the
-// first hops firstHops marked and tagged; later levels are queued behind
-// the ball, first tags in seedQ and second tags in seedQ2.
+// first hops firstHops marked, each tagged here: a partner (a first hop
+// the ball holds at distance 1) with itself, any other with the safe tag.
+// Later levels are queued behind the ball, first tags in seedQ and second
+// tags in seedQ2.
 func (d *BlockDetector) taggedMeet(s VID) bool {
 	stamp, epoch, back, fwd, active := d.s.stamp, d.s.epoch, d.s.back, d.s.fwd, d.active
 	seen, cur := d.s.onPath.stamp, d.s.onPath.cur
@@ -510,9 +504,14 @@ func (d *BlockDetector) taggedMeet(s VID) bool {
 		if (active != nil && !active[a]) || a == s {
 			continue
 		}
+		t := s
+		if stamp[a] == epoch && back[a][0] == a {
+			t = a
+		}
+		fwd[a] = tagSet{t, noVertex}
 		q = append(q, a)
 		visited++
-		if stamp[a] == epoch && back[a].meets(fwd[a][0], s) {
+		if stamp[a] == epoch && back[a].meets(t, s) {
 			met = true
 			break
 		}
