@@ -13,7 +13,7 @@ import (
 // FuzzSolveDifferential checks every cover Solve returns against the
 // enumeration oracle (cycle.Enumerator) rather than against another
 // detector. The input bytes pick a graph of at most 16 vertices, MinLen in
-// {2, 3} and k in [MinLen, MinLen+4]; each input is then solved by every
+// [2, 5] and k in [MinLen, MinLen+4]; each input is then solved by every
 // algorithm under both strategies, every order that needs no weights and
 // with the SCC prefilter off and on. Contract:
 //
@@ -46,7 +46,7 @@ func FuzzSolveDifferential(f *testing.F) {
 			return
 		}
 		n := 1 + int(data[0])%16
-		minLen := 2 + int(data[1])%2
+		minLen := 2 + int(data[1])%4
 		k := minLen + int(data[2])%5
 		seed := uint64(data[3])
 		edges := data[4:]
