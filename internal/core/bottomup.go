@@ -28,13 +28,9 @@ func bottomUp(g digraph.Adjacency, opts Options, minimal bool, rs *runScratch) *
 	candidates := cycleCandidates(g, opts, &r.Stats)
 
 	view, active := rs.workingGraph(g, opts, true)
-	var det *cycle.PlainDetector
-	if view != nil {
-		det = cycle.NewPlainDetectorView(view, opts.K, opts.MinLen, rs.cyc)
-	} else {
-		det = cycle.NewPlainDetectorWith(g, opts.K, opts.MinLen, rs.active.Raw(), rs.cyc)
-	}
-	det.Cancelled = stop // aborts even mid-search (worst case O(n^k))
+	// Block queries return the plain DFS's (Alg. 5) first cycle in O(k*m),
+	// so H sees the paper's cycles and stop is polled between queries only.
+	det := rs.blockDetector(g, view, opts)
 	h := rs.hitCounters(n)
 
 	var coverOrder []VID // insertion order, needed by the minimal pass
@@ -52,16 +48,13 @@ func bottomUp(g digraph.Adjacency, opts Options, minimal bool, rs *runScratch) *
 			for _, v := range c {
 				h[v]++
 			}
-			u := findCoverNode(h, c)
+			u := findCoverNode(h, c, opts.Weights)
 			coverOrder = append(coverOrder, u)
 			active.Deactivate(u) // removes all in- and out-edges of u
 			if stop != nil && stop() {
 				r.Stats.TimedOut = true
 				break
 			}
-		}
-		if det.WasAborted() {
-			r.Stats.TimedOut = true
 		}
 		if r.Stats.TimedOut {
 			break
@@ -79,11 +72,13 @@ func bottomUp(g digraph.Adjacency, opts Options, minimal bool, rs *runScratch) *
 }
 
 // findCoverNode picks the cycle vertex with the maximum hit count; ties go
-// to the earliest vertex on the cycle (Alg. 6 starts with c[0]).
-func findCoverNode(h []int64, c []VID) VID {
+// to the earliest vertex on the cycle (Alg. 6 starts with c[0]). With
+// weights, ties go to the cheaper vertex first: under OrderWeighted c[0] is
+// the start vertex, the most expensive candidate left.
+func findCoverNode(h []int64, c []VID, w []float64) VID {
 	best := c[0]
 	for _, v := range c[1:] {
-		if h[v] > h[best] {
+		if h[v] > h[best] || h[v] == h[best] && w != nil && w[v] < w[best] {
 			best = v
 		}
 	}
@@ -95,7 +90,7 @@ func findCoverNode(h []int64, c []VID) VID {
 // through v there, v is redundant and is removed from the cover for good
 // (staying restored). Otherwise v is deactivated again. The surviving set is
 // a minimal cover (paper Theorem 4).
-func minimalPass(det *cycle.PlainDetector, active working, cover []VID, st *Stats, stop func() bool) []VID {
+func minimalPass(det *cycle.BlockDetector, active working, cover []VID, st *Stats, stop func() bool) []VID {
 	kept := cover[:0]
 	for _, v := range cover {
 		if stop != nil && stop() {
@@ -105,12 +100,7 @@ func minimalPass(det *cycle.PlainDetector, active working, cover []VID, st *Stat
 			continue
 		}
 		active.Activate(v)
-		if det.HasCycleThrough(v) || det.WasAborted() {
-			// Keeping a vertex is always safe; an aborted (inconclusive)
-			// check therefore keeps it and flags the timeout.
-			if det.WasAborted() {
-				st.TimedOut = true
-			}
+		if det.HasCycleThrough(v) {
 			active.Deactivate(v)
 			kept = append(kept, v)
 		} else {

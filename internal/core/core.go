@@ -126,8 +126,8 @@ type Options struct {
 	SCCPrefilter bool
 	// Context, when non-nil, carries cancellation and deadline for the
 	// run: it is polled between candidate steps — and additionally inside
-	// the exponential-worst-case DFS of the plain detector (TDB, BUR) and
-	// DARC; the block detector's O(k*m) queries (TDB+, TDB++) run to
+	// the exponential-worst-case DFS of the plain detector (TDB) and DARC;
+	// the block detector's O(k*m) queries (TDB+, TDB++, BUR, BUR+) run to
 	// completion — and a done context stops the algorithm and marks the
 	// result TimedOut (or Degraded, see PartialOnDeadline).
 	Context context.Context

@@ -217,6 +217,15 @@ func (rs *runScratch) workingGraph(g digraph.Adjacency, opts Options, allActive 
 	return rs.view, rs.view
 }
 
+// blockDetector returns a block detector over the working graph that
+// workingGraph returned: the view when it returned one, else the mask.
+func (rs *runScratch) blockDetector(g digraph.Adjacency, view *digraph.ActiveAdjacency, opts Options) *cycle.BlockDetector {
+	if view != nil {
+		return cycle.NewBlockDetectorView(view, opts.K, opts.MinLen, rs.cyc)
+	}
+	return cycle.NewBlockDetectorWith(g, opts.K, opts.MinLen, rs.active.Raw(), rs.cyc)
+}
+
 // hitCounters returns the zeroed BUR hit-counter buffer.
 func (rs *runScratch) hitCounters(n int) []int64 {
 	if rs.h == nil {

@@ -59,11 +59,7 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 		plainDet.Cancelled = stop // the plain DFS is worst-case O(n^k)
 		det = plainDet
 	} else {
-		if view != nil {
-			blockDet = cycle.NewBlockDetectorView(view, opts.K, opts.MinLen, rs.cyc)
-		} else {
-			blockDet = cycle.NewBlockDetectorWith(g, opts.K, opts.MinLen, rs.active.Raw(), rs.cyc)
-		}
+		blockDet = rs.blockDetector(g, view, opts)
 		blockDet.Filter = algo == TDBPlusPlus
 		det = blockDet
 	}

@@ -3,10 +3,11 @@
 //
 //   - PlainDetector: the paper's FindCycle (Alg. 5), a bounded DFS that
 //     returns one constrained cycle through a start vertex, used by the
-//     bottom-up cover and by the unoptimized top-down cover (TDB).
+//     unoptimized top-down cover (TDB) and as the tests' reference.
 //   - BlockDetector: the paper's NodeNecessary + Unblock (Alg. 9-10), the
 //     block/barrier-based detector with O(k*m) worst-case time per query,
-//     used by TDB+ and TDB++. With Filter set every query first runs the
+//     used by TDB+, TDB++, BUR and BUR+ (FindFrom returns the plain DFS's
+//     first cycle). With Filter set every query first runs the
 //     tagged meet, the paper's BFS filter (Alg. 11) made exact: a
 //     bidirectional BFS over the detector's own backward distance seed in
 //     which each vertex carries up to two nearest distinct first hops out
@@ -159,8 +160,8 @@ type PlainDetector struct {
 
 	// Cancelled, when non-nil, is the detector's stop poll, checked
 	// periodically inside the DFS; a true return aborts the current query
-	// (FindFrom then returns nil and WasAborted reports true). The cover
-	// algorithms feed it from their context, since without it a single
+	// (FindFrom then returns nil and WasAborted reports true). TDB's
+	// cover loop feeds it from its context, since without it a single
 	// worst-case O(n^k) query could outlive any caller-side timeout.
 	Cancelled func() bool
 	aborted   bool

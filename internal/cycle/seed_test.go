@@ -13,6 +13,8 @@ import (
 // return the plain DFS's first cycle slice for slice — on the mask path and
 // on the view path alike (a view may reorder a row on deactivation, so each
 // path is compared with the plain detector over the same representation).
+// The bottom-up cover's hit counters rely on this at every MinLen
+// WithMinLen accepts.
 func TestBlockFindFromMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 32))
 	queries := 0
@@ -29,7 +31,7 @@ func TestBlockFindFromMatchesPlain(t *testing.T) {
 				}
 			}
 		}
-		for _, minLen := range []int{2, 3} {
+		for _, minLen := range []int{2, 3, 4, 5} {
 			for k := minLen; k <= minLen+5; k++ {
 				pd := NewPlainDetector(gr, k, minLen, active)
 				bd := NewBlockDetector(gr, k, minLen, active)

@@ -95,7 +95,8 @@ func Table3(cfg Config) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"expected shape: TDB++ fastest by 2-3 orders; BUR+ smallest covers with TDB++ within a few percent; DARC-DV worst size")
+		"expected shape (paper): TDB++ fastest by 2-3 orders; BUR+ smallest covers with TDB++ within a few percent; DARC-DV worst size",
+		"measured shape (this repository): TDB++ fastest, BUR+ 1-4x slower, since it runs on the same block detector (DESIGN.md §7); BUR+ and TDB++ covers within 7% either way; DARC-DV worst size and the only INF")
 	return t
 }
 
@@ -197,9 +198,11 @@ func Fig67(cfg Config) (*Table, *Table) {
 		[]core.Algorithm{core.BURPlus, core.DARCDV, core.TDBPlusPlus},
 		[]string{"BUR+", "DARC-DV", "TDB++"})
 	t6.Notes = append(t6.Notes,
-		"expected shape: TDB++ fastest at every k; DARC-DV and BUR+ degrade steeply with k and hit INF first")
+		"expected shape (paper): TDB++ fastest at every k; DARC-DV and BUR+ degrade steeply with k and hit INF first",
+		"measured shape (this repository): TDB++ fastest or level; BUR+ grows mildly with k on the block detector and completes every cell; DARC-DV degrades steeply and alone hits INF")
 	t7.Notes = append(t7.Notes,
-		"expected shape: cover size grows with k for all algorithms; BUR+ smallest, TDB++ close, DARC-DV worst")
+		"expected shape (paper): cover size grows with k for all algorithms; BUR+ smallest, TDB++ close, DARC-DV worst",
+		"measured shape (this repository): as the paper, except that BUR+ and TDB++ trade the smallest cover within a few percent")
 	return t6, t7
 }
 

@@ -14,8 +14,9 @@ import (
 // enumeration oracle (cycle.Enumerator) rather than against another
 // detector. The input bytes pick a graph of at most 16 vertices, MinLen in
 // [2, 5] and k in [MinLen, MinLen+4]; each input is then solved by every
-// algorithm under both strategies, every order that needs no weights and
-// with the SCC prefilter off and on. Contract:
+// algorithm under both strategies, every order (OrderWeighted with vertex
+// weights in [1, 8] read from the input bytes, so weights tie) and with the
+// SCC prefilter off and on. Contract:
 //
 //   - every cover intersects every enumerated cycle;
 //   - the covers of TDB, TDB+, TDB++ and BUR+ are minimal: each cover
@@ -84,9 +85,19 @@ func FuzzSolveDifferential(f *testing.F) {
 		perm := RenumberPerm(g, RenumberDegree)
 		rg := g.Renumber(perm)
 		inv := InversePerm(perm)
+		w := make([]float64, n) // OrderWeighted's costs; rw is w renumbered
+		rw := make([]float64, n)
+		for v := range w {
+			w[v] = float64(1 + data[(4+v)%len(data)]%8)
+			rw[perm[v]] = w[v]
+		}
 
 		ctx := context.Background()
-		for _, order := range []Order{OrderNatural, OrderDegreeAsc, OrderDegreeDesc, OrderRandom} {
+		for _, order := range []Order{OrderNatural, OrderDegreeAsc, OrderDegreeDesc, OrderRandom, OrderWeighted} {
+			var weights, rweights []Option
+			if order == OrderWeighted {
+				weights, rweights = []Option{WithWeights(w)}, []Option{WithWeights(rw)}
+			}
 			for _, strategy := range []Strategy{StrategySequential, StrategyParallelSCC} {
 				for _, prefilter := range []bool{false, true} {
 					opts := []Option{WithMinLen(minLen), WithOrder(order), WithSeed(seed),
@@ -100,7 +111,7 @@ func FuzzSolveDifferential(f *testing.F) {
 						name := fmt.Sprintf("%v order=%d %v scc=%v n=%d k=%d minlen=%d edges=%v",
 							algo, order, strategy, prefilter, n, k, minLen, g.Edges())
 						algoOpts := append(slices.Clip(opts), WithAlgorithm(algo))
-						res, err := Solve(ctx, g, k, algoOpts...)
+						res, err := Solve(ctx, g, k, append(slices.Clip(algoOpts), weights...)...)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -115,7 +126,7 @@ func FuzzSolveDifferential(f *testing.F) {
 							}
 						}
 
-						rres, err := Solve(ctx, rg, k, algoOpts...)
+						rres, err := Solve(ctx, rg, k, append(slices.Clip(algoOpts), rweights...)...)
 						if err != nil {
 							t.Fatalf("%s renumbered: %v", name, err)
 						}
